@@ -15,10 +15,18 @@ by tf * idf of the winning form.
 Scoring works on distinct words: a form and a text are compared as word
 sets, and a form's information content here is the idf of its distinct
 words.
+
+:func:`annotate` scores every candidate from one pass over the postings
+of the text's words (ScanCount; Li, Lu & Lu, ICDE 2008): each form that
+shares a word collects that word's -log P(w), in sorted word order, so
+the collected values sum to exactly the idf of the shared words that
+:func:`ratio` computes.  :func:`sim` and :func:`ratio` score one concept
+or form directly and serve as the reference for that pass.
 """
 from __future__ import annotations
 
 import logging
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import AbstractSet, Iterable, Mapping
@@ -149,9 +157,11 @@ def term_frequency(form_words: AbstractSet[str], text_words: Iterable[str]) -> i
     Word order is deliberately ignored.  A form that passed the similarity
     threshold without full coverage still counts once.
     """
-    counts = Counter(text_words)
-    contained = min((counts[w] for w in form_words), default=0)
-    return max(1, contained)
+    return _contained(form_words, Counter(text_words))
+
+
+def _contained(form_words: AbstractSet[str], counts: Mapping[str, int]) -> int:
+    return max(1, min((counts.get(w, 0) for w in form_words), default=0))
 
 
 def annotate(
@@ -171,30 +181,64 @@ def annotate(
         raise ValueError(f"threshold {threshold} outside [-1, 1]")
     words = lexicon.tokenizer(text)
     text_set = frozenset(words)
+    # Per form, the -log P(w) of each shared word, in sorted word order.
+    shared: dict[tuple[str, str], list[float]] = {}
+    for word in sorted(text_set):
+        postings = lexicon.forms_with_word(word)
+        if not postings:
+            continue
+        information = -math.log(lexicon.probability(word))
+        for key in postings:
+            infos = shared.get(key)
+            if infos is None:
+                shared[key] = [information]
+            else:
+                infos.append(information)
     if threshold > -1.0:
-        # Only concepts sharing a word can score above -1.
-        candidate_ids = sorted(
-            {cid for w in text_set for cid in lexicon.concepts_with_word(w)}
-        )
+        # Only forms sharing a word can score above -1.
+        candidates: Iterable[tuple[tuple[str, str], list[float]]] = shared.items()
     else:
-        candidate_ids = [c.id for c in lexicon.concepts]
+        candidates = (
+            ((c.id, form), shared.get((c.id, form), []))
+            for c in lexicon.concepts
+            for form in c.lexical_forms
+        )
+    # Per concept, the winning (similarity, form): highest similarity,
+    # then the form with more words, then the lexicographically smaller.
+    best: dict[str, tuple[float, str]] = {}
+    for (cid, form), infos in candidates:
+        form_idf = lexicon.form_idf(cid, form)
+        if form_idf <= 0.0:
+            continue
+        value = min(1.0, max(-1.0, (2.0 * sum(infos) - form_idf) / form_idf))
+        current = best.get(cid)
+        if current is None or value > current[0] or (
+            value == current[0] and _wins_tie(lexicon, cid, form, current[1])
+        ):
+            best[cid] = (value, form)
+    counts = Counter(words)
     weights: dict[str, float] = {}
     provenance: dict[str, Annotation] = {}
-    for cid in candidate_ids:
-        concept = lexicon.concept(cid)
-        match = sim(concept, text_set, lexicon)
-        if match is None or match.similarity < threshold:
+    for cid in sorted(best):
+        value, form = best[cid]
+        if value < threshold:
             continue
-        form_words = lexicon.form_words(cid, match.form)
-        tf = term_frequency(form_words, words)
+        form_words = lexicon.form_words(cid, form)
         entry = Annotation(
             concept_id=cid,
-            lexical_form=match.form,
-            similarity=match.similarity,
-            tf=tf,
-            idf_value=lexicon.idf(form_words),
-            matched_words=match.matched_words,
+            lexical_form=form,
+            similarity=value,
+            tf=_contained(form_words, counts),
+            idf_value=lexicon.form_idf(cid, form),
+            matched_words=cw(form_words, text_set),
         )
         weights[cid] = entry.weight
         provenance[cid] = entry
     return SemanticVector(weights=weights, provenance=provenance)
+
+
+def _wins_tie(lexicon: Lexicon, concept_id: str, form: str, other: str) -> bool:
+    """Whether ``form`` beats ``other`` at equal similarity."""
+    n = len(lexicon.form_words(concept_id, form))
+    m = len(lexicon.form_words(concept_id, other))
+    return n > m or (n == m and form < other)

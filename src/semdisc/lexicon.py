@@ -8,7 +8,8 @@ Laplace add-one smoothing over the corpus of lexical forms; words never
 seen in any form fall back to a shared floor probability.
 
 Instances are immutable after construction and safe to share across
-threads.
+threads; the only table filled later, each form's idf, is a memo of
+values that do not depend on which thread computes them.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Mapping
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 log = logging.getLogger(__name__)
 
@@ -73,6 +74,12 @@ class Lexicon:
     ``unseen_prob`` is the floor used for words outside the model.  Use
     :meth:`from_concepts` to estimate both from the lexical forms, or pass
     explicit probabilities (useful for fixtures with designed idf values).
+
+    Each form's idf is memoised the first time :meth:`form_idf` asks for
+    it, not at load time, so loading pays nothing for forms no text ever
+    touches.  A memoised value is a pure function of the form, so two
+    threads filling the same entry store equal floats and sharing an
+    instance across threads stays safe.
     """
 
     def __init__(
@@ -99,18 +106,18 @@ class Lexicon:
         self._word_prob = dict(word_prob)
         self.unseen_prob = unseen_prob
         self.tokenizer = tokenizer
-        # Tokenize every form once; annotation is read-heavy.
+        # Tokenize every form once and post it under each of its words;
+        # annotation is read-heavy.
         self._form_words: dict[tuple[str, str], frozenset[str]] = {}
-        word_to_concepts: dict[str, set[str]] = {}
+        self._postings: dict[str, list[tuple[str, str]]] = {}
         for concept in self._concepts:
             for form in concept.lexical_forms:
+                key = (concept.id, form)
                 words = frozenset(tokenizer(form))
-                self._form_words[concept.id, form] = words
+                self._form_words[key] = words
                 for word in words:
-                    word_to_concepts.setdefault(word, set()).add(concept.id)
-        self._word_to_concepts = {
-            w: frozenset(cids) for w, cids in word_to_concepts.items()
-        }
+                    self._postings.setdefault(word, []).append(key)
+        self._form_idf: dict[tuple[str, str], float] = {}
         self.fingerprint = fingerprint or self._content_fingerprint()
 
     def _content_fingerprint(self) -> str:
@@ -190,9 +197,31 @@ class Lexicon:
         """Distinct normalized words of one lexical form (precomputed)."""
         return self._form_words[concept_id, form]
 
+    def form_idf(self, concept_id: str, form: str) -> float:
+        """idf of one lexical form's distinct words, memoised.
+
+        A zero-information form (idf 0, every word has probability 1) is
+        logged once, when its value is first memoised.
+        """
+        key = (concept_id, form)
+        value = self._form_idf.get(key)
+        if value is None:
+            value = self.idf(self._form_words[key])
+            if value <= 0.0:
+                log.warning(
+                    "concept %s: zero-information form %r is never scored",
+                    concept_id, form,
+                )
+            self._form_idf[key] = value
+        return value
+
+    def forms_with_word(self, word: str) -> Sequence[tuple[str, str]]:
+        """``(concept_id, form)`` of every form having ``word``; do not mutate."""
+        return self._postings.get(word, ())
+
     def concepts_with_word(self, word: str) -> frozenset[str]:
         """Ids of concepts having ``word`` in at least one form."""
-        return self._word_to_concepts.get(word, frozenset())
+        return frozenset(cid for cid, _ in self.forms_with_word(word))
 
 
 def load_lexicon(path: str | Path, *, tokenizer: Tokenizer = normalize) -> Lexicon:

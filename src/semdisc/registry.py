@@ -19,13 +19,14 @@ locking.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
+import operator
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .annotator import DEFAULT_THRESHOLD, Annotation, SemanticVector, annotate
 from .lexicon import Lexicon
@@ -197,28 +198,21 @@ def build_index(
     lexicon: Lexicon,
     *,
     threshold: float = DEFAULT_THRESHOLD,
-    workers: int = 1,
 ) -> ServiceIndex:
     """Annotate every record and assemble the posting tables.
 
     Records are sorted by name before positions are assigned, so the
-    result does not depend on input order or on how work is split across
-    ``workers`` threads.
+    result does not depend on input order.
     """
     ordered = sorted(records, key=lambda r: r.name)
     duplicates = _duplicate_names(ordered)
     if duplicates:
         raise ValueError(f"duplicate service names: {', '.join(duplicates)}")
-    texts = [annotation_text(r) for r in ordered]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            vectors = list(
-                pool.map(lambda t: annotate(t, lexicon, threshold=threshold), texts)
-            )
-    else:
-        vectors = [annotate(t, lexicon, threshold=threshold) for t in texts]
     services = tuple(
-        AnnotatedService(record=r, vector=v) for r, v in zip(ordered, vectors)
+        AnnotatedService(
+            record=r, vector=annotate(annotation_text(r), lexicon, threshold=threshold)
+        )
+        for r in ordered
     )
     concept_postings: dict[str, set[int]] = {}
     category_postings: dict[str, set[int]] = {}
@@ -288,7 +282,11 @@ def save_index(index: ServiceIndex, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> ServiceIndex:
-    """Read an index file, verifying magic, version and checksum."""
+    """Read an index file, verifying magic, version, checksum and payload.
+
+    A checksum-valid payload with missing or mis-typed keys, or with a
+    posting outside the service list, raises ValueError naming the file.
+    """
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) < 4 or raw[:4] != MAGIC:
@@ -306,41 +304,132 @@ def load_index(path: str | Path) -> ServiceIndex:
     offset += fp_len
     (payload_len,) = struct.unpack_from(">Q", raw, offset)
     offset += 8
-    payload = json.loads(raw[offset : offset + payload_len].decode("utf-8"))
-    services = []
-    for entry in payload["services"]:
-        provenance = {
-            c: Annotation(
-                concept_id=c,
-                lexical_form=p["lexical_form"],
-                similarity=p["similarity"],
-                tf=p["tf"],
-                idf_value=p["idf_value"],
-                matched_words=frozenset(p["matched_words"]),
-            )
-            for c, p in entry["provenance"].items()
-        }
-        services.append(
-            AnnotatedService(
-                record=ServiceRecord(
-                    name=entry["name"],
-                    description=entry["description"],
-                    documentation=entry["documentation"],
-                    tags=tuple(entry["tags"]),
-                    categories=tuple(entry["categories"]),
-                ),
-                vector=SemanticVector(
-                    weights=dict(entry["weights"]), provenance=provenance
-                ),
-            )
-        )
+    try:
+        payload = json.loads(raw[offset : offset + payload_len].decode("utf-8"))
+        entries, concepts, categories = _PAYLOAD.values(payload)
+        services = tuple(_services(entries))
+        concept_postings = _postings(concepts, "concept_postings", len(services))
+        category_postings = _postings(categories, "category_postings", len(services))
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed index payload: {exc}") from exc
     return ServiceIndex(
-        services=tuple(services),
-        concept_postings={
-            c: frozenset(p) for c, p in payload["concept_postings"].items()
-        },
-        category_postings={
-            c: frozenset(p) for c, p in payload["category_postings"].items()
-        },
+        services=services,
+        concept_postings=concept_postings,
+        category_postings=category_postings,
         lexicon_fingerprint=fingerprint,
     )
+
+
+class _Shape:
+    """Required keys of a JSON object and the exact types each may hold.
+
+    Exact types, so a JSON true/false (a bool) is no number.  The check
+    runs once per object of a large payload, so its fast path is one
+    lookup of the object's tuple of value types.
+    """
+
+    def __init__(self, **kinds: tuple[type, ...]) -> None:
+        self._kinds = kinds
+        self._get = operator.itemgetter(*kinds)
+        self._allowed = frozenset(itertools.product(*kinds.values()))
+
+    def values(self, obj: object) -> tuple:
+        """The values of the keys, in declaration order; ValueError if not valid."""
+        try:
+            values = self._get(obj)
+            if tuple(map(type, values)) in self._allowed:
+                return values
+        except (KeyError, TypeError):
+            pass
+        if type(obj) is not dict:
+            raise ValueError("expected an object")
+        for key, kinds in self._kinds.items():
+            if key not in obj:
+                raise ValueError(f"missing key {key!r}")
+            if type(obj[key]) not in kinds:
+                raise ValueError(f"key {key!r} has type {type(obj[key]).__name__}")
+        raise AssertionError("unreachable")
+
+
+_NUMBER = (int, float)
+_OPTIONAL_STR = (str, type(None))
+# Element types of JSON lists and maps, checked with issuperset(map(type, ...)).
+_INTS = frozenset({int})
+_NUMBERS = frozenset(_NUMBER)
+_STRS = frozenset({str})
+_PAYLOAD = _Shape(services=(list,), concept_postings=(dict,), category_postings=(dict,))
+_SERVICE = _Shape(
+    name=(str,),
+    description=_OPTIONAL_STR,
+    documentation=_OPTIONAL_STR,
+    tags=(list,),
+    categories=(list,),
+    weights=(dict,),
+    provenance=(dict,),
+)
+_ANNOTATION = _Shape(
+    lexical_form=(str,),
+    similarity=_NUMBER,
+    tf=(int,),
+    idf_value=_NUMBER,
+    matched_words=(list,),
+)
+
+
+def _services(entries: list) -> Iterator[AnnotatedService]:
+    for pos, entry in enumerate(entries):
+        try:
+            yield _service(entry)
+        except ValueError as exc:
+            raise ValueError(f"service {pos}: {exc}") from None
+
+
+def _service(entry: object) -> AnnotatedService:
+    name, description, documentation, tags, categories, weights, provenance = (
+        _SERVICE.values(entry)
+    )
+    if not _STRS.issuperset(map(type, tags)):
+        raise ValueError("key 'tags' must be a list of strings")
+    if not _STRS.issuperset(map(type, categories)):
+        raise ValueError("key 'categories' must be a list of strings")
+    if not _NUMBERS.issuperset(map(type, weights.values())):
+        raise ValueError("key 'weights' must map to numbers")
+    annotations = {}
+    for cid, p in provenance.items():
+        try:
+            form, similarity, tf, idf_value, matched = _ANNOTATION.values(p)
+            if not _STRS.issuperset(map(type, matched)):
+                raise ValueError("key 'matched_words' must be a list of strings")
+        except ValueError as exc:
+            raise ValueError(f"provenance {cid!r}: {exc}") from None
+        annotations[cid] = Annotation(
+            concept_id=cid,
+            lexical_form=form,
+            similarity=similarity,
+            tf=tf,
+            idf_value=idf_value,
+            matched_words=frozenset(matched),
+        )
+    return AnnotatedService(
+        record=ServiceRecord(
+            name=name,
+            description=description,
+            documentation=documentation,
+            tags=tuple(tags),
+            categories=tuple(categories),
+        ),
+        vector=SemanticVector(weights=weights, provenance=annotations),
+    )
+
+
+def _postings(table: dict, key: str, size: int) -> dict[str, frozenset[int]]:
+    for name, positions in table.items():
+        if not (
+            type(positions) is list
+            and _INTS.issuperset(map(type, positions))
+            and (not positions or (min(positions) >= 0 and max(positions) < size))
+        ):
+            raise ValueError(
+                f"{key} {name!r}: positions must be a list of integers in [0, {size})"
+            )
+    return {name: frozenset(positions) for name, positions in table.items()}

@@ -6,7 +6,11 @@ through the ``record_property`` fixture.
 """
 from __future__ import annotations
 
+import hashlib
+import json
+import struct
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -15,6 +19,21 @@ from semdisc import build_index, ingest_registry, load_lexicon, load_taxonomy
 DATA = Path(__file__).parent / "data"
 
 _ACCEPTANCE: list[tuple[str, str, str]] = []
+
+
+def rewrite_index_payload(path: Path, edit: Callable[[object], object]) -> None:
+    """Replace an index file's JSON payload with ``edit(payload)``.
+
+    The trailing checksum is recomputed, so the file passes the envelope
+    checks and only payload validation can reject it.
+    """
+    raw = path.read_bytes()
+    (fp_len,) = struct.unpack_from(">H", raw, 8)
+    head = raw[: 10 + fp_len]
+    payload = json.loads(raw[len(head) + 8 : -32])
+    blob = json.dumps(edit(payload), sort_keys=True, separators=(",", ":")).encode()
+    body = head + struct.pack(">Q", len(blob)) + blob
+    path.write_bytes(body + hashlib.sha256(body).digest())
 
 
 @pytest.fixture(scope="session")

@@ -4,8 +4,11 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from semdisc.annotator import (
+    DEFAULT_THRESHOLD,
     Annotation,
     SemanticVector,
     UndefinedScoreError,
@@ -17,6 +20,10 @@ from semdisc.annotator import (
     term_frequency,
 )
 from semdisc.lexicon import Concept, Lexicon
+from semdisc.registry import annotation_text
+from semdisc.requirements import parse_requirements, tasks
+
+from conftest import DATA
 
 
 @pytest.fixture()
@@ -186,3 +193,123 @@ class TestAnnotate:
         assert vec.support() == frozenset({"C1513868", "D9000419"})
         assert vec.weights["C1513868"] == pytest.approx(8.0, abs=0.01)
         assert vec.weights["D9000419"] == pytest.approx(15.0, abs=0.01)
+
+    def test_tie_prefers_more_words_then_lexicographic(self):
+        lex = Lexicon(
+            concepts=[
+                Concept("X", frozenset({"beta alpha", "alpha beta", "alpha"})),
+                Concept("Y", frozenset({"beta", "alpha"})),
+            ],
+            word_prob={"alpha": 0.5, "beta": 0.5},
+            unseen_prob=0.5,
+        )
+        vec = annotate("beta alpha", lex)
+        assert vec.provenance["X"].lexical_form == "alpha beta"
+        assert vec.provenance["Y"].lexical_form == "alpha"
+
+    def test_zero_information_form_warns_once_per_lexicon(self, caplog):
+        lex = Lexicon(
+            concepts=[
+                Concept("X", frozenset({"the"})),
+                Concept("Y", frozenset({"the tree", "tree"})),
+            ],
+            word_prob={"the": 1.0, "tree": 0.5},
+            unseen_prob=0.5,
+        )
+        with caplog.at_level("WARNING"):
+            first = annotate("the tree", lex)
+            second = annotate("the tree", lex)
+        warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1
+        assert "zero-information" in warnings[0].getMessage()
+        assert first.provenance == second.provenance
+        assert first.support() == {"Y"}
+
+
+def _reference_provenance(
+    text: str, lexicon: Lexicon, threshold: float = DEFAULT_THRESHOLD
+) -> dict[str, tuple]:
+    """annotate() rebuilt from sim(), term_frequency and Lexicon.idf."""
+    words = lexicon.tokenizer(text)
+    text_set = frozenset(words)
+    out = {}
+    for concept in lexicon.concepts:
+        match = sim(concept, text_set, lexicon)
+        if match is None or match.similarity < threshold:
+            continue
+        form_words = lexicon.form_words(concept.id, match.form)
+        out[concept.id] = (
+            match.form,
+            match.similarity,
+            term_frequency(form_words, words),
+            lexicon.idf(form_words),
+            match.matched_words,
+        )
+    return out
+
+
+def _provenance_fields(text: str, lexicon: Lexicon, threshold: float) -> dict[str, tuple]:
+    vec = annotate(text, lexicon, threshold=threshold)
+    assert list(vec.weights) == sorted(vec.provenance)
+    for cid, entry in vec.provenance.items():
+        assert entry.concept_id == cid
+        assert vec.weights[cid] == entry.tf * entry.idf_value
+    return {
+        cid: (a.lexical_form, a.similarity, a.tf, a.idf_value, a.matched_words)
+        for cid, a in vec.provenance.items()
+    }
+
+
+def _demo_texts(demo_records) -> list[str]:
+    outline = parse_requirements(DATA / "requirements.txt")
+    return [annotation_text(r) for r in demo_records] + [
+        t.description for t in tasks(outline)
+    ]
+
+
+class TestAnnotateMatchesSim:
+    """annotate's provenance equals, field by field and bit for bit, a
+    reference that scores every concept with sim()."""
+
+    @pytest.mark.parametrize("threshold", [DEFAULT_THRESHOLD, 0.3])
+    def test_demo_services_and_tasks(self, demo_lexicon, demo_records, threshold):
+        texts = _demo_texts(demo_records)
+        assert len(texts) > len(demo_records)
+        for text in texts:
+            assert _provenance_fields(text, demo_lexicon, threshold) == (
+                _reference_provenance(text, demo_lexicon, threshold)
+            ), text
+
+    def test_demo_floor_threshold(self, demo_lexicon, demo_records):
+        text = _demo_texts(demo_records)[0]
+        assert _provenance_fields(text, demo_lexicon, -1.0) == (
+            _reference_provenance(text, demo_lexicon, -1.0)
+        )
+
+    # Few words and small forms, so forms of one concept often tie:
+    # permutations ("alpha beta" / "beta alpha"), and one-word and
+    # two-word forms that the same text covers in full.
+    _words = st.sampled_from(["alpha", "beta", "gamma", "delta"])
+    _form = st.lists(_words, min_size=1, max_size=3, unique=True).map(" ".join)
+    _concepts = st.lists(st.frozensets(_form, min_size=1, max_size=4), min_size=1, max_size=8)
+
+    @given(
+        form_sets=_concepts,
+        # None estimates probabilities from the forms; otherwise one value
+        # per word, where equal values force ties and 1.0 makes
+        # zero-information forms.
+        probs=st.none() | st.lists(st.sampled_from([0.5, 0.25, 1.0]), min_size=4, max_size=4),
+        text=st.lists(_words | st.just("other"), max_size=6).map(" ".join),
+        threshold=st.sampled_from([-1.0, 0.0, 0.5, DEFAULT_THRESHOLD, 1.0]),
+    )
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_tie_prone_lexicons(self, form_sets, probs, text, threshold):
+        concepts = [Concept(f"C{i}", forms) for i, forms in enumerate(form_sets)]
+        if probs is None:
+            lexicon = Lexicon.from_concepts(concepts)
+        else:
+            words = ["alpha", "beta", "gamma", "delta"]
+            lexicon = Lexicon(concepts, dict(zip(words, probs)), unseen_prob=0.5)
+        assert _provenance_fields(text, lexicon, threshold) == (
+            _reference_provenance(text, lexicon, threshold)
+        )

@@ -8,7 +8,7 @@ import pytest
 from semdisc import load_lexicon
 from semdisc.cli import main
 
-from conftest import DATA
+from conftest import DATA, rewrite_index_payload
 
 TASK = "Analyze domains in protein sequences"
 
@@ -298,6 +298,33 @@ class TestDiscoverCommand:
         )
         assert code == 0
         assert "fingerprint mismatch" in err
+
+    @pytest.mark.parametrize("damage", ["missing_provenance", "posting_out_of_range"])
+    def test_malformed_index_is_data_error(self, built_index, capsys, damage):
+        def edit(payload):
+            if damage == "missing_provenance":
+                del payload["services"][0]["provenance"]
+            else:
+                payload["concept_postings"]["D9000419"].append(len(payload["services"]))
+            return payload
+
+        rewrite_index_payload(built_index, edit)
+        code, out, err = run(
+            capsys,
+            "discover",
+            TASK,
+            "--lexicon",
+            str(DATA / "lexicon.tsv"),
+            "--taxonomy",
+            str(DATA / "taxonomy.txt"),
+            "--index",
+            str(built_index),
+        )
+        assert code == 1
+        assert out == ""
+        assert str(built_index) in err
+        assert "malformed index payload" in err
+        assert "Traceback" not in err
 
     def test_invalid_weights(self, built_index, capsys):
         code, _, err = run(

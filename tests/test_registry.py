@@ -17,7 +17,7 @@ from semdisc.registry import (
 )
 from semdisc.registry import _index_payload
 
-from conftest import DATA
+from conftest import DATA, rewrite_index_payload
 
 
 class TestServiceRecord:
@@ -129,11 +129,6 @@ class TestBuildIndex:
         backward = build_index(list(reversed(demo_records)), demo_lexicon)
         assert _index_payload(forward) == _index_payload(backward)
 
-    def test_worker_count_does_not_matter(self, demo_records, demo_lexicon):
-        serial = build_index(demo_records, demo_lexicon, workers=1)
-        threaded = build_index(demo_records, demo_lexicon, workers=4)
-        assert _index_payload(serial) == _index_payload(threaded)
-
     def test_duplicate_names_rejected(self, demo_lexicon):
         records = [ServiceRecord(name="A"), ServiceRecord(name="A")]
         with pytest.raises(ValueError, match="duplicate"):
@@ -146,13 +141,14 @@ class TestBuildIndex:
         assert index.concept_postings == {}
 
 
-class TestPersistence:
-    @pytest.fixture()
-    def index_path(self, demo_index, tmp_path):
-        path = tmp_path / "demo.idx"
-        save_index(demo_index, path)
-        return path
+@pytest.fixture()
+def index_path(demo_index, tmp_path):
+    path = tmp_path / "demo.idx"
+    save_index(demo_index, path)
+    return path
 
+
+class TestPersistence:
     def test_round_trip_preserves_everything(self, demo_index, index_path):
         loaded = load_index(index_path)
         assert loaded.lexicon_fingerprint == demo_index.lexicon_fingerprint
@@ -202,6 +198,85 @@ class TestPersistence:
         index_path.write_bytes(bytes(body) + hashlib.sha256(bytes(body)).digest())
         with pytest.raises(ValueError, match="version"):
             load_index(index_path)
+
+
+def _edit_service(key: str, value):
+    def edit(payload):
+        payload["services"][0][key] = value
+        return payload
+
+    return edit
+
+
+def _edit_provenance(key: str, value):
+    def edit(payload):
+        entry = next(s for s in payload["services"] if s["provenance"])
+        next(iter(entry["provenance"].values()))[key] = value
+        return payload
+
+    return edit
+
+
+def _edit_posting(table: str, position):
+    def edit(payload):
+        next(iter(payload[table].values())).append(position)
+        return payload
+
+    return edit
+
+
+class TestMalformedPayload:
+    """Checksum-valid files whose payload does not match the format."""
+
+    def test_missing_provenance_key(self, index_path):
+        def drop_provenance(payload):
+            del payload["services"][0]["provenance"]
+            return payload
+
+        rewrite_index_payload(index_path, drop_provenance)
+        with pytest.raises(ValueError) as excinfo:
+            load_index(index_path)
+        message = str(excinfo.value)
+        assert message.startswith(str(index_path))
+        assert "service 0: missing key 'provenance'" in message
+
+    def test_concept_posting_past_service_list(self, index_path, demo_index):
+        rewrite_index_payload(
+            index_path, _edit_posting("concept_postings", len(demo_index))
+        )
+        with pytest.raises(ValueError, match="concept_postings") as excinfo:
+            load_index(index_path)
+        assert str(index_path) in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "edit, detail",
+        [
+            (lambda payload: [payload], "expected an object"),
+            (lambda payload: {**payload, "services": {}}, "'services' has type dict"),
+            (_edit_service("name", 7), "'name' has type int"),
+            (_edit_service("name", " "), "service name must be non-empty"),
+            (_edit_service("description", ["x"]), "'description' has type list"),
+            (_edit_service("tags", "protein"), "'tags' has type str"),
+            (_edit_service("categories", [1]), "'categories' must be a list of strings"),
+            (_edit_service("weights", {"C1": "8.0"}), "'weights' must map to numbers"),
+            (_edit_service("weights", {"C1": -1.0}), "non-positive weight"),
+            (_edit_provenance("tf", "1"), "'tf' has type str"),
+            (_edit_provenance("similarity", True), "'similarity' has type bool"),
+            (_edit_provenance("matched_words", "tree"), "'matched_words' has type str"),
+            (_edit_posting("category_postings", -1), "category_postings"),
+            (_edit_posting("concept_postings", "0"), "concept_postings"),
+        ],
+    )
+    def test_rejected_with_file_name(self, index_path, edit, detail):
+        rewrite_index_payload(index_path, edit)
+        with pytest.raises(ValueError, match="malformed index payload") as excinfo:
+            load_index(index_path)
+        assert str(index_path) in str(excinfo.value)
+        assert detail in str(excinfo.value)
+
+    def test_unchanged_payload_still_loads(self, index_path, demo_index):
+        rewrite_index_payload(index_path, lambda payload: payload)
+        assert load_index(index_path).concept_postings == demo_index.concept_postings
 
 
 class TestEmptyVectorHandling:
