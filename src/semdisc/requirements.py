@@ -3,16 +3,16 @@
 The outline format is line-oriented::
 
     goal: Characterize a protein family
+      task: Collect known family members
       subgoal: Describe domain architecture
         task: Analyze domains in protein sequences
         task[rank-motifs]: Rank candidate motif instances
-      task: Summarize the findings
 
 ``goal:`` opens a goal, ``subgoal:`` a subgoal of the current goal, and
-``task:`` attaches to the innermost open scope.  Indentation is
-cosmetic.  Tasks may carry an explicit id in brackets; tasks without one
-are numbered t1, t2, ... in file order.  ``#`` lines and blanks are
-skipped.
+``task:`` attaches to the innermost open scope, so a task written after
+a subgoal belongs to it: indentation is cosmetic.  Tasks may carry an
+explicit id in brackets; tasks without one are numbered t1, t2, ... in
+file order.  ``#`` lines and blanks are skipped.
 """
 from __future__ import annotations
 
@@ -150,16 +150,21 @@ def serialize_requirements(model: RequirementsModel) -> str:
     """Render a model back to outline text.
 
     Task ids are always written explicitly, so parse -> serialize ->
-    parse is a fixed point.
+    parse is a fixed point.  A goal's direct task after a subgoal raises
+    ``ValueError``, since parsing would move that task into the subgoal.
     """
     lines: list[str] = []
     for goal in model.goals:
         lines.append(f"goal: {goal.name}")
+        in_subgoal = False
         for item in goal.items:
             if isinstance(item, Subgoal):
+                in_subgoal = True
                 lines.append(f"  subgoal: {item.name}")
                 for task in item.tasks:
                     lines.append(f"    task[{task.id}]: {task.description}")
+            elif in_subgoal:
+                raise ValueError(f"goal {goal.name!r}: task {item.id!r} after a subgoal")
             else:
                 lines.append(f"  task[{item.id}]: {item.description}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -9,6 +9,7 @@ the unmatched commonality.  Scores live in [-1, 1].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from difflib import SequenceMatcher
 
 from .lexicon import normalize
 
@@ -47,24 +48,12 @@ def normalize_string(text: str) -> str:
 def _longest_common_substring(s1: str, s2: str) -> tuple[int, int, int]:
     """Length and start offsets of the longest common substring.
 
-    Ties take the leftmost occurrence in s1, then in s2.  O(len1 * len2).
+    Ties take the leftmost occurrence in s1, then in s2: the tie rule of
+    :meth:`difflib.SequenceMatcher.find_longest_match`.
     """
-    best_len = 0
-    best_i = best_j = 0
-    previous = [0] * (len(s2) + 1)
-    for i in range(1, len(s1) + 1):
-        current = [0] * (len(s2) + 1)
-        c1 = s1[i - 1]
-        for j in range(1, len(s2) + 1):
-            if c1 == s2[j - 1]:
-                length = previous[j - 1] + 1
-                current[j] = length
-                if length > best_len:
-                    best_len = length
-                    best_i = i - length
-                    best_j = j - length
-        previous = current
-    return best_len, best_i, best_j
+    matcher = SequenceMatcher(None, s1, s2, autojunk=False)
+    i, j, length = matcher.find_longest_match(0, len(s1), 0, len(s2))
+    return length, i, j
 
 
 def _matched_total(s1: str, s2: str, min_len: int) -> int:
@@ -89,8 +78,11 @@ def isub(s1: str, s2: str, params: IsubParams = DEFAULT_PARAMS) -> float:
     ordered canonically before scoring so ties in substring selection
     cannot depend on argument order.
     """
-    a = normalize_string(s1)
-    b = normalize_string(s2)
+    return _isub_normalized(normalize_string(s1), normalize_string(s2), params)
+
+
+def _isub_normalized(a: str, b: str, params: IsubParams) -> float:
+    """ISub of two strings already passed through :func:`normalize_string`."""
     if a == b:
         return 1.0
     if not a or not b:

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .strsim import DEFAULT_PARAMS, IsubParams, clamp_cscore, isub, normalize_string
+from .strsim import DEFAULT_PARAMS, IsubParams, clamp_cscore, normalize_string
+from .strsim import _isub_normalized
 
 DEFAULT_MIN_CSCORE = 0.4
 DEFAULT_TOP_K_CATEGORIES = 3
@@ -31,7 +32,8 @@ class CategoryTaxonomy:
         if not display:
             raise ValueError("empty taxonomy")
         self._display = display
-        self._names = tuple(sorted(display.values()))
+        # Normalized keys are kept in names order, so queries need not redo them.
+        self._names, self._keys = zip(*sorted((n, k) for k, n in display.items()))
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -87,9 +89,10 @@ def match_categories(
         raise ValueError(f"min_cscore {min_cscore} outside [0, 1]")
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
+    text = normalize_string(task_text)
     matches = [
-        CategoryMatch(name, clamp_cscore(isub(task_text, name, params)))
-        for name in taxonomy.names
+        CategoryMatch(name, clamp_cscore(_isub_normalized(text, key, params)))
+        for name, key in zip(taxonomy.names, taxonomy._keys)
     ]
     matches = [m for m in matches if m.c_score >= min_cscore]
     matches.sort(key=lambda m: (-m.c_score, m.category))

@@ -142,6 +142,15 @@ CATEGORY_POOL = ["Cat Alpha", "Cat Beta", "Cat Gamma", "Cat Delta"]
 words_st = st.sampled_from(WORD_POOL)
 word_sets_st = st.frozensets(words_st, min_size=1, max_size=5)
 texts_st = st.lists(words_st, min_size=0, max_size=8).map(" ".join)
+# A category name in another case, with punctuation and runs of whitespace
+# for separators, plus lexicon words: normalization decides its c_score.
+category_texts_st = st.builds(
+    lambda name, case, sep, words: f" {sep.join(case(name).split())}{sep}{words}! ",
+    st.sampled_from(CATEGORY_POOL),
+    st.sampled_from([str.lower, str.upper, str.swapcase]),
+    st.sampled_from([" ", "  ", "-", ", ", "\t", "_"]),
+    texts_st,
+)
 form_st = st.lists(words_st, min_size=1, max_size=4, unique=True).map(" ".join)
 concept_forms_st = st.frozensets(form_st, min_size=1, max_size=2)
 
@@ -252,6 +261,16 @@ def _oracle_annotate(text: str, lexicon: Lexicon, threshold: float) -> dict[str,
     return weights
 
 
+def _oracle_match_categories(
+    task_text: str, taxonomy: CategoryTaxonomy, min_cscore: float, top_k: int
+) -> list[tuple[str, float]]:
+    """Exhaustive category match: public ``isub`` against every name."""
+    matches = [(name, clamp_cscore(isub(task_text, name))) for name in taxonomy.names]
+    matches = [m for m in matches if m[1] >= min_cscore]
+    matches.sort(key=lambda m: (-m[1], m[0]))
+    return matches[:top_k]
+
+
 def _oracle_discover(
     task_text: str,
     lexicon: Lexicon,
@@ -265,11 +284,7 @@ def _oracle_discover(
 ) -> list[tuple[str, float, float, float]]:
     """Exhaustive discover: full scan over services, no posting tables."""
     task_weights = _oracle_annotate(task_text, lexicon, threshold)
-
-    matches = [(name, clamp_cscore(isub(task_text, name))) for name in taxonomy.names]
-    matches = [m for m in matches if m[1] >= min_cscore]
-    matches.sort(key=lambda m: (-m[1], m[0]))
-    matches = matches[:top_k_categories]
+    matches = _oracle_match_categories(task_text, taxonomy, min_cscore, top_k_categories)
 
     def norm(vec: dict[str, float]) -> float:
         return sum(vec[c] ** 2 for c in sorted(vec)) ** 0.5
@@ -301,7 +316,7 @@ def _oracle_discover(
 @given(
     lexicon=lexicon_st,
     records=records_st,
-    text=texts_st,
+    text=st.one_of(texts_st, category_texts_st),
     threshold=st.sampled_from([-1.0, 0.0, 0.5, 0.8]),
     weight_pair=st.sampled_from([(0.2, 0.8), (0.5, 0.5), (0.0, 1.0), (1.0, 0.0)]),
 )
@@ -314,6 +329,11 @@ def _suite_e_brute_force_equivalence(lexicon, records, text, threshold, weight_p
     assert _oracle_annotate(text, lexicon, threshold) == dict(
         annotate(text, lexicon, threshold=threshold).weights
     )
+    for min_cscore, top_k in ((0.0, 2), (0.4, 3)):
+        assert [
+            (m.category, m.c_score)
+            for m in match_categories(text, taxonomy, min_cscore=min_cscore, top_k=top_k)
+        ] == _oracle_match_categories(text, taxonomy, min_cscore, top_k)
 
     got = discover(
         text,

@@ -160,3 +160,20 @@ class TestSerialize:
             goals=(Goal(name="G", items=(TaskRequirement("t1", "Only"),)),)
         )
         assert "task[t1]: Only" in serialize_requirements(model)
+
+    def test_task_after_subgoal_rejected(self):
+        # The outline would attach "After" to S on re-parsing, so the
+        # model has no outline form.
+        model = RequirementsModel(
+            goals=(
+                Goal(
+                    name="G",
+                    items=(
+                        Subgoal("S", (TaskRequirement("a", "Inside"),)),
+                        TaskRequirement("b", "After"),
+                    ),
+                ),
+            )
+        )
+        with pytest.raises(ValueError, match="goal 'G'"):
+            serialize_requirements(model)

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semdisc.strsim import (
     DEFAULT_MIN_SUBSTRING_LEN,
@@ -14,6 +16,43 @@ from semdisc.strsim import (
 )
 
 TASK = "Analyze domains in protein sequences"
+
+
+def _oracle_longest_common_substring(s1: str, s2: str) -> tuple[int, int, int]:
+    """O(len1 * len2) dynamic program: the longest common substring,
+    leftmost in s1, then in s2."""
+    best_len = 0
+    best_i = best_j = 0
+    previous = [0] * (len(s2) + 1)
+    for i in range(1, len(s1) + 1):
+        current = [0] * (len(s2) + 1)
+        c1 = s1[i - 1]
+        for j in range(1, len(s2) + 1):
+            if c1 == s2[j - 1]:
+                length = previous[j - 1] + 1
+                current[j] = length
+                if length > best_len:
+                    best_len = length
+                    best_i = i - length
+                    best_j = j - length
+        previous = current
+    return best_len, best_i, best_j
+
+
+def _oracle_matched_total(s1: str, s2: str, min_len: int) -> int:
+    total = 0
+    while s1 and s2:
+        length, i, j = _oracle_longest_common_substring(s1, s2)
+        if length < min_len:
+            break
+        total += length
+        s1 = s1[:i] + s1[i + length :]
+        s2 = s2[:j] + s2[j + length :]
+    return total
+
+
+# A three-letter alphabet plus space makes repeated and tied substrings common.
+tie_prone_st = st.text(alphabet="ab c", max_size=14)
 
 
 class TestNormalizeString:
@@ -41,6 +80,13 @@ class TestLongestCommonSubstring:
     def test_no_overlap(self):
         assert _longest_common_substring("abc", "xyz")[0] == 0
 
+    @given(s1=tie_prone_st, s2=tie_prone_st)
+    @settings(max_examples=500, deadline=None)
+    def test_matches_dynamic_program(self, s1, s2):
+        assert _longest_common_substring(s1, s2) == _oracle_longest_common_substring(
+            s1, s2
+        )
+
 
 class TestMatchedTotal:
     def test_iterates_until_blocks_too_short(self):
@@ -51,6 +97,11 @@ class TestMatchedTotal:
     def test_respects_min_len(self):
         assert _matched_total("ab", "ab", 3) == 0
         assert _matched_total("ab", "ab", 2) == 2
+
+    @given(s1=tie_prone_st, s2=tie_prone_st, min_len=st.integers(1, 4))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_dynamic_program(self, s1, s2, min_len):
+        assert _matched_total(s1, s2, min_len) == _oracle_matched_total(s1, s2, min_len)
 
 
 class TestIsubParams:
