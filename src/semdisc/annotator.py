@@ -135,8 +135,9 @@ class SemanticVector:
 
     def __post_init__(self) -> None:
         for cid, weight in self.weights.items():
-            if weight <= 0.0:
-                raise ValueError(f"concept {cid}: non-positive weight {weight}")
+            if not 0.0 < weight < math.inf:
+                kind = "non-positive" if weight <= 0.0 else "non-finite"
+                raise ValueError(f"concept {cid}: {kind} weight {weight}")
 
     def support(self) -> frozenset[str]:
         return frozenset(self.weights)

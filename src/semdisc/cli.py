@@ -83,7 +83,7 @@ def resolve_settings(args: argparse.Namespace) -> Settings:
             raise CliError(f"config file not found: {path}", exit_code=2)
         try:
             file_values = json.loads(path.read_text("utf-8"))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise CliError(f"config file {path}: invalid JSON: {exc}", exit_code=2)
         if not isinstance(file_values, dict):
             raise CliError(f"config file {path}: expected a JSON object", exit_code=2)

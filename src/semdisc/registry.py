@@ -5,12 +5,17 @@ fields ``name``, ``description``, ``documentation``, ``tags`` and
 ``categories``.  Absent fields stay absent (None) and are distinguished
 from empty strings.
 
-An index annotates every service once and stores the resulting vectors
+An index annotates every service once and keeps the resulting vectors
 with two posting tables (concept -> services, category -> services) so
 queries never rescan raw text.  On disk the index is a small binary
 envelope: ``SDIX`` magic, format version, the fingerprint of the lexicon
 it was built from, a JSON payload in canonical service order, and a
-trailing SHA-256 checksum.
+trailing SHA-256 checksum.  Format version 2 stores only what cannot be
+derived: each service's record fields and the provenance of its vector
+entries.  Loading rebuilds every weight as ``tf * idf_value`` and the
+index derives its posting tables from the services, so stored postings
+can never disagree with the vectors.  Files of any other version are
+rejected with a message to rebuild the index.
 
 Index instances are immutable after construction; build, save and load
 are pure functions of their inputs, so concurrent readers need no
@@ -35,7 +40,7 @@ from .strsim import normalize_string
 log = logging.getLogger(__name__)
 
 MAGIC = b"SDIX"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -81,7 +86,7 @@ def ingest_registry(path: str | Path) -> list[ServiceRecord]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise ValueError(f"{path}: line {lineno}: record must be an object")
@@ -155,42 +160,40 @@ class ServiceIndex:
     """Annotated services in canonical (name) order plus posting tables.
 
     Postings map concept ids and normalized category names to positions
-    in :attr:`services`.
+    in :attr:`services`; they are derived from the services on
+    construction.
     """
 
     services: tuple[AnnotatedService, ...]
-    concept_postings: Mapping[str, frozenset[int]]
-    category_postings: Mapping[str, frozenset[int]]
     lexicon_fingerprint: str
+    concept_postings: Mapping[str, frozenset[int]] = field(init=False)
+    category_postings: Mapping[str, frozenset[int]] = field(init=False)
+
+    def __post_init__(self) -> None:
+        concept_postings: dict[str, set[int]] = {}
+        category_postings: dict[str, set[int]] = {}
+        # Services share a few category names; normalize each name once.
+        normalized: dict[str, str] = {}
+        for pos, service in enumerate(self.services):
+            for concept in service.vector.weights:
+                concept_postings.setdefault(concept, set()).add(pos)
+            for category in service.record.categories:
+                if category not in normalized:
+                    normalized[category] = normalize_string(category)
+                category_postings.setdefault(normalized[category], set()).add(pos)
+        object.__setattr__(
+            self,
+            "concept_postings",
+            {c: frozenset(p) for c, p in concept_postings.items()},
+        )
+        object.__setattr__(
+            self,
+            "category_postings",
+            {c: frozenset(p) for c, p in category_postings.items()},
+        )
 
     def __len__(self) -> int:
         return len(self.services)
-
-    def check_consistency(self) -> None:
-        """Verify postings and vectors agree in both directions."""
-        for concept, positions in self.concept_postings.items():
-            for pos in positions:
-                if concept not in self.services[pos].vector.weights:
-                    raise AssertionError(
-                        f"posting {concept} -> {pos} has no matching vector entry"
-                    )
-        for pos, service in enumerate(self.services):
-            for concept in service.vector.support():
-                if pos not in self.concept_postings.get(concept, frozenset()):
-                    raise AssertionError(
-                        f"vector entry {concept} of {service.name} not in postings"
-                    )
-            for category in service.normalized_categories():
-                if pos not in self.category_postings.get(category, frozenset()):
-                    raise AssertionError(
-                        f"category {category!r} of {service.name} not in postings"
-                    )
-        for category, positions in self.category_postings.items():
-            for pos in positions:
-                if category not in self.services[pos].normalized_categories():
-                    raise AssertionError(
-                        f"posting {category!r} -> {pos} has no matching service category"
-                    )
 
 
 def build_index(
@@ -199,7 +202,7 @@ def build_index(
     *,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> ServiceIndex:
-    """Annotate every record and assemble the posting tables.
+    """Annotate every record into an index.
 
     Records are sorted by name before positions are assigned, so the
     result does not depend on input order.
@@ -214,19 +217,7 @@ def build_index(
         )
         for r in ordered
     )
-    concept_postings: dict[str, set[int]] = {}
-    category_postings: dict[str, set[int]] = {}
-    for pos, service in enumerate(services):
-        for concept in service.vector.support():
-            concept_postings.setdefault(concept, set()).add(pos)
-        for category in service.normalized_categories():
-            category_postings.setdefault(category, set()).add(pos)
-    return ServiceIndex(
-        services=services,
-        concept_postings={c: frozenset(p) for c, p in concept_postings.items()},
-        category_postings={c: frozenset(p) for c, p in category_postings.items()},
-        lexicon_fingerprint=lexicon.fingerprint,
-    )
+    return ServiceIndex(services=services, lexicon_fingerprint=lexicon.fingerprint)
 
 
 def _index_payload(index: ServiceIndex) -> bytes:
@@ -234,6 +225,11 @@ def _index_payload(index: ServiceIndex) -> bytes:
     for service in index.services:
         record = service.record
         vector = service.vector
+        if vector.weights != {c: a.weight for c, a in vector.provenance.items()}:
+            raise ValueError(
+                f"service {record.name!r}: weights are not tf * idf_value of "
+                "its provenance, so the index cannot store them"
+            )
         services.append(
             {
                 "name": record.name,
@@ -241,7 +237,6 @@ def _index_payload(index: ServiceIndex) -> bytes:
                 "documentation": record.documentation,
                 "tags": list(record.tags),
                 "categories": list(record.categories),
-                "weights": {c: vector.weights[c] for c in sorted(vector.weights)},
                 "provenance": {
                     c: {
                         "lexical_form": a.lexical_form,
@@ -254,20 +249,18 @@ def _index_payload(index: ServiceIndex) -> bytes:
                 },
             }
         )
-    payload = {
-        "services": services,
-        "concept_postings": {
-            c: sorted(p) for c, p in sorted(index.concept_postings.items())
-        },
-        "category_postings": {
-            c: sorted(p) for c, p in sorted(index.category_postings.items())
-        },
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return json.dumps(
+        {"services": services}, sort_keys=True, separators=(",", ":"), allow_nan=False
+    ).encode("utf-8")
 
 
 def save_index(index: ServiceIndex, path: str | Path) -> None:
-    """Write the binary index file; byte-identical for equal indexes."""
+    """Write the binary index file; byte-identical for equal indexes.
+
+    Raises ValueError when a vector's weights are not ``tf * idf_value``
+    of its provenance or a number is not finite, since loading could not
+    reproduce them.
+    """
     payload = _index_payload(index)
     fingerprint = index.lexicon_fingerprint.encode("ascii")
     body = (
@@ -284,40 +277,47 @@ def save_index(index: ServiceIndex, path: str | Path) -> None:
 def load_index(path: str | Path) -> ServiceIndex:
     """Read an index file, verifying magic, version, checksum and payload.
 
-    A checksum-valid payload with missing or mis-typed keys, or with a
-    posting outside the service list, raises ValueError naming the file.
+    A checksum-valid file with a malformed header, a payload length that
+    does not end at the checksum, or a payload with missing or mis-typed
+    keys or non-finite numbers raises ValueError naming the file.  So
+    does a file of another format version, with a message to rebuild it.
     """
     path = Path(path)
     raw = path.read_bytes()
-    if len(raw) < 4 or raw[:4] != MAGIC:
+    if raw[:4] != MAGIC:
         raise ValueError(f"{path}: not a service index file")
-    if len(raw) < 32 or hashlib.sha256(raw[:-32]).digest() != raw[-32:]:
+    body = raw[:-32]
+    if len(raw) < 32 or hashlib.sha256(body).digest() != raw[-32:]:
         raise ValueError(f"{path}: checksum mismatch, file corrupt or truncated")
-    offset = 4
-    (version,) = struct.unpack_from(">I", raw, offset)
-    offset += 4
-    if version != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported index format version {version}")
-    (fp_len,) = struct.unpack_from(">H", raw, offset)
-    offset += 2
-    fingerprint = raw[offset : offset + fp_len].decode("ascii")
-    offset += fp_len
-    (payload_len,) = struct.unpack_from(">Q", raw, offset)
-    offset += 8
     try:
-        payload = json.loads(raw[offset : offset + payload_len].decode("utf-8"))
-        entries, concepts, categories = _PAYLOAD.values(payload)
+        version, fp_len = struct.unpack_from(">IH", body, 4)
+        fingerprint = body[10 : 10 + fp_len].decode("ascii")
+        (payload_len,) = struct.unpack_from(">Q", body, 10 + fp_len)
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: malformed index header: {exc}") from exc
+    if version != FORMAT_VERSION:
+        raise ValueError(
+            f"{path}: index format version {version} is not supported (expected "
+            f"{FORMAT_VERSION}); rebuild the index with 'semdisc index build'"
+        )
+    payload = body[18 + fp_len :]
+    if len(payload) != payload_len:
+        raise ValueError(
+            f"{path}: malformed index header: payload length {payload_len}, "
+            f"but {len(payload)} bytes precede the checksum"
+        )
+    try:
+        (entries,) = _PAYLOAD.values(
+            json.loads(payload.decode("utf-8"), parse_constant=_reject_constant)
+        )
         services = tuple(_services(entries))
-        concept_postings = _postings(concepts, "concept_postings", len(services))
-        category_postings = _postings(categories, "category_postings", len(services))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: malformed index payload: {exc}") from exc
-    return ServiceIndex(
-        services=services,
-        concept_postings=concept_postings,
-        category_postings=category_postings,
-        lexicon_fingerprint=fingerprint,
-    )
+    return ServiceIndex(services=services, lexicon_fingerprint=fingerprint)
+
+
+def _reject_constant(name: str) -> float:
+    raise ValueError(f"non-finite number {name}")
 
 
 class _Shape:
@@ -330,7 +330,9 @@ class _Shape:
 
     def __init__(self, **kinds: tuple[type, ...]) -> None:
         self._kinds = kinds
-        self._get = operator.itemgetter(*kinds)
+        get = operator.itemgetter(*kinds)
+        # itemgetter of a single key returns the bare value, not a 1-tuple.
+        self._get = get if len(kinds) > 1 else lambda obj: (get(obj),)
         self._allowed = frozenset(itertools.product(*kinds.values()))
 
     def values(self, obj: object) -> tuple:
@@ -353,18 +355,15 @@ class _Shape:
 
 _NUMBER = (int, float)
 _OPTIONAL_STR = (str, type(None))
-# Element types of JSON lists and maps, checked with issuperset(map(type, ...)).
-_INTS = frozenset({int})
-_NUMBERS = frozenset(_NUMBER)
+# Element types of JSON lists, checked with issuperset(map(type, ...)).
 _STRS = frozenset({str})
-_PAYLOAD = _Shape(services=(list,), concept_postings=(dict,), category_postings=(dict,))
+_PAYLOAD = _Shape(services=(list,))
 _SERVICE = _Shape(
     name=(str,),
     description=_OPTIONAL_STR,
     documentation=_OPTIONAL_STR,
     tags=(list,),
     categories=(list,),
-    weights=(dict,),
     provenance=(dict,),
 )
 _ANNOTATION = _Shape(
@@ -380,29 +379,30 @@ def _services(entries: list) -> Iterator[AnnotatedService]:
     for pos, entry in enumerate(entries):
         try:
             yield _service(entry)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ValueError(f"service {pos}: {exc}") from None
 
 
 def _service(entry: object) -> AnnotatedService:
-    name, description, documentation, tags, categories, weights, provenance = (
-        _SERVICE.values(entry)
+    name, description, documentation, tags, categories, provenance = _SERVICE.values(
+        entry
     )
     if not _STRS.issuperset(map(type, tags)):
         raise ValueError("key 'tags' must be a list of strings")
     if not _STRS.issuperset(map(type, categories)):
         raise ValueError("key 'categories' must be a list of strings")
-    if not _NUMBERS.issuperset(map(type, weights.values())):
-        raise ValueError("key 'weights' must map to numbers")
+    weights = {}
     annotations = {}
     for cid, p in provenance.items():
         try:
             form, similarity, tf, idf_value, matched = _ANNOTATION.values(p)
             if not _STRS.issuperset(map(type, matched)):
                 raise ValueError("key 'matched_words' must be a list of strings")
+            if not -1.0 <= similarity <= 1.0:
+                raise ValueError(f"similarity {similarity} outside [-1, 1]")
         except ValueError as exc:
             raise ValueError(f"provenance {cid!r}: {exc}") from None
-        annotations[cid] = Annotation(
+        annotation = Annotation(
             concept_id=cid,
             lexical_form=form,
             similarity=similarity,
@@ -410,6 +410,8 @@ def _service(entry: object) -> AnnotatedService:
             idf_value=idf_value,
             matched_words=frozenset(matched),
         )
+        annotations[cid] = annotation
+        weights[cid] = annotation.weight
     return AnnotatedService(
         record=ServiceRecord(
             name=name,
@@ -420,16 +422,3 @@ def _service(entry: object) -> AnnotatedService:
         ),
         vector=SemanticVector(weights=weights, provenance=annotations),
     )
-
-
-def _postings(table: dict, key: str, size: int) -> dict[str, frozenset[int]]:
-    for name, positions in table.items():
-        if not (
-            type(positions) is list
-            and _INTS.issuperset(map(type, positions))
-            and (not positions or (min(positions) >= 0 and max(positions) < size))
-        ):
-            raise ValueError(
-                f"{key} {name!r}: positions must be a list of integers in [0, {size})"
-            )
-    return {name: frozenset(positions) for name, positions in table.items()}

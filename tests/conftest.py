@@ -21,19 +21,35 @@ DATA = Path(__file__).parent / "data"
 _ACCEPTANCE: list[tuple[str, str, str]] = []
 
 
-def rewrite_index_payload(path: Path, edit: Callable[[object], object]) -> None:
-    """Replace an index file's JSON payload with ``edit(payload)``.
+def write_index_body(path: Path, body: bytes) -> None:
+    """Write an index file from its body, appending a matching checksum."""
+    path.write_bytes(body + hashlib.sha256(body).digest())
 
-    The trailing checksum is recomputed, so the file passes the envelope
-    checks and only payload validation can reject it.
+
+def replace_index_payload(path: Path, blob: bytes) -> None:
+    """Replace an index file's payload bytes, keeping its header.
+
+    The payload length and the trailing checksum are recomputed, so the
+    file passes the envelope checks and only payload validation can
+    reject it.
     """
     raw = path.read_bytes()
     (fp_len,) = struct.unpack_from(">H", raw, 8)
-    head = raw[: 10 + fp_len]
-    payload = json.loads(raw[len(head) + 8 : -32])
+    write_index_body(path, raw[: 10 + fp_len] + struct.pack(">Q", len(blob)) + blob)
+
+
+def read_index_payload(path: Path) -> bytes:
+    """The payload bytes of an index file."""
+    raw = path.read_bytes()
+    (fp_len,) = struct.unpack_from(">H", raw, 8)
+    return raw[18 + fp_len : -32]
+
+
+def rewrite_index_payload(path: Path, edit: Callable[[object], object]) -> None:
+    """Replace an index file's JSON payload with ``edit(payload)``."""
+    payload = json.loads(read_index_payload(path))
     blob = json.dumps(edit(payload), sort_keys=True, separators=(",", ":")).encode()
-    body = head + struct.pack(">Q", len(blob)) + blob
-    path.write_bytes(body + hashlib.sha256(body).digest())
+    replace_index_payload(path, blob)
 
 
 @pytest.fixture(scope="session")

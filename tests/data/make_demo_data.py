@@ -348,7 +348,6 @@ def verify(out_dir: Path) -> None:
           f"matched={scores[MATCHED_CATEGORY]:.6f}")
 
     index = build_index(records, lexicon)
-    index.check_consistency()
     for name, shares_domains, _ in SERVICES:
         service = next(s for s in index.services if s.name == name)
         expected = {CONCEPT_PROTSEQ, FILLER_CONCEPTS[name]}

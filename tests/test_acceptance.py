@@ -364,6 +364,7 @@ def _suite_f_index_round_trip_and_determinism(records, data):
         save_index(first, path)
         loaded = load_index(path)
         assert _index_payload(loaded) == _index_payload(first)
+        assert loaded == first
         assert loaded.lexicon_fingerprint == first.lexicon_fingerprint
 
 

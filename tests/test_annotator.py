@@ -116,6 +116,11 @@ class TestSemanticVector:
         with pytest.raises(ValueError):
             SemanticVector(weights={"C1": 0.0})
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_rejects_non_finite_weight(self, weight):
+        with pytest.raises(ValueError, match="non-finite weight"):
+            SemanticVector(weights={"C1": weight})
+
     def test_norm(self):
         vec = SemanticVector(weights={"a": 3.0, "b": 4.0})
         assert vec.norm() == pytest.approx(5.0, abs=0)

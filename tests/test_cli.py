@@ -8,7 +8,7 @@ import pytest
 from semdisc import load_lexicon
 from semdisc.cli import main
 
-from conftest import DATA, rewrite_index_payload
+from conftest import DATA, replace_index_payload, rewrite_index_payload
 
 TASK = "Analyze domains in protein sequences"
 
@@ -106,6 +106,24 @@ class TestIndexBuild:
         )
         assert code == 1
         assert "line 1" in err
+
+    def test_deeply_nested_registry_line_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "nested.jsonl"
+        bad.write_text("[" * 200_000 + "\n")
+        code, _, err = run(
+            capsys,
+            "index",
+            "build",
+            "--lexicon",
+            str(DATA / "lexicon.tsv"),
+            "--registry",
+            str(bad),
+            "--index",
+            str(tmp_path / "out.idx"),
+        )
+        assert code == 1
+        assert f"{bad}: line 1: invalid JSON" in err
+        assert "Traceback" not in err
 
 
 class TestAnnotateCommand:
@@ -299,16 +317,22 @@ class TestDiscoverCommand:
         assert code == 0
         assert "fingerprint mismatch" in err
 
-    @pytest.mark.parametrize("damage", ["missing_provenance", "posting_out_of_range"])
+    @pytest.mark.parametrize(
+        "damage", ["missing_provenance", "non_finite_number", "deeply_nested"]
+    )
     def test_malformed_index_is_data_error(self, built_index, capsys, damage):
         def edit(payload):
             if damage == "missing_provenance":
                 del payload["services"][0]["provenance"]
             else:
-                payload["concept_postings"]["D9000419"].append(len(payload["services"]))
+                provenance = payload["services"][0]["provenance"]
+                provenance["D9000419"]["idf_value"] = float("nan")
             return payload
 
-        rewrite_index_payload(built_index, edit)
+        if damage == "deeply_nested":
+            replace_index_payload(built_index, b"[" * 200_000)
+        else:
+            rewrite_index_payload(built_index, edit)
         code, out, err = run(
             capsys,
             "discover",
@@ -400,6 +424,14 @@ class TestSettingsPrecedence:
         code, _, err = run(capsys, *self.base_argv(built_index), "--config", str(config))
         assert code == 2
         assert "invalid JSON" in err
+
+    def test_deeply_nested_config_json(self, built_index, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text("[" * 200_000)
+        code, _, err = run(capsys, *self.base_argv(built_index), "--config", str(config))
+        assert code == 2
+        assert f"config file {config}: invalid JSON" in err
+        assert "Traceback" not in err
 
     def test_config_must_be_object(self, built_index, tmp_path, capsys):
         config = tmp_path / "cfg.json"

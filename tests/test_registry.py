@@ -3,11 +3,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import pytest
 
+from semdisc.annotator import Annotation, SemanticVector
 from semdisc.lexicon import Concept, Lexicon
 from semdisc.registry import (
+    AnnotatedService,
+    ServiceIndex,
     ServiceRecord,
     annotation_text,
     build_index,
@@ -15,9 +19,15 @@ from semdisc.registry import (
     load_index,
     save_index,
 )
-from semdisc.registry import _index_payload
+from semdisc.registry import FORMAT_VERSION, _index_payload
 
-from conftest import DATA, rewrite_index_payload
+from conftest import (
+    DATA,
+    read_index_payload,
+    replace_index_payload,
+    rewrite_index_payload,
+    write_index_body,
+)
 
 
 class TestServiceRecord:
@@ -111,7 +121,6 @@ class TestIngestRegistry:
 
 class TestBuildIndex:
     def test_demo_postings(self, demo_index):
-        demo_index.check_consistency()
         names = [s.name for s in demo_index.services]
         assert names == ["ELMdb", "Emboss tmap", "Genesilico", "GlobPlot", "Uniprot"]
         # Every demo service mentions "protein sequences"; only two
@@ -128,6 +137,7 @@ class TestBuildIndex:
         forward = build_index(demo_records, demo_lexicon)
         backward = build_index(list(reversed(demo_records)), demo_lexicon)
         assert _index_payload(forward) == _index_payload(backward)
+        assert forward == backward
 
     def test_duplicate_names_rejected(self, demo_lexicon):
         records = [ServiceRecord(name="A"), ServiceRecord(name="A")]
@@ -151,17 +161,8 @@ def index_path(demo_index, tmp_path):
 class TestPersistence:
     def test_round_trip_preserves_everything(self, demo_index, index_path):
         loaded = load_index(index_path)
-        assert loaded.lexicon_fingerprint == demo_index.lexicon_fingerprint
-        assert loaded.concept_postings == demo_index.concept_postings
-        assert loaded.category_postings == demo_index.category_postings
-        assert [s.name for s in loaded.services] == [
-            s.name for s in demo_index.services
-        ]
-        for got, want in zip(loaded.services, demo_index.services):
-            assert got.record == want.record
-            assert got.vector.weights == want.vector.weights
-            assert got.vector.provenance == want.vector.provenance
-        loaded.check_consistency()
+        # Records, weights, provenance, both posting tables, fingerprint.
+        assert loaded == demo_index
 
     def test_save_is_deterministic(self, demo_index, tmp_path):
         first = tmp_path / "a.idx"
@@ -169,6 +170,24 @@ class TestPersistence:
         save_index(demo_index, first)
         save_index(demo_index, second)
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize(
+        "vector",
+        [
+            SemanticVector(weights={"C1": 2.0}),
+            SemanticVector(
+                weights={"C1": 2.0},
+                provenance={"C1": Annotation("C1", "x", math.nan, 1, 2.0, frozenset())},
+            ),
+        ],
+        ids=["weights_without_provenance", "non_finite_similarity"],
+    )
+    def test_vector_the_format_cannot_hold_is_not_saved(self, tmp_path, vector):
+        service = AnnotatedService(record=ServiceRecord(name="A"), vector=vector)
+        index = ServiceIndex(services=(service,), lexicon_fingerprint="f")
+        with pytest.raises(ValueError):
+            save_index(index, tmp_path / "a.idx")
+        assert not (tmp_path / "a.idx").exists()
 
     def test_corrupted_payload_detected(self, index_path):
         blob = bytearray(index_path.read_bytes())
@@ -199,6 +218,30 @@ class TestPersistence:
         with pytest.raises(ValueError, match="version"):
             load_index(index_path)
 
+    def test_previous_format_asks_for_rebuild(self, index_path):
+        body = bytearray(index_path.read_bytes()[:-32])
+        body[4:8] = (FORMAT_VERSION - 1).to_bytes(4, "big")
+        write_index_body(index_path, bytes(body))
+        with pytest.raises(ValueError) as excinfo:
+            load_index(index_path)
+        message = str(excinfo.value)
+        assert message.startswith(f"{index_path}: index format version 1 ")
+        assert "rebuild the index with 'semdisc index build'" in message
+
+    def test_non_ascii_fingerprint_names_file(self, index_path):
+        body = bytearray(index_path.read_bytes()[:-32])
+        body[10] = 0xFF
+        write_index_body(index_path, bytes(body))
+        with pytest.raises(ValueError, match="malformed index header") as excinfo:
+            load_index(index_path)
+        assert str(excinfo.value).startswith(str(index_path))
+
+    def test_bytes_between_payload_and_checksum_detected(self, index_path):
+        write_index_body(index_path, index_path.read_bytes()[:-32] + b"\0" * 8)
+        with pytest.raises(ValueError, match="malformed index header") as excinfo:
+            load_index(index_path)
+        assert str(excinfo.value).startswith(str(index_path))
+
 
 def _edit_service(key: str, value):
     def edit(payload):
@@ -212,14 +255,6 @@ def _edit_provenance(key: str, value):
     def edit(payload):
         entry = next(s for s in payload["services"] if s["provenance"])
         next(iter(entry["provenance"].values()))[key] = value
-        return payload
-
-    return edit
-
-
-def _edit_posting(table: str, position):
-    def edit(payload):
-        next(iter(payload[table].values())).append(position)
         return payload
 
     return edit
@@ -241,12 +276,29 @@ class TestMalformedPayload:
         assert "service 0: missing key 'provenance'" in message
 
     def test_concept_posting_past_service_list(self, index_path, demo_index):
+        """Postings are derived from the services, never read from the file."""
         rewrite_index_payload(
-            index_path, _edit_posting("concept_postings", len(demo_index))
+            index_path,
+            lambda payload: {
+                **payload,
+                "concept_postings": {"D9000419": [len(demo_index)]},
+                "category_postings": {},
+            },
         )
-        with pytest.raises(ValueError, match="concept_postings") as excinfo:
+        assert load_index(index_path) == demo_index
+
+    @pytest.mark.parametrize(
+        "key, detail",
+        [("idf_value", "non-finite weight inf"), ("similarity", "similarity inf outside")],
+    )
+    def test_overflowing_number_rejected(self, index_path, key, detail):
+        payload = read_index_payload(index_path)
+        start = payload.index(f'"{key}":'.encode()) + len(key) + 3
+        end = payload.index(b",", start)
+        replace_index_payload(index_path, payload[:start] + b"1e999" + payload[end:])
+        with pytest.raises(ValueError, match=detail) as excinfo:
             load_index(index_path)
-        assert str(index_path) in str(excinfo.value)
+        assert str(excinfo.value).startswith(str(index_path))
 
     @pytest.mark.parametrize(
         "edit, detail",
@@ -258,13 +310,15 @@ class TestMalformedPayload:
             (_edit_service("description", ["x"]), "'description' has type list"),
             (_edit_service("tags", "protein"), "'tags' has type str"),
             (_edit_service("categories", [1]), "'categories' must be a list of strings"),
-            (_edit_service("weights", {"C1": "8.0"}), "'weights' must map to numbers"),
-            (_edit_service("weights", {"C1": -1.0}), "non-positive weight"),
+            (_edit_provenance("idf_value", "8.0"), "'idf_value' has type str"),
+            (_edit_provenance("idf_value", -1.0), "non-positive weight"),
+            (_edit_provenance("idf_value", math.nan), "non-finite number NaN"),
+            (_edit_provenance("similarity", -math.inf), "non-finite number -Infinity"),
+            (_edit_provenance("tf", 10**400), "int too large to convert to float"),
             (_edit_provenance("tf", "1"), "'tf' has type str"),
             (_edit_provenance("similarity", True), "'similarity' has type bool"),
+            (_edit_provenance("similarity", 1.5), "similarity 1.5 outside [-1, 1]"),
             (_edit_provenance("matched_words", "tree"), "'matched_words' has type str"),
-            (_edit_posting("category_postings", -1), "category_postings"),
-            (_edit_posting("concept_postings", "0"), "concept_postings"),
         ],
     )
     def test_rejected_with_file_name(self, index_path, edit, detail):
@@ -276,7 +330,7 @@ class TestMalformedPayload:
 
     def test_unchanged_payload_still_loads(self, index_path, demo_index):
         rewrite_index_payload(index_path, lambda payload: payload)
-        assert load_index(index_path).concept_postings == demo_index.concept_postings
+        assert load_index(index_path) == demo_index
 
 
 class TestEmptyVectorHandling:
