@@ -83,6 +83,8 @@ def resolve_settings(args: argparse.Namespace) -> Settings:
             raise CliError(f"config file not found: {path}", exit_code=2)
         try:
             file_values = json.loads(path.read_text("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise CliError(f"config file {path}: not valid UTF-8: {exc}", exit_code=2)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise CliError(f"config file {path}: invalid JSON: {exc}", exit_code=2)
         if not isinstance(file_values, dict):

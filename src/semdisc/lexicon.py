@@ -234,9 +234,13 @@ def load_lexicon(path: str | Path, *, tokenizer: Tokenizer = normalize) -> Lexic
     """
     path = Path(path)
     raw = path.read_bytes()
+    try:
+        content = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not valid UTF-8: {exc}") from exc
     sources: dict[str, str] = {}
     forms: dict[str, set[str]] = {}
-    for lineno, line in enumerate(raw.decode("utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(content.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -6,12 +6,23 @@ holding it; the concept route scores the cosine between the task's
 semantic vector and each service vector sharing at least one concept.
 The final score is the convex combination c_score * w1 + s_score * w2;
 a service missed by one route contributes 0 on that side.
+
+The concept route is one accumulator pass over the concept postings
+(term-at-a-time; ScanCount in Li, Lu & Lu, ICDE 2008): walking the
+task's concepts in sorted order, each posting appends
+``task_weight * service_weight`` to that service's product list, and a
+service's score is the sum of its list over the task norm (computed
+once per query) times the service norm the index keeps.  :func:`cosine`
+is the reference: the pass sums the same products in the same order,
+so every score equals ``cosine(task_vector, service.vector)`` bit for
+bit.  :func:`rank` then keeps only the ``top_k`` best with a heap and
+builds results for those alone.
 """
 from __future__ import annotations
 
-import math
+import heapq
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from .annotator import DEFAULT_THRESHOLD, SemanticVector, annotate
 from .lexicon import Lexicon
@@ -79,15 +90,29 @@ def search_by_concepts(
     """Concept-route scores: service position -> cosine similarity.
 
     Only services sharing at least one concept with the task vector are
-    scored; every returned score is > 0.
+    scored; every returned score is > 0 and equals
+    ``cosine(task_vector, index.services[pos].vector)``.
     """
-    candidates: set[int] = set()
-    for concept in task_vector.support():
-        candidates |= index.concept_postings.get(concept, frozenset())
-    return {
-        pos: cosine(task_vector, index.services[pos].vector)
-        for pos in sorted(candidates)
-    }
+    services = index.services
+    # Per reached service, task_weight * service_weight of each shared
+    # concept, in sorted concept order: the terms cosine() sums.
+    products: dict[int, list[float]] = {}
+    for concept in sorted(task_vector.weights):
+        task_weight = task_vector.weights[concept]
+        for pos in index.concept_postings.get(concept, ()):
+            product = task_weight * services[pos].vector.weights[concept]
+            terms = products.get(pos)
+            if terms is None:
+                products[pos] = [product]
+            else:
+                terms.append(product)
+    task_norm = task_vector.norm()
+    norms = index.norms
+    scores: dict[int, float] = {}
+    for pos, terms in products.items():
+        denom = task_norm * norms[pos]
+        scores[pos] = sum(terms) / denom if denom > 0.0 else 0.0
+    return scores
 
 
 def combine(c_score: float, s_score: float, weights: Weights) -> float:
@@ -123,24 +148,24 @@ def rank(
         raise ValueError("top_k must be >= 1")
     c_scores = search_by_category(category_matches, index)
     s_scores = search_by_concepts(task_vector, index)
-    results = []
-    for pos in sorted(c_scores.keys() | s_scores.keys()):
-        service = index.services[pos]
-        c_score = c_scores.get(pos, 0.0)
+    services = index.services
+    # Names are unique, so the key is a total order and pos never compares.
+    keys = []
+    for pos in c_scores.keys() | s_scores.keys():
         s_score = s_scores.get(pos, 0.0)
-        results.append(
-            RankedResult(
-                service=service.name,
-                shared_annotations=frozenset(
-                    task_vector.support() & service.vector.support()
-                ),
-                c_score=c_score,
-                s_score=s_score,
-                score=combine(c_score, s_score, weights),
-            )
+        score = combine(c_scores.get(pos, 0.0), s_score, weights)
+        keys.append((-score, -s_score, services[pos].name, pos))
+    task_support = task_vector.support()
+    return [
+        RankedResult(
+            service=name,
+            shared_annotations=task_support & services[pos].vector.support(),
+            c_score=c_scores.get(pos, 0.0),
+            s_score=-neg_s_score,
+            score=-neg_score,
         )
-    results.sort(key=lambda r: (-r.score, -r.s_score, r.service))
-    return results[:top_k]
+        for neg_score, neg_s_score, name, pos in heapq.nsmallest(top_k, keys)
+    ]
 
 
 def discover(

@@ -80,8 +80,12 @@ def ingest_registry(path: str | Path) -> list[ServiceRecord]:
     both description and documentation are accepted but logged.
     """
     path = Path(path)
+    try:
+        content = path.read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not valid UTF-8: {exc}") from exc
     records: list[ServiceRecord] = []
-    for lineno, line in enumerate(path.read_text("utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(content.splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -160,21 +164,26 @@ class ServiceIndex:
     """Annotated services in canonical (name) order plus posting tables.
 
     Postings map concept ids and normalized category names to positions
-    in :attr:`services`; they are derived from the services on
-    construction.
+    in :attr:`services`, and :attr:`norms` holds each service vector's
+    ``norm()`` at the same position, so ranking never recomputes a
+    service norm per query.  All three are derived from the services on
+    construction and never stored in the index file.
     """
 
     services: tuple[AnnotatedService, ...]
     lexicon_fingerprint: str
     concept_postings: Mapping[str, frozenset[int]] = field(init=False)
     category_postings: Mapping[str, frozenset[int]] = field(init=False)
+    norms: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         concept_postings: dict[str, set[int]] = {}
         category_postings: dict[str, set[int]] = {}
+        norms: list[float] = []
         # Services share a few category names; normalize each name once.
         normalized: dict[str, str] = {}
         for pos, service in enumerate(self.services):
+            norms.append(service.vector.norm())
             for concept in service.vector.weights:
                 concept_postings.setdefault(concept, set()).add(pos)
             for category in service.record.categories:
@@ -191,6 +200,7 @@ class ServiceIndex:
             "category_postings",
             {c: frozenset(p) for c, p in category_postings.items()},
         )
+        object.__setattr__(self, "norms", tuple(norms))
 
     def __len__(self) -> int:
         return len(self.services)

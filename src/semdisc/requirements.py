@@ -89,7 +89,11 @@ def parse_requirements(path: str | Path) -> RequirementsModel:
     current_subgoal: list | None = None  # (name, tasks) cell inside items
     auto_counter = 0
     seen_ids: set[str] = set()
-    for lineno, line in enumerate(path.read_text("utf-8").splitlines(), start=1):
+    try:
+        content = path.read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not valid UTF-8: {exc}") from exc
+    for lineno, line in enumerate(content.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -50,9 +50,13 @@ class CategoryTaxonomy:
 def load_taxonomy(path: str | Path) -> CategoryTaxonomy:
     """Load one category name per line; ``#`` lines and blanks skipped."""
     path = Path(path)
+    try:
+        content = path.read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not valid UTF-8: {exc}") from exc
     names = [
         line.strip()
-        for line in path.read_text("utf-8").splitlines()
+        for line in content.splitlines()
         if line.strip() and not line.strip().startswith("#")
     ]
     if not names:

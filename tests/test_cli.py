@@ -2,9 +2,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import semdisc
 from semdisc import load_lexicon
 from semdisc.cli import main
 
@@ -124,6 +129,25 @@ class TestIndexBuild:
         assert code == 1
         assert f"{bad}: line 1: invalid JSON" in err
         assert "Traceback" not in err
+
+    def test_undecodable_registry_names_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b'{"name": "B", "description": "\xff"}\n')
+        code, _, err = run(
+            capsys,
+            "index",
+            "build",
+            "--lexicon",
+            str(DATA / "lexicon.tsv"),
+            "--registry",
+            str(bad),
+            "--index",
+            str(tmp_path / "out.idx"),
+        )
+        assert code == 1
+        assert err.startswith(f"error: {bad}: not valid UTF-8: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.idx").exists()
 
 
 class TestAnnotateCommand:
@@ -289,6 +313,39 @@ class TestDiscoverCommand:
         assert code == 0
         assert out.count("# task ") == 7
 
+    def test_output_independent_of_hash_seed(self, built_index):
+        # Ranking walks sets and dicts; a new interpreter with another
+        # hash seed must still print the same bytes.
+        argv = [
+            sys.executable,
+            "-m",
+            "semdisc.cli",
+            "discover",
+            "--lexicon",
+            str(DATA / "lexicon.tsv"),
+            "--taxonomy",
+            str(DATA / "taxonomy.txt"),
+            "--index",
+            str(built_index),
+            "--requirements",
+            str(DATA / "requirements.txt"),
+            "--format",
+            "records",
+        ]
+        src = str(Path(semdisc.__file__).resolve().parent.parent)
+        outputs = []
+        for seed in ("0", "1"):
+            env = {k: v for k, v in os.environ.items() if not k.startswith("SEMDISC_")}
+            env["PYTHONHASHSEED"] = seed
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr.decode()
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        # Records mode prints a blank line for a task without results.
+        rows = [json.loads(line) for line in outputs[0].splitlines() if line]
+        assert {row["task"] for row in rows} == {"t1", "t2"}
+
     def test_fingerprint_mismatch_warns(self, tmp_path, capsys):
         other_index = tmp_path / "mini.idx"
         code, _, _ = run(
@@ -431,6 +488,14 @@ class TestSettingsPrecedence:
         code, _, err = run(capsys, *self.base_argv(built_index), "--config", str(config))
         assert code == 2
         assert f"config file {config}: invalid JSON" in err
+        assert "Traceback" not in err
+
+    def test_undecodable_config(self, built_index, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_bytes(b'{"top_k": 2, "format": "\xff"}')
+        code, _, err = run(capsys, *self.base_argv(built_index), "--config", str(config))
+        assert code == 2
+        assert err.startswith(f"error: config file {config}: not valid UTF-8: ")
         assert "Traceback" not in err
 
     def test_config_must_be_object(self, built_index, tmp_path, capsys):

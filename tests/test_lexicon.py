@@ -138,6 +138,13 @@ class TestLoadLexicon:
         path.write_text("# header\n\nC1\tumls\talpha\n")
         assert len(load_lexicon(path)) == 1
 
+    def test_undecodable_file_names_path(self, tmp_path):
+        path = tmp_path / "lex.tsv"
+        path.write_bytes(b"C1\tumls\talpha\nC2\tumls\tbeta \xff\n")
+        with pytest.raises(ValueError) as info:
+            load_lexicon(path)
+        assert str(info.value).startswith(f"{path}: not valid UTF-8: ")
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_lexicon(tmp_path / "absent.tsv")

@@ -4,8 +4,10 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from semdisc.annotator import SemanticVector
+from semdisc.annotator import SemanticVector, annotate
 from semdisc.lexicon import Concept, Lexicon
 from semdisc.ranker import (
     RankedResult,
@@ -17,8 +19,11 @@ from semdisc.ranker import (
     search_by_category,
     search_by_concepts,
 )
-from semdisc.registry import ServiceRecord, build_index
+from semdisc.registry import AnnotatedService, ServiceIndex, ServiceRecord, build_index
+from semdisc.requirements import parse_requirements, tasks
 from semdisc.taxonomy import CategoryMatch, CategoryTaxonomy
+
+from conftest import DATA
 
 
 @pytest.fixture()
@@ -44,6 +49,68 @@ def route_index(route_lexicon):
         ServiceRecord(name="Unreachable", description="opaque too"),
     ]
     return build_index(records, route_lexicon)
+
+
+@pytest.fixture()
+def tie_index(route_lexicon):
+    """Groups of three services with the same text and categories.
+
+    Within a group score and s_score tie and only the name orders them.
+    Positions run against name order, so position order cannot pass for
+    the name tie-break.
+    """
+    groups = [
+        ("alignment tree", ("Cat A",)),
+        ("alignment", ("Cat A",)),
+        ("alignment", ()),
+        ("tree", ("Cat B",)),
+        ("opaque", ("Cat A",)),
+        ("opaque", ()),
+    ]
+    records = [
+        ServiceRecord(name=f"S{g}{suffix}", description=text, categories=categories)
+        for g, (text, categories) in enumerate(groups)
+        for suffix in "cab"
+    ]
+    built = build_index(records, route_lexicon)
+    return ServiceIndex(
+        services=built.services[::-1], lexicon_fingerprint=built.lexicon_fingerprint
+    )
+
+
+def cosine_scores(task_vector, index):
+    """Concept-route reference: cosine against every service sharing a concept."""
+    return {
+        pos: cosine(task_vector, service.vector)
+        for pos, service in enumerate(index.services)
+        if task_vector.support() & service.vector.support()
+    }
+
+
+def reference_rank(task_vector, matches, index, weights, top_k):
+    """Score every reached service with cosine, sort all, then truncate."""
+    c_scores = search_by_category(matches, index)
+    results = []
+    for pos, service in enumerate(index.services):
+        shared = task_vector.support() & service.vector.support()
+        if not shared and pos not in c_scores:
+            continue
+        c_score = c_scores.get(pos, 0.0)
+        s_score = cosine(task_vector, service.vector)
+        results.append(
+            RankedResult(
+                service.name, shared, c_score, s_score, combine(c_score, s_score, weights)
+            )
+        )
+    results.sort(key=lambda r: (-r.score, -r.s_score, r.service))
+    return results[:top_k]
+
+
+vector_st = st.dictionaries(
+    st.sampled_from([f"c{i}" for i in range(6)]),
+    st.floats(min_value=1e-3, max_value=1e3),
+    max_size=6,
+).map(lambda weights: SemanticVector(weights=weights))
 
 
 class TestWeights:
@@ -122,6 +189,26 @@ class TestSearchRoutes:
     def test_concept_route_empty_task(self, route_index):
         assert search_by_concepts(SemanticVector(weights={}), route_index) == {}
 
+    def test_concept_route_is_cosine_on_demo(self, demo_lexicon, demo_index):
+        model = parse_requirements(DATA / "requirements.txt")
+        for task in tasks(model):
+            task_vector = annotate(task.description, demo_lexicon)
+            expected = cosine_scores(task_vector, demo_index)
+            assert search_by_concepts(task_vector, demo_index) == expected
+
+    @given(task_vector=vector_st, vectors=st.lists(vector_st, max_size=8))
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_concept_route_is_cosine(self, task_vector, vectors):
+        # Exact equality: the pass sums cosine's products in cosine's order.
+        index = ServiceIndex(
+            services=tuple(
+                AnnotatedService(record=ServiceRecord(name=f"S{i}"), vector=vector)
+                for i, vector in enumerate(vectors)
+            ),
+            lexicon_fingerprint="f",
+        )
+        assert search_by_concepts(task_vector, index) == cosine_scores(task_vector, index)
+
 
 class TestCombine:
     def test_linear_blend(self):
@@ -178,6 +265,16 @@ class TestRank:
         matches = [CategoryMatch("Cat A", 1.0)]
         results = rank(task_vector, matches, route_index, top_k=1)
         assert len(results) == 1
+
+    @pytest.mark.parametrize("weights", [Weights(), Weights(0.5, 0.5)])
+    @pytest.mark.parametrize("text", ["alignment tree", "alignment", "tree", ""])
+    def test_every_top_k_matches_full_sort(self, route_lexicon, tie_index, text, weights):
+        task_vector = annotate(text, route_lexicon)
+        matches = [CategoryMatch("Cat A", 0.6), CategoryMatch("Cat B", 1.0)]
+        for top_k in range(1, len(tie_index) + 2):
+            expected = reference_rank(task_vector, matches, tie_index, weights, top_k)
+            got = rank(task_vector, matches, tie_index, weights, top_k=top_k)
+            assert got == expected, top_k
 
     def test_top_k_validation(self, route_index):
         with pytest.raises(ValueError):

@@ -118,6 +118,13 @@ class TestIngestRegistry:
         path.write_text('{"name": "A", "description": "x"}\n\n')
         assert len(ingest_registry(path)) == 1
 
+    def test_undecodable_file_names_path(self, tmp_path):
+        path = tmp_path / "reg.jsonl"
+        path.write_bytes(b'{"name": "A", "description": "\xff"}\n')
+        with pytest.raises(ValueError) as info:
+            ingest_registry(path)
+        assert str(info.value).startswith(f"{path}: not valid UTF-8: ")
+
 
 class TestBuildIndex:
     def test_demo_postings(self, demo_index):
@@ -162,6 +169,13 @@ class TestPersistence:
     def test_round_trip_preserves_everything(self, demo_index, index_path):
         loaded = load_index(index_path)
         # Records, weights, provenance, both posting tables, fingerprint.
+        assert loaded == demo_index
+
+    def test_norms_derived_from_vectors(self, demo_index, index_path):
+        loaded = load_index(index_path)
+        expected = tuple(s.vector.norm() for s in demo_index.services)
+        assert demo_index.norms == expected
+        assert loaded.norms == expected
         assert loaded == demo_index
 
     def test_save_is_deterministic(self, demo_index, tmp_path):

@@ -63,6 +63,13 @@ class TestParseRules:
         with pytest.raises(ValueError, match="duplicate"):
             parse_requirements(path)
 
+    def test_undecodable_file_names_path(self, tmp_path):
+        path = tmp_path / "r.txt"
+        path.write_bytes(b"goal: G\ntask: Align \xff reads\n")
+        with pytest.raises(ValueError) as info:
+            parse_requirements(path)
+        assert str(info.value).startswith(f"{path}: not valid UTF-8: ")
+
     def test_task_outside_goal_rejected(self, tmp_path):
         path = tmp_path / "r.txt"
         path.write_text("task: Orphan\n")

@@ -48,6 +48,13 @@ class TestCategoryTaxonomy:
         with pytest.raises(ValueError):
             load_taxonomy(path)
 
+    def test_load_undecodable_file_names_path(self, tmp_path):
+        path = tmp_path / "tax.txt"
+        path.write_bytes(b"Sequence Analysis\nCaf\xe9 Search\n")
+        with pytest.raises(ValueError) as info:
+            load_taxonomy(path)
+        assert str(info.value).startswith(f"{path}: not valid UTF-8: ")
+
 
 class TestCategoryMatch:
     def test_normalized_property(self):
