@@ -305,9 +305,13 @@ def cmd_discover(args: argparse.Namespace) -> int:
         lines = _result_lines(task_id, results, settings.format)
         if settings.format == "table":
             lines.insert(0, f"# task {task_id}: {text}")
-        blocks.append("\n".join(lines))
-    separator = "\n\n" if settings.format == "table" else "\n"
-    print(separator.join(blocks))
+            blocks.append("\n".join(lines))
+        else:
+            # One JSON object per line: a task without results adds none.
+            blocks.extend(lines)
+    if blocks:
+        separator = "\n\n" if settings.format == "table" else "\n"
+        print(separator.join(blocks))
     return 0
 
 

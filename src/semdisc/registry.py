@@ -23,11 +23,13 @@ locking.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
 import logging
 import operator
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -267,6 +269,9 @@ def _index_payload(index: ServiceIndex) -> bytes:
 def save_index(index: ServiceIndex, path: str | Path) -> None:
     """Write the binary index file; byte-identical for equal indexes.
 
+    The file is replaced atomically, so a failed or interrupted save
+    leaves any previous index intact.
+
     Raises ValueError when a vector's weights are not ``tf * idf_value``
     of its provenance or a number is not finite, since loading could not
     reproduce them.
@@ -281,7 +286,23 @@ def save_index(index: ServiceIndex, path: str | Path) -> None:
         + struct.pack(">Q", len(payload))
         + payload
     )
-    Path(path).write_bytes(body + hashlib.sha256(body).digest())
+    _write_atomic(Path(path), body + hashlib.sha256(body).digest())
+
+
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` in one step: write a temp file in the
+    same directory, then rename it over the target.  A failed write leaves
+    the previous file as it was and no temp file behind.  The new file
+    gets the permissions a plain ``open`` would give it."""
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
 
 
 def load_index(path: str | Path) -> ServiceIndex:

@@ -5,11 +5,17 @@ plus a Winkler-style prefix reward.  Commonality sums iteratively removed
 longest common substrings; difference combines the unmatched fractions of
 both strings through a Hamacher product; the prefix reward scales with
 the unmatched commonality.  Scores live in [-1, 1].
+
+The longest common substring is found by substring search rather than a
+dynamic program: scanning the first string left to right, each start
+only has to beat the best length found so far, so every step is one
+``in`` test on the second string, done in C.  It returns what
+:meth:`difflib.SequenceMatcher.find_longest_match` returns for two
+strings without junk, tie rule included.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from difflib import SequenceMatcher
 
 from .lexicon import normalize
 
@@ -49,11 +55,19 @@ def _longest_common_substring(s1: str, s2: str) -> tuple[int, int, int]:
     """Length and start offsets of the longest common substring.
 
     Ties take the leftmost occurrence in s1, then in s2: the tie rule of
-    :meth:`difflib.SequenceMatcher.find_longest_match`.
+    :meth:`difflib.SequenceMatcher.find_longest_match`.  At most
+    ``len(s1) + length`` substring tests; pass the shorter string as s1.
     """
-    matcher = SequenceMatcher(None, s1, s2, autojunk=False)
-    i, j, length = matcher.find_longest_match(0, len(s1), 0, len(s2))
-    return length, i, j
+    best = start = 0
+    i = 0
+    while i + best < len(s1):
+        if s1[i : i + best + 1] in s2:
+            best += 1
+            while i + best < len(s1) and s1[i : i + best + 1] in s2:
+                best += 1
+            start = i
+        i += 1
+    return best, start, s2.find(s1[start : start + best])
 
 
 def _matched_total(s1: str, s2: str, min_len: int) -> int:

@@ -3,20 +3,30 @@
 Every test in test_acceptance.py is echoed at the end of the run as one
 ``[PASS]``/``[FAIL]`` line, together with any values the test recorded
 through the ``record_property`` fixture.
+
+``HYPOTHESIS_PROFILE=ci`` loads a profile that draws the same examples on
+every run and interpreter and prints a reproduction blob on failure, so a
+failure on one CI leg alone points at the interpreter, not at the draw.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from pathlib import Path
 from typing import Callable
 
 import pytest
+from hypothesis import settings
 
 from semdisc import build_index, ingest_registry, load_lexicon, load_taxonomy
 
 DATA = Path(__file__).parent / "data"
+
+settings.register_profile("ci", derandomize=True, print_blob=True)
+if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
+    settings.load_profile("ci")
 
 _ACCEPTANCE: list[tuple[str, str, str]] = []
 

@@ -313,6 +313,45 @@ class TestDiscoverCommand:
         assert code == 0
         assert out.count("# task ") == 7
 
+    def test_records_every_line_is_json(self, built_index, capsys):
+        # Five of the seven outline tasks have no results; they print no line.
+        code, out, _ = run(
+            capsys,
+            "discover",
+            "--lexicon",
+            str(DATA / "lexicon.tsv"),
+            "--taxonomy",
+            str(DATA / "taxonomy.txt"),
+            "--index",
+            str(built_index),
+            "--requirements",
+            str(DATA / "requirements.txt"),
+            "--format",
+            "records",
+        )
+        assert code == 0
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert len(rows) == 7
+        assert {row["task"] for row in rows} == {"t1", "t2"}
+        assert out.endswith("}\n")
+
+    def test_records_task_without_results_prints_nothing(self, built_index, capsys):
+        code, out, _ = run(
+            capsys,
+            "discover",
+            "zzzz qqqq",
+            "--lexicon",
+            str(DATA / "lexicon.tsv"),
+            "--taxonomy",
+            str(DATA / "taxonomy.txt"),
+            "--index",
+            str(built_index),
+            "--format",
+            "records",
+        )
+        assert code == 0
+        assert out == ""
+
     def test_output_independent_of_hash_seed(self, built_index):
         # Ranking walks sets and dicts; a new interpreter with another
         # hash seed must still print the same bytes.
@@ -342,8 +381,7 @@ class TestDiscoverCommand:
             assert proc.returncode == 0, proc.stderr.decode()
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
-        # Records mode prints a blank line for a task without results.
-        rows = [json.loads(line) for line in outputs[0].splitlines() if line]
+        rows = [json.loads(line) for line in outputs[0].splitlines()]
         assert {row["task"] for row in rows} == {"t1", "t2"}
 
     def test_fingerprint_mismatch_warns(self, tmp_path, capsys):

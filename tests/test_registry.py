@@ -1,12 +1,15 @@
 """Registry ingestion, index construction, and index persistence."""
 from __future__ import annotations
 
+import contextlib
+import errno
 import hashlib
 import json
 import math
 
 import pytest
 
+from semdisc import registry
 from semdisc.annotator import Annotation, SemanticVector
 from semdisc.lexicon import Concept, Lexicon
 from semdisc.registry import (
@@ -202,6 +205,40 @@ class TestPersistence:
         with pytest.raises(ValueError):
             save_index(index, tmp_path / "a.idx")
         assert not (tmp_path / "a.idx").exists()
+
+    @pytest.mark.parametrize("fail_at", ["write", "replace"])
+    def test_failed_save_keeps_previous_index(
+        self, demo_index, mini_lexicon, index_path, monkeypatch, fail_at
+    ):
+        before = index_path.read_bytes()
+        other = build_index([ServiceRecord(name="A", description="x")], mini_lexicon)
+
+        @contextlib.contextmanager
+        def disk_full(file, mode):
+            with open(file, mode) as fh:
+                fh.write(b"partial")
+            raise OSError(errno.ENOSPC, "No space left on device")
+            yield
+
+        def failing_replace(src, dst):
+            raise OSError(errno.EIO, "I/O error")
+
+        if fail_at == "write":
+            monkeypatch.setattr(registry, "open", disk_full, raising=False)
+        else:
+            monkeypatch.setattr(registry.os, "replace", failing_replace)
+        with pytest.raises(OSError):
+            save_index(other, index_path)
+        monkeypatch.undo()
+        assert index_path.read_bytes() == before
+        assert load_index(index_path) == demo_index
+        assert list(index_path.parent.iterdir()) == [index_path]
+
+    def test_save_replaces_existing_file(self, demo_index, mini_lexicon, index_path):
+        other = build_index([ServiceRecord(name="A", description="x")], mini_lexicon)
+        save_index(other, index_path)
+        assert load_index(index_path) == other
+        assert list(index_path.parent.iterdir()) == [index_path]
 
     def test_corrupted_payload_detected(self, index_path):
         blob = bytearray(index_path.read_bytes())

@@ -1,6 +1,8 @@
 """String similarity metric: normalization, commonality, difference, prefix."""
 from __future__ import annotations
 
+from difflib import SequenceMatcher
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,6 +88,14 @@ class TestLongestCommonSubstring:
         assert _longest_common_substring(s1, s2) == _oracle_longest_common_substring(
             s1, s2
         )
+
+    @given(s1=tie_prone_st, s2=tie_prone_st)
+    @settings(max_examples=500, deadline=None)
+    def test_matches_difflib(self, s1, s2):
+        # The reference: difflib's longest match on strings without junk.
+        matcher = SequenceMatcher(None, s1, s2, autojunk=False)
+        i, j, length = matcher.find_longest_match(0, len(s1), 0, len(s2))
+        assert _longest_common_substring(s1, s2) == (length, i, j)
 
 
 class TestMatchedTotal:
