@@ -46,7 +46,7 @@ from .requirements import (
     serialize_requirements,
     tasks,
 )
-from .strsim import IsubParams, clamp_cscore, isub
+from .strsim import clamp_cscore, isub
 from .taxonomy import CategoryMatch, CategoryTaxonomy, load_taxonomy, match_categories
 
 __version__ = "0.1.0"
@@ -58,7 +58,6 @@ __all__ = [
     "CategoryTaxonomy",
     "Concept",
     "Goal",
-    "IsubParams",
     "Lexicon",
     "RankedResult",
     "RequirementsModel",

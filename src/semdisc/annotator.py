@@ -31,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import AbstractSet, Iterable, Mapping
 
-from .lexicon import Concept, Lexicon
+from .lexicon import Concept, Lexicon, normalize
 
 log = logging.getLogger(__name__)
 
@@ -180,7 +180,7 @@ def annotate(
     """
     if not -1.0 <= threshold <= 1.0:
         raise ValueError(f"threshold {threshold} outside [-1, 1]")
-    words = lexicon.tokenizer(text)
+    words = normalize(text)
     text_set = frozenset(words)
     # Per form, the -log P(w) of each shared word, in sorted word order.
     shared: dict[tuple[str, str], list[float]] = {}

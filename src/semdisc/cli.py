@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -44,6 +45,15 @@ from .taxonomy import (
 ENV_PREFIX = "SEMDISC_"
 
 _PATH_SETTINGS = ("lexicon", "taxonomy", "registry", "index", "requirements")
+
+# Valid ranges of numeric settings, checked before any input is loaded.
+# NaN compares false, so it is in no range.  Weights checks w1 and w2.
+_RANGES = {
+    "threshold": (-1.0, 1.0, "a number in [-1, 1]"),
+    "min_cscore": (0.0, 1.0, "a number in [0, 1]"),
+    "top_k": (1, math.inf, "an integer >= 1"),
+    "top_k_categories": (1, math.inf, "an integer >= 1"),
+}
 
 
 @dataclass
@@ -108,6 +118,13 @@ def resolve_settings(args: argparse.Namespace) -> Settings:
                 value = int(value)
         except (TypeError, ValueError):
             raise CliError(f"invalid value for {name}: {value!r}", exit_code=2)
+        if name in _RANGES:
+            low, high, expected = _RANGES[name]
+            if not low <= value <= high:
+                raise CliError(
+                    f"invalid value for {name}: {value!r} (expected {expected})",
+                    exit_code=2,
+                )
         setattr(settings, name, value)
     if settings.format not in ("table", "records"):
         raise CliError(
@@ -281,6 +298,7 @@ def _result_lines(task_id: str, results: list[RankedResult], fmt: str) -> list[s
 
 def cmd_discover(args: argparse.Namespace) -> int:
     settings = resolve_settings(args)
+    weights = _weights(settings)
     lexicon, taxonomy, index = _load_inputs(settings, "lexicon", "taxonomy", "index")
     if index.lexicon_fingerprint != lexicon.fingerprint:
         print(
@@ -288,7 +306,6 @@ def cmd_discover(args: argparse.Namespace) -> int:
             "(fingerprint mismatch)",
             file=sys.stderr,
         )
-    weights = _weights(settings)
     blocks: list[str] = []
     for task_id, text in _task_list(settings, args.text):
         results = discover(

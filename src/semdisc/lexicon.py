@@ -18,53 +18,53 @@ import logging
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 log = logging.getLogger(__name__)
-
-Tokenizer = Callable[[str], "list[str]"]
 
 _NON_WORD = re.compile(r"[\W_]+", re.UNICODE)
 
 
-def normalize(
-    text: str,
-    *,
-    stopwords: Collection[str] | None = None,
-    stemmer: Callable[[str], str] | None = None,
-) -> list[str]:
+def normalize(text: str) -> list[str]:
     """Lowercase, replace punctuation with spaces, and split into words.
 
-    Word order and multiplicity are preserved.  No stopword removal and no
-    stemming happen by default; pass ``stopwords`` or a ``stemmer`` callable
-    to opt in.  The function is idempotent on its own space-joined output.
+    Word order and multiplicity are preserved; no stopword removal and no
+    stemming.  The function is idempotent on its own space-joined output.
     """
-    words = _NON_WORD.sub(" ", text.lower()).split()
-    if stopwords:
-        words = [w for w in words if w not in stopwords]
-    if stemmer is not None:
-        words = [stemmer(w) for w in words]
-    return words
+    return _NON_WORD.sub(" ", text.lower()).split()
 
 
 @dataclass(frozen=True)
 class Concept:
-    """One ontology concept: an identifier plus its lexical forms."""
+    """One ontology concept: an identifier plus its lexical forms.
+
+    ``form_words`` maps each form to its :func:`normalize` words, derived
+    on construction; every form needs at least one word.
+    """
 
     id: str
     lexical_forms: frozenset[str]
     source: str = "umls"
+    form_words: Mapping[str, tuple[str, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+    # Words a loader already computed for these forms, so they are not
+    # tokenized a second time.
+    _words: InitVar[Mapping[str, tuple[str, ...]] | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _words: Mapping[str, tuple[str, ...]] | None) -> None:
         if not self.id:
             raise ValueError("concept id must be non-empty")
         if not self.lexical_forms:
             raise ValueError(f"concept {self.id}: at least one lexical form required")
+        if _words is None:
+            _words = {form: tuple(normalize(form)) for form in self.lexical_forms}
         for form in self.lexical_forms:
-            if not normalize(form):
+            if not _words.get(form):
                 raise ValueError(f"concept {self.id}: form {form!r} has no words")
+        object.__setattr__(self, "form_words", _words)
 
 
 class Lexicon:
@@ -82,6 +82,9 @@ class Lexicon:
     instance across threads stays safe.
     """
 
+    #: Splits forms and texts into words: always :func:`normalize`.
+    tokenizer = staticmethod(normalize)
+
     def __init__(
         self,
         concepts: Iterable[Concept],
@@ -89,7 +92,6 @@ class Lexicon:
         unseen_prob: float,
         *,
         fingerprint: str | None = None,
-        tokenizer: Tokenizer = normalize,
     ) -> None:
         by_id: dict[str, Concept] = {}
         for concept in concepts:
@@ -105,15 +107,13 @@ class Lexicon:
         self._concepts = tuple(by_id[cid] for cid in sorted(by_id))
         self._word_prob = dict(word_prob)
         self.unseen_prob = unseen_prob
-        self.tokenizer = tokenizer
-        # Tokenize every form once and post it under each of its words;
-        # annotation is read-heavy.
+        # Post every form under each of its words; annotation is read-heavy.
         self._form_words: dict[tuple[str, str], frozenset[str]] = {}
         self._postings: dict[str, list[tuple[str, str]]] = {}
         for concept in self._concepts:
             for form in concept.lexical_forms:
                 key = (concept.id, form)
-                words = frozenset(tokenizer(form))
+                words = frozenset(concept.form_words[form])
                 self._form_words[key] = words
                 for word in words:
                     self._postings.setdefault(word, []).append(key)
@@ -136,7 +136,6 @@ class Lexicon:
         concepts: Iterable[Concept],
         *,
         fingerprint: str | None = None,
-        tokenizer: Tokenizer = normalize,
     ) -> "Lexicon":
         """Build a lexicon estimating word probabilities from the forms.
 
@@ -148,20 +147,14 @@ class Lexicon:
         concepts = tuple(concepts)
         counts: Counter[str] = Counter()
         for concept in concepts:
-            for form in concept.lexical_forms:
-                counts.update(tokenizer(form))
+            for words in concept.form_words.values():
+                counts.update(words)
         if not counts:
             raise ValueError("empty lexicon: no lexical forms to estimate from")
         total = sum(counts.values())
         denom = total + len(counts) + 1
         word_prob = {w: (c + 1) / denom for w, c in counts.items()}
-        return cls(
-            concepts,
-            word_prob,
-            1.0 / denom,
-            fingerprint=fingerprint,
-            tokenizer=tokenizer,
-        )
+        return cls(concepts, word_prob, 1.0 / denom, fingerprint=fingerprint)
 
     @property
     def concepts(self) -> tuple[Concept, ...]:
@@ -224,7 +217,7 @@ class Lexicon:
         return frozenset(cid for cid, _ in self.forms_with_word(word))
 
 
-def load_lexicon(path: str | Path, *, tokenizer: Tokenizer = normalize) -> Lexicon:
+def load_lexicon(path: str | Path) -> Lexicon:
     """Load a tab-separated lexicon file.
 
     Each record line is ``concept_id<TAB>source<TAB>lexical form``; lines
@@ -239,7 +232,7 @@ def load_lexicon(path: str | Path, *, tokenizer: Tokenizer = normalize) -> Lexic
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not valid UTF-8: {exc}") from exc
     sources: dict[str, str] = {}
-    forms: dict[str, set[str]] = {}
+    forms: dict[str, dict[str, tuple[str, ...]]] = {}
     for lineno, line in enumerate(content.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -253,7 +246,8 @@ def load_lexicon(path: str | Path, *, tokenizer: Tokenizer = normalize) -> Lexic
         concept_id, source, form = (f.strip() for f in fields)
         if not concept_id or not source or not form:
             raise ValueError(f"{path}: line {lineno}: empty field")
-        if not tokenizer(form):
+        words = tuple(normalize(form))
+        if not words:
             raise ValueError(f"{path}: line {lineno}: form {form!r} has no words")
         if concept_id in sources and sources[concept_id] != source:
             raise ValueError(
@@ -261,14 +255,13 @@ def load_lexicon(path: str | Path, *, tokenizer: Tokenizer = normalize) -> Lexic
                 f"with source {sources[concept_id]!r}, got {source!r}"
             )
         sources[concept_id] = source
-        forms.setdefault(concept_id, set()).add(form)
+        forms.setdefault(concept_id, {})[form] = words
     if not forms:
         raise ValueError(f"{path}: empty lexicon")
     concepts = [
-        Concept(cid, frozenset(forms[cid]), sources[cid]) for cid in sorted(forms)
+        Concept(cid, frozenset(forms[cid]), sources[cid], forms[cid])
+        for cid in sorted(forms)
     ]
     return Lexicon.from_concepts(
-        concepts,
-        fingerprint=hashlib.sha256(raw).hexdigest(),
-        tokenizer=tokenizer,
+        concepts, fingerprint=hashlib.sha256(raw).hexdigest()
     )

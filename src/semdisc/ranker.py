@@ -21,13 +21,13 @@ builds results for those alone.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .annotator import DEFAULT_THRESHOLD, SemanticVector, annotate
 from .lexicon import Lexicon
 from .registry import ServiceIndex
-from .strsim import DEFAULT_PARAMS, IsubParams
 from .taxonomy import (
     DEFAULT_MIN_CSCORE,
     DEFAULT_TOP_K_CATEGORIES,
@@ -43,12 +43,14 @@ DEFAULT_TOP_K = 10
 
 @dataclass(frozen=True)
 class Weights:
-    """Combination weights; must be non-negative and sum to 1."""
+    """Combination weights; must be finite, non-negative and sum to 1."""
 
     w1: float = DEFAULT_W1
     w2: float = DEFAULT_W2
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.w1) and math.isfinite(self.w2)):
+            raise ValueError(f"weights must be finite, got {self.w1}, {self.w2}")
         if self.w1 < 0.0 or self.w2 < 0.0:
             raise ValueError(f"weights must be non-negative, got {self.w1}, {self.w2}")
         if abs(self.w1 + self.w2 - 1.0) > 1e-9:
@@ -179,15 +181,10 @@ def discover(
     min_cscore: float = DEFAULT_MIN_CSCORE,
     top_k: int = DEFAULT_TOP_K,
     top_k_categories: int = DEFAULT_TOP_K_CATEGORIES,
-    isub_params: IsubParams = DEFAULT_PARAMS,
 ) -> list[RankedResult]:
     """Full pipeline for one task: annotate, match categories, rank."""
     task_vector = annotate(task_text, lexicon, threshold=threshold)
     matches = match_categories(
-        task_text,
-        taxonomy,
-        min_cscore=min_cscore,
-        top_k=top_k_categories,
-        params=isub_params,
+        task_text, taxonomy, min_cscore=min_cscore, top_k=top_k_categories
     )
     return rank(task_vector, matches, index, weights, top_k=top_k)

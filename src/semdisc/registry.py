@@ -77,9 +77,10 @@ def annotation_text(record: ServiceRecord) -> str:
 def ingest_registry(path: str | Path) -> list[ServiceRecord]:
     """Parse a JSON-lines registry dump.
 
-    Raises on malformed JSON or wrong field types (naming the line) and
-    on duplicate service names (naming every duplicate).  Records missing
-    both description and documentation are accepted but logged.
+    Raises on malformed JSON, wrong field types or strings that cannot be
+    encoded as UTF-8 (naming the line) and on duplicate service names
+    (naming every duplicate).  Records missing both description and
+    documentation are accepted but logged.
     """
     path = Path(path)
     try:
@@ -127,6 +128,16 @@ def _record_from_object(obj: dict) -> ServiceRecord:
         if not isinstance(value, list) or any(not isinstance(v, str) for v in value):
             raise ValueError(f"field {key!r} must be a list of strings")
         lists[key] = tuple(value)
+    # JSON escapes can spell lone surrogates, which no output can encode.
+    for key in ("name", "description", "documentation", "tags", "categories"):
+        value = obj.get(key) or ()
+        for text in (value,) if isinstance(value, str) else value:
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ValueError(
+                    f"field {key!r} cannot be encoded as UTF-8: {exc.reason}"
+                ) from None
     return ServiceRecord(
         name=name,
         description=obj.get("description"),

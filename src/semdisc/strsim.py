@@ -1,10 +1,14 @@
 """String similarity for category matching.
 
-Implements the ISub metric: similarity is commonality minus difference
-plus a Winkler-style prefix reward.  Commonality sums iteratively removed
-longest common substrings; difference combines the unmatched fractions of
-both strings through a Hamacher product; the prefix reward scales with
-the unmatched commonality.  Scores live in [-1, 1].
+Implements the ISub metric (Stoilos, Stamou & Kollias, ISWC 2005):
+similarity is commonality minus difference plus a Winkler-style prefix
+reward.  Commonality sums iteratively removed longest common substrings;
+difference combines the unmatched fractions of both strings through a
+Hamacher product; the prefix reward scales with the unmatched
+commonality.  The constants are the metric's published ones: substrings
+shorter than 3 characters are ignored, the Hamacher parameter p is 0.6,
+and the prefix reward is 0.1 per shared leading character, up to 4.
+Since 0.1 * 4 <= 1, scores live in [-1, 1].
 
 The longest common substring is found by substring search rather than a
 dynamic program: scanning the first string left to right, each start
@@ -15,39 +19,17 @@ strings without junk, tie rule included.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .lexicon import normalize
 
-# Substrings shorter than this carry no signal and are ignored, matching
-# the reference implementation of the metric.
-DEFAULT_MIN_SUBSTRING_LEN = 3
-
-
-@dataclass(frozen=True)
-class IsubParams:
-    """Tuning constants for :func:`isub`."""
-
-    min_substring_len: int = DEFAULT_MIN_SUBSTRING_LEN
-    hamacher_p: float = 0.6
-    winkler_scale: float = 0.1
-    winkler_prefix_cap: int = 4
-
-    def __post_init__(self) -> None:
-        if self.min_substring_len < 1:
-            raise ValueError("min_substring_len must be >= 1")
-        if not 0.0 <= self.hamacher_p <= 1.0:
-            raise ValueError(f"hamacher_p {self.hamacher_p} outside [0, 1]")
-        if self.winkler_scale < 0.0 or self.winkler_prefix_cap < 0:
-            raise ValueError("winkler constants must be non-negative")
-
-
-DEFAULT_PARAMS = IsubParams()
+MIN_SUBSTRING_LEN = 3
+HAMACHER_P = 0.6
+WINKLER_SCALE = 0.1
+WINKLER_PREFIX_CAP = 4
 
 
 def normalize_string(text: str) -> str:
-    """Normalization used before scoring: lowercase, punctuation to
-    spaces, spaces collapsed.  Mirrors the lexicon tokenizer."""
+    """Normalization used before scoring: the words of :func:`normalize`
+    joined by single spaces."""
     return " ".join(normalize(text))
 
 
@@ -83,7 +65,7 @@ def _matched_total(s1: str, s2: str, min_len: int) -> int:
     return total
 
 
-def isub(s1: str, s2: str, params: IsubParams = DEFAULT_PARAMS) -> float:
+def isub(s1: str, s2: str) -> float:
     """ISub similarity of two strings, in [-1, 1].
 
     Both inputs are normalized first; equal normalized strings (including
@@ -92,10 +74,10 @@ def isub(s1: str, s2: str, params: IsubParams = DEFAULT_PARAMS) -> float:
     ordered canonically before scoring so ties in substring selection
     cannot depend on argument order.
     """
-    return _isub_normalized(normalize_string(s1), normalize_string(s2), params)
+    return _isub_normalized(normalize_string(s1), normalize_string(s2))
 
 
-def _isub_normalized(a: str, b: str, params: IsubParams) -> float:
+def _isub_normalized(a: str, b: str) -> float:
     """ISub of two strings already passed through :func:`normalize_string`."""
     if a == b:
         return 1.0
@@ -104,25 +86,23 @@ def _isub_normalized(a: str, b: str, params: IsubParams) -> float:
     if (len(a), a) > (len(b), b):
         a, b = b, a
 
-    matched = _matched_total(a, b, params.min_substring_len)
+    matched = _matched_total(a, b, MIN_SUBSTRING_LEN)
     commonality = 2.0 * matched / (len(a) + len(b))
 
     unmatched_a = (len(a) - matched) / len(a)
     unmatched_b = (len(b) - matched) / len(b)
     product = unmatched_a * unmatched_b
-    denom = params.hamacher_p + (1.0 - params.hamacher_p) * (
-        unmatched_a + unmatched_b - product
+    difference = product / (
+        HAMACHER_P + (1.0 - HAMACHER_P) * (unmatched_a + unmatched_b - product)
     )
-    # denom is 0 only when p is 0 and nothing went unmatched.
-    difference = product / denom if denom > 0.0 else 0.0
 
     prefix = 0
     for ca, cb in zip(a, b):
         if ca != cb:
             break
         prefix += 1
-    prefix = min(prefix, params.winkler_prefix_cap)
-    winkler = prefix * params.winkler_scale * (1.0 - commonality)
+    prefix = min(prefix, WINKLER_PREFIX_CAP)
+    winkler = prefix * WINKLER_SCALE * (1.0 - commonality)
 
     return commonality - difference + winkler
 

@@ -10,8 +10,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .strsim import DEFAULT_PARAMS, IsubParams, clamp_cscore, normalize_string
-from .strsim import _isub_normalized
+from .strsim import _isub_normalized, clamp_cscore, normalize_string
 
 DEFAULT_MIN_CSCORE = 0.4
 DEFAULT_TOP_K_CATEGORIES = 3
@@ -82,7 +81,6 @@ def match_categories(
     *,
     min_cscore: float = DEFAULT_MIN_CSCORE,
     top_k: int = DEFAULT_TOP_K_CATEGORIES,
-    params: IsubParams = DEFAULT_PARAMS,
 ) -> list[CategoryMatch]:
     """Best-matching categories for a task, highest score first.
 
@@ -95,7 +93,7 @@ def match_categories(
         raise ValueError("top_k must be >= 1")
     text = normalize_string(task_text)
     matches = [
-        CategoryMatch(name, clamp_cscore(_isub_normalized(text, key, params)))
+        CategoryMatch(name, clamp_cscore(_isub_normalized(text, key)))
         for name, key in zip(taxonomy.names, taxonomy._keys)
     ]
     matches = [m for m in matches if m.c_score >= min_cscore]

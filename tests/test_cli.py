@@ -149,6 +149,25 @@ class TestIndexBuild:
         assert "Traceback" not in err
         assert not (tmp_path / "out.idx").exists()
 
+    def test_lone_surrogate_in_registry_builds_nothing(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"name": "Bad\\ud800", "description": "protein sequences"}\n')
+        code, out, err = run(
+            capsys,
+            "index",
+            "build",
+            "--lexicon",
+            str(DATA / "lexicon.tsv"),
+            "--registry",
+            str(bad),
+            "--index",
+            str(tmp_path / "out.idx"),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {bad}: line 1: field 'name' cannot be encoded")
+        assert not (tmp_path / "out.idx").exists()
+
 
 class TestAnnotateCommand:
     def test_table_output(self, capsys):
@@ -464,6 +483,26 @@ class TestDiscoverCommand:
         assert code == 2
         assert "error" in err
 
+    def test_nan_weights_rejected(self, built_index, capsys):
+        code, out, err = run(
+            capsys,
+            "discover",
+            TASK,
+            "--lexicon",
+            str(DATA / "lexicon.tsv"),
+            "--taxonomy",
+            str(DATA / "taxonomy.txt"),
+            "--index",
+            str(built_index),
+            "--w1",
+            "nan",
+            "--w2",
+            "nan",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: weights must be finite, got nan, nan\n"
+
 
 class TestSettingsPrecedence:
     def base_argv(self, built_index):
@@ -564,6 +603,74 @@ class TestSettingsPrecedence:
         code, _, err = run(capsys, *self.base_argv(built_index))
         assert code == 2
         assert "invalid format" in err
+
+
+class TestSettingRanges:
+    """Out-of-range settings are usage errors, found before any input loads."""
+
+    @staticmethod
+    def argv(command: str, tmp_path) -> list[str]:
+        # Input paths that do not exist: a range error must come first.
+        inputs = {
+            "index build": ("lexicon", "registry", "index"),
+            "annotate": ("lexicon", "taxonomy"),
+            "discover": ("lexicon", "taxonomy", "index"),
+        }[command]
+        absent = [f"--{name}={tmp_path / name}" for name in inputs]
+        if command == "index build":
+            return ["index", "build", *absent]
+        return [command, TASK, *absent]
+
+    @pytest.mark.parametrize(
+        "command, name, value",
+        [
+            ("index build", "threshold", "5"),
+            ("discover", "threshold", "-1.5"),
+            ("annotate", "threshold", "nan"),
+            ("discover", "min_cscore", "1.5"),
+            ("annotate", "min_cscore", "-0.1"),
+            ("discover", "top_k", "0"),
+            ("discover", "top_k_categories", "0"),
+            ("annotate", "top_k_categories", "-3"),
+        ],
+    )
+    def test_flag(self, tmp_path, capsys, command, name, value):
+        flag = f"--{name.replace('_', '-')}={value}"
+        code, out, err = run(capsys, *self.argv(command, tmp_path), flag)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: invalid value for {name}: ")
+        assert "Traceback" not in err
+
+    def test_environment(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SEMDISC_TOP_K", "0")
+        code, _, err = run(capsys, *self.argv("discover", tmp_path))
+        assert code == 2
+        assert err == "error: invalid value for top_k: 0 (expected an integer >= 1)\n"
+
+    def test_config(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text('{"threshold": NaN}')
+        argv = self.argv("index build", tmp_path)
+        code, _, err = run(capsys, *argv, "--config", str(config))
+        assert code == 2
+        assert err.startswith("error: invalid value for threshold: nan ")
+
+    @pytest.mark.parametrize(
+        "name, value", [("threshold", "-1"), ("min_cscore", "1"), ("top_k", "1")]
+    )
+    def test_bounds_are_inclusive(self, built_index, capsys, name, value):
+        flag = f"--{name.replace('_', '-')}={value}"
+        code, _, err = run(
+            capsys,
+            "discover",
+            TASK,
+            f"--lexicon={DATA / 'lexicon.tsv'}",
+            f"--taxonomy={DATA / 'taxonomy.txt'}",
+            f"--index={built_index}",
+            flag,
+        )
+        assert (code, err) == (0, "")
 
 
 class TestEmptyRequirements:

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from semdisc import lexicon as lexicon_module
 from semdisc.lexicon import Concept, Lexicon, load_lexicon, normalize
 
 from conftest import DATA
@@ -148,6 +149,37 @@ class TestLoadLexicon:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_lexicon(tmp_path / "absent.tsv")
+
+    def test_tokenizes_each_form_line_once(self, tmp_path, monkeypatch):
+        # Counted at normalize's word split, so a pass that reaches the
+        # tokenizer through any name or default argument counts too.
+        pattern = lexicon_module._NON_WORD
+        split: list[str] = []
+
+        class CountingPattern:
+            def sub(self, repl, text):
+                split.append(text)
+                return pattern.sub(repl, text)
+
+        monkeypatch.setattr(lexicon_module, "_NON_WORD", CountingPattern())
+        path = tmp_path / "lex.tsv"
+        path.write_text(
+            "C1\tumls\talpha\nC1\tumls\tBeta gamma\n"
+            "C2\tumls\tgamma\nC3\tmesh\tgamma-gamma delta\n"
+        )
+        lex = load_lexicon(path)
+        assert len(split) == 4
+        assert lex.concept("C1").form_words == {
+            "alpha": ("alpha",),
+            "Beta gamma": ("beta", "gamma"),
+        }
+        # 4 occurrences of gamma among 7 words over a vocabulary of 4.
+        assert lex.probability("gamma") == 5 / 12
+        assert lex.forms_with_word("gamma") == [
+            ("C1", "Beta gamma"),
+            ("C2", "gamma"),
+            ("C3", "gamma-gamma delta"),
+        ]
 
 
 class TestDemoLexicon:

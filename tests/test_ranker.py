@@ -126,6 +126,11 @@ class TestWeights:
         with pytest.raises(ValueError):
             Weights(-0.2, 1.2)
 
+    @pytest.mark.parametrize("w1, w2", [(math.nan, math.nan), (math.inf, 0.0)])
+    def test_must_be_finite(self, w1, w2):
+        with pytest.raises(ValueError, match="finite"):
+            Weights(w1, w2)
+
     def test_pure_extremes_allowed(self):
         assert Weights(0.0, 1.0).w1 == 0.0
         assert Weights(1.0, 0.0).w2 == 0.0

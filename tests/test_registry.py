@@ -121,6 +121,18 @@ class TestIngestRegistry:
         path.write_text('{"name": "A", "description": "x"}\n\n')
         assert len(ingest_registry(path)) == 1
 
+    @pytest.mark.parametrize("field", ["name", "description", "tags"])
+    def test_rejects_lone_surrogate(self, tmp_path, field):
+        # A JSON escape can spell a surrogate that UTF-8 cannot encode.
+        value = '["\\udc80"]' if field == "tags" else '"Bad\\ud800"'
+        path = tmp_path / "reg.jsonl"
+        path.write_text(f'{{"name": "A"}}\n{{"name": "B", "{field}": {value}}}\n')
+        with pytest.raises(ValueError) as info:
+            ingest_registry(path)
+        assert str(info.value).startswith(
+            f"{path}: line 2: field {field!r} cannot be encoded as UTF-8"
+        )
+
     def test_undecodable_file_names_path(self, tmp_path):
         path = tmp_path / "reg.jsonl"
         path.write_bytes(b'{"name": "A", "description": "\xff"}\n')

@@ -8,8 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semdisc.strsim import (
-    DEFAULT_MIN_SUBSTRING_LEN,
-    IsubParams,
     _longest_common_substring,
     _matched_total,
     clamp_cscore,
@@ -114,23 +112,6 @@ class TestMatchedTotal:
         assert _matched_total(s1, s2, min_len) == _oracle_matched_total(s1, s2, min_len)
 
 
-class TestIsubParams:
-    def test_defaults(self):
-        params = IsubParams()
-        assert params.min_substring_len == DEFAULT_MIN_SUBSTRING_LEN == 3
-        assert params.hamacher_p == 0.6
-        assert params.winkler_scale == 0.1
-        assert params.winkler_prefix_cap == 4
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            IsubParams(min_substring_len=0)
-        with pytest.raises(ValueError):
-            IsubParams(hamacher_p=1.5)
-        with pytest.raises(ValueError):
-            IsubParams(winkler_scale=-0.1)
-
-
 class TestIsub:
     def test_identical_strings(self):
         assert isub("protein", "protein") == 1.0
@@ -178,12 +159,6 @@ class TestIsub:
         #   isub     = 0.688524... - 0.082918... = 0.605605...
         value = isub(TASK, "Protein Sequence Analysis")
         assert value == pytest.approx(0.6056058505287769, abs=1e-12)
-
-    def test_worked_pair_with_shorter_blocks(self):
-        # Regression pin: allowing 2-character blocks counts more of the
-        # strings as common and lifts the same pair.
-        value = isub(TASK, "Protein Sequence Analysis", IsubParams(min_substring_len=2))
-        assert value == pytest.approx(0.7163296215505662, abs=1e-12)
 
     def test_prefix_bonus(self):
         # "protein x" / "protein y": common "protein " (8 of 9+9 chars),
