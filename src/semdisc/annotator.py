@@ -18,8 +18,8 @@ words.
 
 :func:`annotate` scores every candidate from one pass over the postings
 of the text's words (ScanCount; Li, Lu & Lu, ICDE 2008): each form that
-shares a word collects that word's -log P(w), in sorted word order, so
-the collected values sum to exactly the idf of the shared words that
+shares a word collects that word's -log P(w), and ``math.fsum`` of the
+collected values is exactly the idf of the shared words that
 :func:`ratio` computes.  :func:`sim` and :func:`ratio` score one concept
 or form directly and serve as the reference for that pass.
 """
@@ -143,8 +143,7 @@ class SemanticVector:
         return frozenset(self.weights)
 
     def norm(self) -> float:
-        # Sorted accumulation keeps equal vectors bit-identical.
-        return sum(self.weights[c] ** 2 for c in sorted(self.weights)) ** 0.5
+        return math.sqrt(math.fsum(w * w for w in self.weights.values()))
 
     def __bool__(self) -> bool:
         return bool(self.weights)
@@ -182,9 +181,9 @@ def annotate(
         raise ValueError(f"threshold {threshold} outside [-1, 1]")
     words = normalize(text)
     text_set = frozenset(words)
-    # Per form, the -log P(w) of each shared word, in sorted word order.
+    # Per form, the -log P(w) of each shared word.
     shared: dict[tuple[str, str], list[float]] = {}
-    for word in sorted(text_set):
+    for word in text_set:
         postings = lexicon.forms_with_word(word)
         if not postings:
             continue
@@ -211,7 +210,7 @@ def annotate(
         form_idf = lexicon.form_idf(cid, form)
         if form_idf <= 0.0:
             continue
-        value = min(1.0, max(-1.0, (2.0 * sum(infos) - form_idf) / form_idf))
+        value = min(1.0, max(-1.0, (2.0 * math.fsum(infos) - form_idf) / form_idf))
         current = best.get(cid)
         if current is None or value > current[0] or (
             value == current[0] and _wins_tie(lexicon, cid, form, current[1])

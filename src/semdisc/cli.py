@@ -82,6 +82,11 @@ class CliError(Exception):
 
 def resolve_settings(args: argparse.Namespace) -> Settings:
     """Merge flags, environment, config file and defaults."""
+    try:
+        # Undecodable argv bytes arrive as lone surrogates.
+        (getattr(args, "text", None) or "").encode("utf-8")
+    except UnicodeEncodeError:
+        raise CliError("task text cannot be encoded as UTF-8", exit_code=2) from None
     settings = Settings()
     config_path = getattr(args, "config", None) or os.environ.get(
         ENV_PREFIX + "CONFIG"

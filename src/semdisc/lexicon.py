@@ -181,10 +181,10 @@ class Lexicon:
         """Information content of a word collection: sum of -log P(w).
 
         Additive over multiset union: a repeated word contributes once per
-        occurrence.  Words are summed in sorted order so equal collections
-        produce bit-identical floats.  Always >= 0.
+        occurrence.  ``math.fsum`` is correctly rounded, so equal
+        collections give bit-identical floats in any order.  Always >= 0.
         """
-        return sum(-math.log(self.probability(w)) for w in sorted(words))
+        return math.fsum(-math.log(self.probability(w)) for w in words)
 
     def form_words(self, concept_id: str, form: str) -> frozenset[str]:
         """Distinct normalized words of one lexical form (precomputed)."""

@@ -8,12 +8,11 @@ The final score is the convex combination c_score * w1 + s_score * w2;
 a service missed by one route contributes 0 on that side.
 
 The concept route is one accumulator pass over the concept postings
-(term-at-a-time; ScanCount in Li, Lu & Lu, ICDE 2008): walking the
-task's concepts in sorted order, each posting appends
-``task_weight * service_weight`` to that service's product list, and a
-service's score is the sum of its list over the task norm (computed
-once per query) times the service norm the index keeps.  :func:`cosine`
-is the reference: the pass sums the same products in the same order,
+(term-at-a-time; ScanCount in Li, Lu & Lu, ICDE 2008): each posting of
+each task concept appends ``task_weight * service_weight`` to that
+service's product list, and a service's score is the ``math.fsum`` of
+its list over the task norm (computed once per query) times the service
+norm the index keeps.  ``fsum`` is correctly rounded whatever the order,
 so every score equals ``cosine(task_vector, service.vector)`` bit for
 bit.  :func:`rank` then keeps only the ``top_k`` best with a heap and
 builds results for those alone.
@@ -58,15 +57,11 @@ class Weights:
 
 
 def cosine(a: SemanticVector, b: SemanticVector) -> float:
-    """Cosine similarity of two sparse vectors; 0 when either is empty.
-
-    Shared concepts are accumulated in sorted order so equal inputs give
-    bit-identical results.
-    """
-    shared = sorted(a.support() & b.support())
+    """Cosine similarity of two sparse vectors; 0 when either is empty."""
+    shared = a.support() & b.support()
     if not shared:
         return 0.0
-    dot = sum(a.weights[c] * b.weights[c] for c in shared)
+    dot = math.fsum(a.weights[c] * b.weights[c] for c in shared)
     denom = a.norm() * b.norm()
     return dot / denom if denom > 0.0 else 0.0
 
@@ -97,10 +92,9 @@ def search_by_concepts(
     """
     services = index.services
     # Per reached service, task_weight * service_weight of each shared
-    # concept, in sorted concept order: the terms cosine() sums.
+    # concept: the terms cosine() sums.
     products: dict[int, list[float]] = {}
-    for concept in sorted(task_vector.weights):
-        task_weight = task_vector.weights[concept]
+    for concept, task_weight in task_vector.weights.items():
         for pos in index.concept_postings.get(concept, ()):
             product = task_weight * services[pos].vector.weights[concept]
             terms = products.get(pos)
@@ -113,7 +107,7 @@ def search_by_concepts(
     scores: dict[int, float] = {}
     for pos, terms in products.items():
         denom = task_norm * norms[pos]
-        scores[pos] = sum(terms) / denom if denom > 0.0 else 0.0
+        scores[pos] = math.fsum(terms) / denom if denom > 0.0 else 0.0
     return scores
 
 

@@ -47,7 +47,8 @@ FORMAT_VERSION = 2
 
 @dataclass(frozen=True)
 class ServiceRecord:
-    """One registry entry as ingested, field presence preserved."""
+    """One registry entry as ingested, field presence preserved.  Every
+    string must be encodable as UTF-8; the error names the field."""
 
     name: str
     description: str | None = None
@@ -56,6 +57,16 @@ class ServiceRecord:
     categories: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        # JSON escapes can spell lone surrogates, which no output can encode.
+        for key in ("name", "description", "documentation", "tags", "categories"):
+            value = getattr(self, key) or ()
+            for text in (value,) if isinstance(value, str) else value:
+                try:
+                    text.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise ValueError(
+                        f"field {key!r} cannot be encoded as UTF-8: {exc.reason}"
+                    ) from None
         if not self.name or not self.name.strip():
             raise ValueError("service name must be non-empty")
 
@@ -128,16 +139,6 @@ def _record_from_object(obj: dict) -> ServiceRecord:
         if not isinstance(value, list) or any(not isinstance(v, str) for v in value):
             raise ValueError(f"field {key!r} must be a list of strings")
         lists[key] = tuple(value)
-    # JSON escapes can spell lone surrogates, which no output can encode.
-    for key in ("name", "description", "documentation", "tags", "categories"):
-        value = obj.get(key) or ()
-        for text in (value,) if isinstance(value, str) else value:
-            try:
-                text.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                raise ValueError(
-                    f"field {key!r} cannot be encoded as UTF-8: {exc.reason}"
-                ) from None
     return ServiceRecord(
         name=name,
         description=obj.get("description"),

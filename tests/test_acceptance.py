@@ -237,7 +237,7 @@ def _oracle_annotate(text: str, lexicon: Lexicon, threshold: float) -> dict[str,
     counts = Counter(words)
 
     def idf(word_set) -> float:
-        return sum(-math.log(lexicon.probability(w)) for w in sorted(word_set))
+        return math.fsum(-math.log(lexicon.probability(w)) for w in word_set)
 
     weights: dict[str, float] = {}
     for concept in lexicon.concepts:
@@ -287,7 +287,7 @@ def _oracle_discover(
     matches = _oracle_match_categories(task_text, taxonomy, min_cscore, top_k_categories)
 
     def norm(vec: dict[str, float]) -> float:
-        return sum(vec[c] ** 2 for c in sorted(vec)) ** 0.5
+        return math.sqrt(math.fsum(w * w for w in vec.values()))
 
     rows = []
     for service in index.services:
@@ -301,7 +301,7 @@ def _oracle_discover(
             continue
         c_score = max(matched) if matched else 0.0
         if shared:
-            dot = sum(task_weights[c] * service_weights[c] for c in shared)
+            dot = math.fsum(task_weights[c] * service_weights[c] for c in shared)
             denom = norm(task_weights) * norm(service_weights)
             s_score = dot / denom if denom > 0.0 else 0.0
         else:

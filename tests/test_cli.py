@@ -464,6 +464,29 @@ class TestDiscoverCommand:
         assert "malformed index payload" in err
         assert "Traceback" not in err
 
+    def test_lone_surrogate_in_index_is_data_error(self, built_index, capsys):
+        def rename(payload):
+            payload["services"][0]["name"] = "Bad\ud800"
+            return payload
+
+        rewrite_index_payload(built_index, rename)
+        code, out, err = run(
+            capsys,
+            "discover",
+            TASK,
+            "--lexicon",
+            str(DATA / "lexicon.tsv"),
+            "--taxonomy",
+            str(DATA / "taxonomy.txt"),
+            "--index",
+            str(built_index),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(
+            f"error: {built_index}: malformed index payload: service 0: field 'name' "
+        )
+        assert "Traceback" not in err
+
     def test_invalid_weights(self, built_index, capsys):
         code, _, err = run(
             capsys,
@@ -655,6 +678,15 @@ class TestSettingRanges:
         code, _, err = run(capsys, *argv, "--config", str(config))
         assert code == 2
         assert err.startswith("error: invalid value for threshold: nan ")
+
+    @pytest.mark.parametrize("command", ["annotate", "discover"])
+    def test_task_text_not_utf8(self, tmp_path, capsys, command):
+        # Argument bytes that are not UTF-8 reach argv as lone surrogates.
+        argv = self.argv(command, tmp_path)
+        argv[1] = "prot\udcffein"
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: task text cannot be encoded as UTF-8\n"
 
     @pytest.mark.parametrize(
         "name, value", [("threshold", "-1"), ("min_cscore", "1"), ("top_k", "1")]

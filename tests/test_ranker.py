@@ -306,6 +306,19 @@ class TestDiscover:
         assert all(isinstance(r, RankedResult) for r in results)
         assert all(-1.0 <= r.score <= 1.0 for r in results)
 
+    def test_reference_values_pinned(self, demo_lexicon, demo_taxonomy, demo_index):
+        # Exact bits, so every supported Python version must agree on them.
+        task = "Analyze domains in protein sequences"
+        assert annotate(task, demo_lexicon).norm().hex() == "0x1.0ffae4d698eb9p+4"
+        results = discover(task, demo_lexicon, demo_taxonomy, demo_index)
+        assert [(r.service, r.s_score.hex(), r.score.hex()) for r in results] == [
+            ("GlobPlot", "0x1.630571099d6b2p-1", "0x1.1c045a6e1788fp-1"),
+            ("Uniprot", "0x1.15dca3bded85bp-1", "0x1.17ce4cac52adap-1"),
+            ("Genesilico", "0x1.e3d752926e56dp-2", "0x1.f61b089de7fe0p-2"),
+            ("Emboss tmap", "0x1.c6f672d589fe8p-2", "0x1.df00bc06caea9p-2"),
+            ("ELMdb", "0x1.c068c4030e30bp-2", "0x1.d9c296919b12cp-2"),
+        ]
+
     def test_unknown_task_returns_nothing(self, demo_lexicon, demo_taxonomy, demo_index):
         results = discover(
             "entirely unrelated quantum billiards",
@@ -337,7 +350,7 @@ def test_weights_are_frozen():
 
 
 def test_cosine_norm_consistency():
-    # The cosine denominator uses the same sorted accumulation as
+    # The cosine denominator uses the same fsum accumulation as
     # SemanticVector.norm, so a vector against itself stays at 1 even
     # with many entries.
     weights = {f"c{i}": math.sqrt(i + 1) for i in range(50)}

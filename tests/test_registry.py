@@ -199,6 +199,10 @@ class TestPersistence:
         save_index(demo_index, first)
         save_index(demo_index, second)
         assert first.read_bytes() == second.read_bytes()
+        # Pinned so every supported Python version must write these bytes.
+        assert hashlib.sha256(first.read_bytes()).hexdigest() == (
+            "e707b992085d8882fed02e97b6eaa252630c6ea50224102f64142e974d3e2fad"
+        )
 
     @pytest.mark.parametrize(
         "vector",
@@ -370,6 +374,12 @@ class TestMalformedPayload:
             (lambda payload: {**payload, "services": {}}, "'services' has type dict"),
             (_edit_service("name", 7), "'name' has type int"),
             (_edit_service("name", " "), "service name must be non-empty"),
+            # json.dumps writes a lone surrogate as an escape that loads back.
+            (
+                _edit_service("name", "Bad\ud800"),
+                ": malformed index payload: service 0: field 'name' cannot be "
+                "encoded as UTF-8",
+            ),
             (_edit_service("description", ["x"]), "'description' has type list"),
             (_edit_service("tags", "protein"), "'tags' has type str"),
             (_edit_service("categories", [1]), "'categories' must be a list of strings"),
