@@ -44,8 +44,6 @@ from .taxonomy import (
 
 ENV_PREFIX = "SEMDISC_"
 
-_PATH_SETTINGS = ("lexicon", "taxonomy", "registry", "index", "requirements")
-
 # Valid ranges of numeric settings, checked before any input is loaded.
 # NaN compares false, so it is in no range.  Weights checks w1 and w2.
 _RANGES = {
@@ -100,7 +98,8 @@ def resolve_settings(args: argparse.Namespace) -> Settings:
             file_values = json.loads(path.read_text("utf-8"))
         except UnicodeDecodeError as exc:
             raise CliError(f"config file {path}: not valid UTF-8: {exc}", exit_code=2)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers JSONDecodeError and integers too long to read.
             raise CliError(f"config file {path}: invalid JSON: {exc}", exit_code=2)
         if not isinstance(file_values, dict):
             raise CliError(f"config file {path}: expected a JSON object", exit_code=2)
@@ -117,11 +116,18 @@ def resolve_settings(args: argparse.Namespace) -> Settings:
         else:
             continue
         try:
+            # No setting is a JSON true/false, and a count has no fraction.
+            if isinstance(value, bool):
+                raise TypeError
             if name in ("w1", "w2", "threshold", "min_cscore"):
                 value = float(value)
             elif name in ("top_k", "top_k_categories"):
+                if isinstance(value, float) and not value.is_integer():
+                    raise ValueError
                 value = int(value)
-        except (TypeError, ValueError):
+            elif not isinstance(value, str):
+                raise TypeError
+        except (TypeError, ValueError, OverflowError):
             raise CliError(f"invalid value for {name}: {value!r}", exit_code=2)
         if name in _RANGES:
             low, high, expected = _RANGES[name]
@@ -309,6 +315,12 @@ def cmd_discover(args: argparse.Namespace) -> int:
         print(
             "warning: index was built from a different lexicon "
             "(fingerprint mismatch)",
+            file=sys.stderr,
+        )
+    if index.threshold != settings.threshold:
+        print(
+            f"warning: index was built with threshold {index.threshold}, "
+            f"tasks are annotated with threshold {settings.threshold}",
             file=sys.stderr,
         )
     blocks: list[str] = []

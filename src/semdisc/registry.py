@@ -7,15 +7,17 @@ from empty strings.
 
 An index annotates every service once and keeps the resulting vectors
 with two posting tables (concept -> services, category -> services) so
-queries never rescan raw text.  On disk the index is a small binary
-envelope: ``SDIX`` magic, format version, the fingerprint of the lexicon
-it was built from, a JSON payload in canonical service order, and a
-trailing SHA-256 checksum.  Format version 2 stores only what cannot be
-derived: each service's record fields and the provenance of its vector
-entries.  Loading rebuilds every weight as ``tf * idf_value`` and the
-index derives its posting tables from the services, so stored postings
-can never disagree with the vectors.  Files of any other version are
-rejected with a message to rebuild the index.
+queries never rescan raw text.  On disk the index is ``SDIX`` magic, a
+4-byte big-endian format version, a canonical JSON payload and the
+SHA-256 of everything before it.  Format version 3's payload holds the
+fingerprint of the lexicon the index was built from, the annotation
+threshold it was built with, and, in canonical service order, only what
+cannot be derived: each service's record fields and the provenance of
+its vector entries.  Loading rebuilds every weight as
+``tf * idf_value`` and the index derives its posting tables from the
+services, so stored postings can never disagree with the vectors.
+Files of any other version are rejected with a message to rebuild the
+index.
 
 Index instances are immutable after construction; build, save and load
 are pure functions of their inputs, so concurrent readers need no
@@ -25,12 +27,9 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import itertools
 import json
 import logging
-import operator
 import os
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -42,13 +41,16 @@ from .strsim import normalize_string
 log = logging.getLogger(__name__)
 
 MAGIC = b"SDIX"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+# Element types of JSON lists, checked with issuperset(map(type, ...)).
+_STRS = frozenset({str})
 
 
 @dataclass(frozen=True)
 class ServiceRecord:
-    """One registry entry as ingested, field presence preserved.  Every
-    string must be encodable as UTF-8; the error names the field."""
+    """One registry entry as ingested, field presence preserved.  Fields
+    hold strings (description and documentation may be None) or tuples of
+    strings, all encodable as UTF-8; ValueError names the field otherwise."""
 
     name: str
     description: str | None = None
@@ -57,6 +59,15 @@ class ServiceRecord:
     categories: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ValueError("field 'name' must be a string")
+        for key in ("description", "documentation"):
+            if not isinstance(getattr(self, key), (str, type(None))):
+                raise ValueError(f"field {key!r} must be a string")
+        for key in ("tags", "categories"):
+            value = getattr(self, key)
+            if not isinstance(value, tuple) or not all(isinstance(t, str) for t in value):
+                raise ValueError(f"field {key!r} must be a tuple of strings")
         # JSON escapes can spell lone surrogates, which no output can encode.
         for key in ("name", "description", "documentation", "tags", "categories"):
             value = getattr(self, key) or ()
@@ -67,7 +78,7 @@ class ServiceRecord:
                     raise ValueError(
                         f"field {key!r} cannot be encoded as UTF-8: {exc.reason}"
                     ) from None
-        if not self.name or not self.name.strip():
+        if not self.name.strip():
             raise ValueError("service name must be non-empty")
 
 
@@ -125,22 +136,17 @@ def ingest_registry(path: str | Path) -> list[ServiceRecord]:
 
 
 def _record_from_object(obj: dict) -> ServiceRecord:
-    name = obj.get("name")
-    if not isinstance(name, str):
-        raise ValueError("field 'name' must be a string")
-    for key in ("description", "documentation"):
-        if key in obj and obj[key] is not None and not isinstance(obj[key], str):
-            raise ValueError(f"field {key!r} must be a string")
+    """The record a registry line or index payload entry spells."""
     lists: dict[str, tuple[str, ...]] = {}
     for key in ("tags", "categories"):
         value = obj.get(key, [])
         if value is None:
             value = []
-        if not isinstance(value, list) or any(not isinstance(v, str) for v in value):
+        if type(value) is not list or not _STRS.issuperset(map(type, value)):
             raise ValueError(f"field {key!r} must be a list of strings")
         lists[key] = tuple(value)
     return ServiceRecord(
-        name=name,
+        name=obj.get("name"),
         description=obj.get("description"),
         documentation=obj.get("documentation"),
         tags=lists["tags"],
@@ -177,20 +183,28 @@ class AnnotatedService:
 class ServiceIndex:
     """Annotated services in canonical (name) order plus posting tables.
 
-    Postings map concept ids and normalized category names to positions
-    in :attr:`services`, and :attr:`norms` holds each service vector's
-    ``norm()`` at the same position, so ranking never recomputes a
-    service norm per query.  All three are derived from the services on
-    construction and never stored in the index file.
+    :attr:`threshold` is the annotation threshold the services were
+    annotated with, in [-1, 1].  Postings map concept ids and normalized
+    category names to positions in :attr:`services`, and :attr:`norms`
+    holds each service vector's ``norm()`` at the same position, so
+    ranking never recomputes a service norm per query.  All three are
+    derived from the services on construction and never stored in the
+    index file.
     """
 
     services: tuple[AnnotatedService, ...]
     lexicon_fingerprint: str
+    threshold: float = DEFAULT_THRESHOLD
     concept_postings: Mapping[str, frozenset[int]] = field(init=False)
     category_postings: Mapping[str, frozenset[int]] = field(init=False)
     norms: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
+        # Only values the file format holds, so every index loads back.
+        if not isinstance(self.lexicon_fingerprint, str):
+            raise ValueError("lexicon_fingerprint must be a string")
+        if type(self.threshold) not in _NUMBER or not -1.0 <= self.threshold <= 1.0:
+            raise ValueError(f"threshold {self.threshold!r} outside [-1, 1]")
         concept_postings: dict[str, set[int]] = {}
         category_postings: dict[str, set[int]] = {}
         norms: list[float] = []
@@ -241,7 +255,9 @@ def build_index(
         )
         for r in ordered
     )
-    return ServiceIndex(services=services, lexicon_fingerprint=lexicon.fingerprint)
+    return ServiceIndex(
+        services=services, lexicon_fingerprint=lexicon.fingerprint, threshold=threshold
+    )
 
 
 def _index_payload(index: ServiceIndex) -> bytes:
@@ -273,8 +289,13 @@ def _index_payload(index: ServiceIndex) -> bytes:
                 },
             }
         )
+    payload = {
+        "lexicon_fingerprint": index.lexicon_fingerprint,
+        "services": services,
+        "threshold": index.threshold,
+    }
     return json.dumps(
-        {"services": services}, sort_keys=True, separators=(",", ":"), allow_nan=False
+        payload, sort_keys=True, separators=(",", ":"), allow_nan=False
     ).encode("utf-8")
 
 
@@ -288,16 +309,7 @@ def save_index(index: ServiceIndex, path: str | Path) -> None:
     of its provenance or a number is not finite, since loading could not
     reproduce them.
     """
-    payload = _index_payload(index)
-    fingerprint = index.lexicon_fingerprint.encode("ascii")
-    body = (
-        MAGIC
-        + struct.pack(">I", FORMAT_VERSION)
-        + struct.pack(">H", len(fingerprint))
-        + fingerprint
-        + struct.pack(">Q", len(payload))
-        + payload
-    )
+    body = MAGIC + FORMAT_VERSION.to_bytes(4, "big") + _index_payload(index)
     _write_atomic(Path(path), body + hashlib.sha256(body).digest())
 
 
@@ -318,104 +330,83 @@ def _write_atomic(path: Path, data: bytes) -> None:
 
 
 def load_index(path: str | Path) -> ServiceIndex:
-    """Read an index file, verifying magic, version, checksum and payload.
+    """Read an index file, verifying magic, checksum, version and payload.
 
-    A checksum-valid file with a malformed header, a payload length that
-    does not end at the checksum, or a payload with missing or mis-typed
-    keys or non-finite numbers raises ValueError naming the file.  So
-    does a file of another format version, with a message to rebuild it.
+    A file too short to hold magic, version and checksum fails the
+    checksum check.  A checksum-valid payload that is not JSON, or has
+    missing or mis-typed keys, non-finite numbers or an out-of-range
+    threshold, raises ValueError naming the file.  So does a file of
+    another format version, with a message to rebuild it.
     """
     path = Path(path)
     raw = path.read_bytes()
     if raw[:4] != MAGIC:
         raise ValueError(f"{path}: not a service index file")
     body = raw[:-32]
-    if len(raw) < 32 or hashlib.sha256(body).digest() != raw[-32:]:
+    if len(raw) < 40 or hashlib.sha256(body).digest() != raw[-32:]:
         raise ValueError(f"{path}: checksum mismatch, file corrupt or truncated")
-    try:
-        version, fp_len = struct.unpack_from(">IH", body, 4)
-        fingerprint = body[10 : 10 + fp_len].decode("ascii")
-        (payload_len,) = struct.unpack_from(">Q", body, 10 + fp_len)
-    except (struct.error, UnicodeDecodeError) as exc:
-        raise ValueError(f"{path}: malformed index header: {exc}") from exc
+    version = int.from_bytes(body[4:8], "big")
     if version != FORMAT_VERSION:
         raise ValueError(
             f"{path}: index format version {version} is not supported (expected "
             f"{FORMAT_VERSION}); rebuild the index with 'semdisc index build'"
         )
-    payload = body[18 + fp_len :]
-    if len(payload) != payload_len:
-        raise ValueError(
-            f"{path}: malformed index header: payload length {payload_len}, "
-            f"but {len(payload)} bytes precede the checksum"
-        )
     try:
-        (entries,) = _PAYLOAD.values(
-            json.loads(payload.decode("utf-8"), parse_constant=_reject_constant)
+        fingerprint, entries, threshold = _fields(
+            json.loads(body[8:].decode("utf-8"), parse_constant=_reject_constant),
+            _PAYLOAD,
         )
-        services = tuple(_services(entries))
+        return ServiceIndex(
+            services=tuple(_services(entries)),
+            lexicon_fingerprint=fingerprint,
+            threshold=threshold,
+        )
     except (ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: malformed index payload: {exc}") from exc
-    return ServiceIndex(services=services, lexicon_fingerprint=fingerprint)
 
 
 def _reject_constant(name: str) -> float:
     raise ValueError(f"non-finite number {name}")
 
 
-class _Shape:
-    """Required keys of a JSON object and the exact types each may hold.
+def _fields(obj: object, kinds: dict[str, tuple[type, ...]]) -> list:
+    """The values of ``kinds``' keys in the JSON object ``obj``, in order.
 
-    Exact types, so a JSON true/false (a bool) is no number.  The check
-    runs once per object of a large payload, so its fast path is one
-    lookup of the object's tuple of value types.
+    ValueError unless ``obj`` is an object holding every key with one of
+    its exact types, so a JSON true/false (a bool) is no number.
     """
-
-    def __init__(self, **kinds: tuple[type, ...]) -> None:
-        self._kinds = kinds
-        get = operator.itemgetter(*kinds)
-        # itemgetter of a single key returns the bare value, not a 1-tuple.
-        self._get = get if len(kinds) > 1 else lambda obj: (get(obj),)
-        self._allowed = frozenset(itertools.product(*kinds.values()))
-
-    def values(self, obj: object) -> tuple:
-        """The values of the keys, in declaration order; ValueError if not valid."""
+    if type(obj) is not dict:
+        raise ValueError("expected an object")
+    values = []
+    for key, types in kinds.items():
         try:
-            values = self._get(obj)
-            if tuple(map(type, values)) in self._allowed:
-                return values
-        except (KeyError, TypeError):
-            pass
-        if type(obj) is not dict:
-            raise ValueError("expected an object")
-        for key, kinds in self._kinds.items():
-            if key not in obj:
-                raise ValueError(f"missing key {key!r}")
-            if type(obj[key]) not in kinds:
-                raise ValueError(f"key {key!r} has type {type(obj[key]).__name__}")
-        raise AssertionError("unreachable")
+            value = obj[key]
+        except KeyError:
+            raise ValueError(f"missing key {key!r}") from None
+        if type(value) not in types:
+            raise ValueError(f"key {key!r} has type {type(value).__name__}")
+        values.append(value)
+    return values
 
 
 _NUMBER = (int, float)
 _OPTIONAL_STR = (str, type(None))
-# Element types of JSON lists, checked with issuperset(map(type, ...)).
-_STRS = frozenset({str})
-_PAYLOAD = _Shape(services=(list,))
-_SERVICE = _Shape(
-    name=(str,),
-    description=_OPTIONAL_STR,
-    documentation=_OPTIONAL_STR,
-    tags=(list,),
-    categories=(list,),
-    provenance=(dict,),
-)
-_ANNOTATION = _Shape(
-    lexical_form=(str,),
-    similarity=_NUMBER,
-    tf=(int,),
-    idf_value=_NUMBER,
-    matched_words=(list,),
-)
+_PAYLOAD = {"lexicon_fingerprint": (str,), "services": (list,), "threshold": _NUMBER}
+_SERVICE = {
+    "name": (str,),
+    "description": _OPTIONAL_STR,
+    "documentation": _OPTIONAL_STR,
+    "tags": (list,),
+    "categories": (list,),
+    "provenance": (dict,),
+}
+_ANNOTATION = {
+    "lexical_form": (str,),
+    "similarity": _NUMBER,
+    "tf": (int,),
+    "idf_value": _NUMBER,
+    "matched_words": (list,),
+}
 
 
 def _services(entries: list) -> Iterator[AnnotatedService]:
@@ -427,18 +418,14 @@ def _services(entries: list) -> Iterator[AnnotatedService]:
 
 
 def _service(entry: object) -> AnnotatedService:
-    name, description, documentation, tags, categories, provenance = _SERVICE.values(
-        entry
-    )
-    if not _STRS.issuperset(map(type, tags)):
-        raise ValueError("key 'tags' must be a list of strings")
-    if not _STRS.issuperset(map(type, categories)):
-        raise ValueError("key 'categories' must be a list of strings")
+    # The record fields are type-checked here too, so errors name the key.
+    *_, provenance = _fields(entry, _SERVICE)
+    record = _record_from_object(entry)
     weights = {}
     annotations = {}
     for cid, p in provenance.items():
         try:
-            form, similarity, tf, idf_value, matched = _ANNOTATION.values(p)
+            form, similarity, tf, idf_value, matched = _fields(p, _ANNOTATION)
             if not _STRS.issuperset(map(type, matched)):
                 raise ValueError("key 'matched_words' must be a list of strings")
             if not -1.0 <= similarity <= 1.0:
@@ -456,12 +443,5 @@ def _service(entry: object) -> AnnotatedService:
         annotations[cid] = annotation
         weights[cid] = annotation.weight
     return AnnotatedService(
-        record=ServiceRecord(
-            name=name,
-            description=description,
-            documentation=documentation,
-            tags=tuple(tags),
-            categories=tuple(categories),
-        ),
-        vector=SemanticVector(weights=weights, provenance=annotations),
+        record=record, vector=SemanticVector(weights=weights, provenance=annotations)
     )

@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import struct
 from pathlib import Path
 from typing import Callable
 
@@ -37,22 +36,17 @@ def write_index_body(path: Path, body: bytes) -> None:
 
 
 def replace_index_payload(path: Path, blob: bytes) -> None:
-    """Replace an index file's payload bytes, keeping its header.
+    """Replace an index file's payload bytes, keeping magic and version.
 
-    The payload length and the trailing checksum are recomputed, so the
-    file passes the envelope checks and only payload validation can
-    reject it.
+    The trailing checksum is recomputed, so the file passes the envelope
+    checks and only payload validation can reject it.
     """
-    raw = path.read_bytes()
-    (fp_len,) = struct.unpack_from(">H", raw, 8)
-    write_index_body(path, raw[: 10 + fp_len] + struct.pack(">Q", len(blob)) + blob)
+    write_index_body(path, path.read_bytes()[:8] + blob)
 
 
 def read_index_payload(path: Path) -> bytes:
     """The payload bytes of an index file."""
-    raw = path.read_bytes()
-    (fp_len,) = struct.unpack_from(">H", raw, 8)
-    return raw[18 + fp_len : -32]
+    return path.read_bytes()[8:-32]
 
 
 def rewrite_index_payload(path: Path, edit: Callable[[object], object]) -> None:

@@ -12,8 +12,9 @@ import pytest
 import semdisc
 from semdisc import load_lexicon
 from semdisc.cli import main
+from semdisc.registry import FORMAT_VERSION
 
-from conftest import DATA, replace_index_payload, rewrite_index_payload
+from conftest import DATA, replace_index_payload, rewrite_index_payload, write_index_body
 
 TASK = "Analyze domains in protein sequences"
 
@@ -431,6 +432,43 @@ class TestDiscoverCommand:
         assert code == 0
         assert "fingerprint mismatch" in err
 
+    def test_threshold_other_than_index_warns(self, built_index, capsys):
+        argv = [
+            "discover",
+            TASK,
+            f"--lexicon={DATA / 'lexicon.tsv'}",
+            f"--taxonomy={DATA / 'taxonomy.txt'}",
+            f"--index={built_index}",
+        ]
+        code, default_out, err = run(capsys, *argv, "--threshold=0.8")
+        assert (code, err) == (0, "")
+        code, out, err = run(capsys, *argv, "--threshold=0.9")
+        assert code == 0
+        assert err == (
+            "warning: index was built with threshold 0.8, "
+            "tasks are annotated with threshold 0.9\n"
+        )
+        # The demo task annotates alike at both thresholds.
+        assert out == default_out
+
+    def test_previous_format_is_data_error(self, built_index, capsys):
+        body = bytearray(built_index.read_bytes()[:-32])
+        body[4:8] = (FORMAT_VERSION - 1).to_bytes(4, "big")
+        write_index_body(built_index, bytes(body))
+        code, out, err = run(
+            capsys,
+            "discover",
+            TASK,
+            f"--lexicon={DATA / 'lexicon.tsv'}",
+            f"--taxonomy={DATA / 'taxonomy.txt'}",
+            f"--index={built_index}",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(
+            f"error: {built_index}: index format version {FORMAT_VERSION - 1} "
+        )
+        assert "rebuild the index with 'semdisc index build'" in err
+
     @pytest.mark.parametrize(
         "damage", ["missing_provenance", "non_finite_number", "deeply_nested"]
     )
@@ -679,6 +717,43 @@ class TestSettingRanges:
         assert code == 2
         assert err.startswith("error: invalid value for threshold: nan ")
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({"top_k_categories": "1e999"}, "invalid value for top_k_categories: "),
+            ({"threshold": "9" * 400}, "invalid value for threshold: "),
+            ({"top_k": "true"}, "invalid value for top_k: "),
+            ({"top_k": "2.7"}, "invalid value for top_k: "),
+            ({"w1": "false", "w2": "1"}, "invalid value for w1: "),
+            ({"requirements": "5"}, "invalid value for requirements: "),
+            ({"format": '["table"]'}, "invalid value for format: "),
+            # Past the interpreter's limit on digits in an integer literal.
+            ({"threshold": "9" * 5000}, "config file {config}: invalid JSON: "),
+        ],
+    )
+    def test_config_wrong_json_value(self, tmp_path, capsys, values, message):
+        config = tmp_path / "cfg.json"
+        config.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in values.items()) + "}")
+        code, out, err = run(capsys, *self.argv("discover", tmp_path), f"--config={config}")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: " + message.format(config=config))
+        assert "Traceback" not in err
+
+    def test_config_integral_float_count(self, built_index, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text('{"top_k": 2.0}')
+        code, out, err = run(
+            capsys,
+            "discover",
+            TASK,
+            f"--lexicon={DATA / 'lexicon.tsv'}",
+            f"--taxonomy={DATA / 'taxonomy.txt'}",
+            f"--index={built_index}",
+            f"--config={config}",
+        )
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 4
+
     @pytest.mark.parametrize("command", ["annotate", "discover"])
     def test_task_text_not_utf8(self, tmp_path, capsys, command):
         # Argument bytes that are not UTF-8 reach argv as lone surrogates.
@@ -702,7 +777,14 @@ class TestSettingRanges:
             f"--index={built_index}",
             flag,
         )
-        assert (code, err) == (0, "")
+        # The index was built at the default threshold, so -1 differs from it.
+        expected = ""
+        if name == "threshold":
+            expected = (
+                "warning: index was built with threshold 0.8, "
+                "tasks are annotated with threshold -1.0\n"
+            )
+        assert (code, err) == (0, expected)
 
 
 class TestEmptyRequirements:

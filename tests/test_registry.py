@@ -10,7 +10,7 @@ import math
 import pytest
 
 from semdisc import registry
-from semdisc.annotator import Annotation, SemanticVector
+from semdisc.annotator import DEFAULT_THRESHOLD, Annotation, SemanticVector
 from semdisc.lexicon import Concept, Lexicon
 from semdisc.registry import (
     AnnotatedService,
@@ -22,7 +22,7 @@ from semdisc.registry import (
     load_index,
     save_index,
 )
-from semdisc.registry import FORMAT_VERSION, _index_payload
+from semdisc.registry import FORMAT_VERSION, MAGIC, _index_payload
 
 from conftest import (
     DATA,
@@ -37,6 +37,24 @@ class TestServiceRecord:
     def test_rejects_blank_name(self):
         with pytest.raises(ValueError):
             ServiceRecord(name="   ")
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"name": 7}, "field 'name' must be a string"),
+            ({"name": None}, "field 'name' must be a string"),
+            ({"description": b"protein"}, "field 'description' must be a string"),
+            ({"documentation": 1.0}, "field 'documentation' must be a string"),
+            # A string is no tuple: it would be annotated letter by letter.
+            ({"tags": "domains"}, "field 'tags' must be a tuple of strings"),
+            ({"tags": ["domains"]}, "field 'tags' must be a tuple of strings"),
+            ({"categories": ("Cat A", 1)}, "field 'categories' must be a tuple of strings"),
+        ],
+    )
+    def test_rejects_wrong_field_types(self, fields, message):
+        with pytest.raises(ValueError) as excinfo:
+            ServiceRecord(**{"name": "A", "description": "protein sequences", **fields})
+        assert str(excinfo.value) == message
 
 
 class TestAnnotationText:
@@ -201,8 +219,33 @@ class TestPersistence:
         assert first.read_bytes() == second.read_bytes()
         # Pinned so every supported Python version must write these bytes.
         assert hashlib.sha256(first.read_bytes()).hexdigest() == (
-            "e707b992085d8882fed02e97b6eaa252630c6ea50224102f64142e974d3e2fad"
+            "018b3c423c4d09102196d86d6f1a8f8a2d376e37b64a0a82656984aedbfba6bf"
         )
+
+    @pytest.mark.parametrize("threshold", [DEFAULT_THRESHOLD, -1.0, 0.25, 1.0])
+    def test_threshold_round_trip(self, demo_records, demo_lexicon, tmp_path, threshold):
+        index = build_index(demo_records, demo_lexicon, threshold=threshold)
+        assert index.threshold == threshold
+        save_index(index, tmp_path / "a.idx")
+        loaded = load_index(tmp_path / "a.idx")
+        assert loaded.threshold == threshold
+        assert loaded == index
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"threshold": 1.5}, "threshold 1.5 outside [-1, 1]"),
+            ({"threshold": -1.01}, "threshold -1.01 outside [-1, 1]"),
+            ({"threshold": math.nan}, "threshold nan outside [-1, 1]"),
+            ({"threshold": True}, "threshold True outside [-1, 1]"),
+            ({"threshold": "0.8"}, "threshold '0.8' outside [-1, 1]"),
+            ({"lexicon_fingerprint": b"f"}, "lexicon_fingerprint must be a string"),
+        ],
+    )
+    def test_index_the_format_cannot_hold_is_not_built(self, fields, message):
+        with pytest.raises(ValueError) as excinfo:
+            ServiceIndex(**{"services": (), "lexicon_fingerprint": "f", **fields})
+        assert str(excinfo.value) == message
 
     @pytest.mark.parametrize(
         "vector",
@@ -270,6 +313,15 @@ class TestPersistence:
         with pytest.raises(ValueError, match="magic|not a"):
             load_index(index_path)
 
+    def test_file_shorter_than_envelope_is_checksum_mismatch(self, index_path):
+        # Magic, version field and checksum take 40 bytes; 39 that carry a
+        # valid checksum of their first 7 still cannot be an index.
+        body = MAGIC + bytes(3)
+        write_index_body(index_path, body)
+        assert len(index_path.read_bytes()) == 39
+        with pytest.raises(ValueError, match="checksum mismatch"):
+            load_index(index_path)
+
     def test_truncated_file_detected(self, index_path):
         blob = index_path.read_bytes()
         index_path.write_bytes(blob[: len(blob) // 2])
@@ -292,22 +344,28 @@ class TestPersistence:
         with pytest.raises(ValueError) as excinfo:
             load_index(index_path)
         message = str(excinfo.value)
-        assert message.startswith(f"{index_path}: index format version 1 ")
+        assert message.startswith(
+            f"{index_path}: index format version {FORMAT_VERSION - 1} "
+        )
         assert "rebuild the index with 'semdisc index build'" in message
-
-    def test_non_ascii_fingerprint_names_file(self, index_path):
-        body = bytearray(index_path.read_bytes()[:-32])
-        body[10] = 0xFF
-        write_index_body(index_path, bytes(body))
-        with pytest.raises(ValueError, match="malformed index header") as excinfo:
-            load_index(index_path)
-        assert str(excinfo.value).startswith(str(index_path))
 
     def test_bytes_between_payload_and_checksum_detected(self, index_path):
         write_index_body(index_path, index_path.read_bytes()[:-32] + b"\0" * 8)
-        with pytest.raises(ValueError, match="malformed index header") as excinfo:
+        with pytest.raises(ValueError, match="malformed index payload") as excinfo:
             load_index(index_path)
         assert str(excinfo.value).startswith(str(index_path))
+
+
+def _edit_payload(key: str, value):
+    """Set a top-level payload key; None deletes it."""
+
+    def edit(payload):
+        payload[key] = value
+        if value is None:
+            del payload[key]
+        return payload
+
+    return edit
 
 
 def _edit_service(key: str, value):
@@ -392,6 +450,13 @@ class TestMalformedPayload:
             (_edit_provenance("similarity", True), "'similarity' has type bool"),
             (_edit_provenance("similarity", 1.5), "similarity 1.5 outside [-1, 1]"),
             (_edit_provenance("matched_words", "tree"), "'matched_words' has type str"),
+            (_edit_payload("lexicon_fingerprint", 7), "'lexicon_fingerprint' has type int"),
+            (_edit_payload("lexicon_fingerprint", None), "missing key 'lexicon_fingerprint'"),
+            (_edit_payload("threshold", None), "missing key 'threshold'"),
+            (_edit_payload("threshold", "0.8"), "'threshold' has type str"),
+            (_edit_payload("threshold", False), "'threshold' has type bool"),
+            (_edit_payload("threshold", 1.5), "threshold 1.5 outside [-1, 1]"),
+            (_edit_payload("threshold", -2), "threshold -2 outside [-1, 1]"),
         ],
     )
     def test_rejected_with_file_name(self, index_path, edit, detail):
