@@ -36,6 +36,12 @@ from .lexicon import Concept, Lexicon, normalize
 log = logging.getLogger(__name__)
 
 DEFAULT_THRESHOLD = 0.8
+# Exact types of the Annotation fields, so a bool is no number.
+_NUMBER = (int, float)
+_ANNOTATION_TYPES = dict(
+    concept_id=(str,), lexical_form=(str,), similarity=_NUMBER, tf=(int,),
+    idf_value=_NUMBER, matched_words=(frozenset,),
+)
 
 
 class UndefinedScoreError(ValueError):
@@ -112,7 +118,8 @@ def sim(concept: Concept, text_words: AbstractSet[str], lexicon: Lexicon) -> For
 
 @dataclass(frozen=True)
 class Annotation:
-    """Provenance for one vector entry; the weight is tf * idf_value."""
+    """Provenance for one vector entry; the weight is tf * idf_value.  Fields
+    hold only values an index file holds; ValueError names the field otherwise."""
 
     concept_id: str
     lexical_form: str
@@ -120,6 +127,16 @@ class Annotation:
     tf: int
     idf_value: float
     matched_words: frozenset[str]
+
+    def __post_init__(self) -> None:
+        for key, types in _ANNOTATION_TYPES.items():
+            value = getattr(self, key)
+            if type(value) not in types:
+                raise ValueError(f"field {key!r} has type {type(value).__name__}")
+        if not -1.0 <= self.similarity <= 1.0:
+            raise ValueError(f"similarity {self.similarity} outside [-1, 1]")
+        if not all(type(w) is str for w in self.matched_words):
+            raise ValueError("field 'matched_words' must be a frozenset of strings")
 
     @property
     def weight(self) -> float:
@@ -138,6 +155,9 @@ class SemanticVector:
             if not 0.0 < weight < math.inf:
                 kind = "non-positive" if weight <= 0.0 else "non-finite"
                 raise ValueError(f"concept {cid}: {kind} weight {weight}")
+        for cid, entry in self.provenance.items():
+            if entry.concept_id != cid:
+                raise ValueError(f"concept {cid}: provenance names {entry.concept_id!r}")
 
     def support(self) -> frozenset[str]:
         return frozenset(self.weights)

@@ -19,6 +19,11 @@ services, so stored postings can never disagree with the vectors.
 Files of any other version are rejected with a message to rebuild the
 index.
 
+The constructors of :class:`ServiceRecord`, :class:`ServiceIndex` and
+:class:`~semdisc.annotator.Annotation` admit only values the format
+holds, so every index the library builds loads back equal.  The loader
+checks only the payload's shape and key presence.
+
 Index instances are immutable after construction; build, save and load
 are pure functions of their inputs, so concurrent readers need no
 locking.
@@ -34,7 +39,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
-from .annotator import DEFAULT_THRESHOLD, Annotation, SemanticVector, annotate
+from .annotator import _NUMBER, DEFAULT_THRESHOLD, Annotation, SemanticVector, annotate
 from .lexicon import Lexicon
 from .strsim import normalize_string
 
@@ -42,8 +47,6 @@ log = logging.getLogger(__name__)
 
 MAGIC = b"SDIX"
 FORMAT_VERSION = 3
-# Element types of JSON lists, checked with issuperset(map(type, ...)).
-_STRS = frozenset({str})
 
 
 @dataclass(frozen=True)
@@ -115,7 +118,8 @@ def ingest_registry(path: str | Path) -> list[ServiceRecord]:
             continue
         try:
             obj = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers JSONDecodeError and integers too long to read.
             raise ValueError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise ValueError(f"{path}: line {lineno}: record must be an object")
@@ -136,22 +140,15 @@ def ingest_registry(path: str | Path) -> list[ServiceRecord]:
 
 
 def _record_from_object(obj: dict) -> ServiceRecord:
-    """The record a registry line or index payload entry spells."""
-    lists: dict[str, tuple[str, ...]] = {}
+    """The record a registry line spells; absent or null lists are empty."""
+    lists = []
     for key in ("tags", "categories"):
-        value = obj.get(key, [])
-        if value is None:
-            value = []
-        if type(value) is not list or not _STRS.issuperset(map(type, value)):
+        value = obj.get(key)
+        if not isinstance(value, (list, type(None))):
             raise ValueError(f"field {key!r} must be a list of strings")
-        lists[key] = tuple(value)
-    return ServiceRecord(
-        name=obj.get("name"),
-        description=obj.get("description"),
-        documentation=obj.get("documentation"),
-        tags=lists["tags"],
-        categories=lists["categories"],
-    )
+        lists.append(tuple(value or ()))
+    texts = (obj.get(key) for key in ("name", "description", "documentation"))
+    return ServiceRecord(*texts, *lists)
 
 
 def _duplicate_names(records: Iterable[ServiceRecord]) -> list[str]:
@@ -201,6 +198,10 @@ class ServiceIndex:
 
     def __post_init__(self) -> None:
         # Only values the file format holds, so every index loads back.
+        if not isinstance(self.services, tuple) or not all(
+            isinstance(s, AnnotatedService) for s in self.services
+        ):
+            raise ValueError("services must be a tuple of AnnotatedService")
         if not isinstance(self.lexicon_fingerprint, str):
             raise ValueError("lexicon_fingerprint must be a string")
         if type(self.threshold) not in _NUMBER or not -1.0 <= self.threshold <= 1.0:
@@ -211,7 +212,10 @@ class ServiceIndex:
         # Services share a few category names; normalize each name once.
         normalized: dict[str, str] = {}
         for pos, service in enumerate(self.services):
-            norms.append(service.vector.norm())
+            try:
+                norms.append(service.vector.norm())
+            except OverflowError as exc:
+                raise ValueError(f"service {service.name!r}: vector norm: {exc}") from None
             for concept in service.vector.weights:
                 concept_postings.setdefault(concept, set()).add(pos)
             for category in service.record.categories:
@@ -333,10 +337,10 @@ def load_index(path: str | Path) -> ServiceIndex:
     """Read an index file, verifying magic, checksum, version and payload.
 
     A file too short to hold magic, version and checksum fails the
-    checksum check.  A checksum-valid payload that is not JSON, or has
-    missing or mis-typed keys, non-finite numbers or an out-of-range
-    threshold, raises ValueError naming the file.  So does a file of
-    another format version, with a message to rebuild it.
+    checksum check.  A checksum-valid payload that is not JSON, lacks a
+    key or holds a value the index constructors reject raises ValueError
+    naming the file.  So does a file of another format version, with a
+    message to rebuild it.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -356,11 +360,7 @@ def load_index(path: str | Path) -> ServiceIndex:
             json.loads(body[8:].decode("utf-8"), parse_constant=_reject_constant),
             _PAYLOAD,
         )
-        return ServiceIndex(
-            services=tuple(_services(entries)),
-            lexicon_fingerprint=fingerprint,
-            threshold=threshold,
-        )
+        return ServiceIndex(tuple(_services(entries)), fingerprint, threshold)
     except (ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: malformed index payload: {exc}") from exc
 
@@ -369,43 +369,34 @@ def _reject_constant(name: str) -> float:
     raise ValueError(f"non-finite number {name}")
 
 
-def _fields(obj: object, kinds: dict[str, tuple[type, ...]]) -> list:
-    """The values of ``kinds``' keys in the JSON object ``obj``, in order.
+def _fields(obj: object, keys: tuple[str, ...]) -> list:
+    """The values of ``keys`` in the JSON object ``obj``, in order.
 
-    ValueError unless ``obj`` is an object holding every key with one of
-    its exact types, so a JSON true/false (a bool) is no number.
+    This is all the loader checks: ValueError unless ``obj`` is an object
+    holding every key, and each key in :data:`_CONTAINERS` holds that
+    JSON container.  The constructors check every other value.
     """
     if type(obj) is not dict:
         raise ValueError("expected an object")
     values = []
-    for key, types in kinds.items():
+    for key in keys:
         try:
             value = obj[key]
         except KeyError:
             raise ValueError(f"missing key {key!r}") from None
-        if type(value) not in types:
+        if not isinstance(value, _CONTAINERS.get(key, object)):
             raise ValueError(f"key {key!r} has type {type(value).__name__}")
         values.append(value)
     return values
 
 
-_NUMBER = (int, float)
-_OPTIONAL_STR = (str, type(None))
-_PAYLOAD = {"lexicon_fingerprint": (str,), "services": (list,), "threshold": _NUMBER}
-_SERVICE = {
-    "name": (str,),
-    "description": _OPTIONAL_STR,
-    "documentation": _OPTIONAL_STR,
-    "tags": (list,),
-    "categories": (list,),
-    "provenance": (dict,),
-}
-_ANNOTATION = {
-    "lexical_form": (str,),
-    "similarity": _NUMBER,
-    "tf": (int,),
-    "idf_value": _NUMBER,
-    "matched_words": (list,),
+_PAYLOAD = ("lexicon_fingerprint", "services", "threshold")
+_SERVICE = ("name", "description", "documentation", "tags", "categories", "provenance")
+_ANNOTATION = ("lexical_form", "similarity", "tf", "idf_value", "matched_words")
+# The JSON containers the loader converts, by key.
+_CONTAINERS = {
+    **dict.fromkeys(("services", "tags", "categories", "matched_words"), list),
+    "provenance": dict,
 }
 
 
@@ -418,30 +409,18 @@ def _services(entries: list) -> Iterator[AnnotatedService]:
 
 
 def _service(entry: object) -> AnnotatedService:
-    # The record fields are type-checked here too, so errors name the key.
-    *_, provenance = _fields(entry, _SERVICE)
-    record = _record_from_object(entry)
-    weights = {}
+    name, description, documentation, tags, categories, provenance = _fields(
+        entry, _SERVICE
+    )
     annotations = {}
     for cid, p in provenance.items():
         try:
             form, similarity, tf, idf_value, matched = _fields(p, _ANNOTATION)
-            if not _STRS.issuperset(map(type, matched)):
-                raise ValueError("key 'matched_words' must be a list of strings")
-            if not -1.0 <= similarity <= 1.0:
-                raise ValueError(f"similarity {similarity} outside [-1, 1]")
-        except ValueError as exc:
+            # TypeError when a JSON list or object is among the words.
+            matched = frozenset(matched)
+            annotations[cid] = Annotation(cid, form, similarity, tf, idf_value, matched)
+        except (ValueError, TypeError) as exc:
             raise ValueError(f"provenance {cid!r}: {exc}") from None
-        annotation = Annotation(
-            concept_id=cid,
-            lexical_form=form,
-            similarity=similarity,
-            tf=tf,
-            idf_value=idf_value,
-            matched_words=frozenset(matched),
-        )
-        annotations[cid] = annotation
-        weights[cid] = annotation.weight
-    return AnnotatedService(
-        record=record, vector=SemanticVector(weights=weights, provenance=annotations)
-    )
+    weights = {cid: a.weight for cid, a in annotations.items()}
+    record = ServiceRecord(name, description, documentation, tuple(tags), tuple(categories))
+    return AnnotatedService(record, SemanticVector(weights, annotations))

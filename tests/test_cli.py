@@ -131,6 +131,24 @@ class TestIndexBuild:
         assert f"{bad}: line 1: invalid JSON" in err
         assert "Traceback" not in err
 
+    def test_integer_too_long_in_registry_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "big.jsonl"
+        bad.write_text('{"name": "a"}\n{"name": "b", "x": ' + "9" * 5000 + "}\n")
+        code, _, err = run(
+            capsys,
+            "index",
+            "build",
+            "--lexicon",
+            str(DATA / "lexicon.tsv"),
+            "--registry",
+            str(bad),
+            "--index",
+            str(tmp_path / "out.idx"),
+        )
+        assert code == 1
+        assert err.startswith(f"error: {bad}: line 2: invalid JSON: ")
+        assert "Traceback" not in err
+
     def test_undecodable_registry_names_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_bytes(b'{"name": "B", "description": "\xff"}\n')
@@ -500,6 +518,31 @@ class TestDiscoverCommand:
         assert out == ""
         assert str(built_index) in err
         assert "malformed index payload" in err
+        assert "Traceback" not in err
+
+    def test_overflowing_vector_norm_is_data_error(self, built_index, capsys):
+        # Each weight is finite, but the sum of their squares is not.
+        def inflate(payload):
+            service = next(s for s in payload["services"] if len(s["provenance"]) > 1)
+            for entry in service["provenance"].values():
+                entry.update(idf_value=1e154, tf=1)
+            return payload
+
+        rewrite_index_payload(built_index, inflate)
+        code, out, err = run(
+            capsys,
+            "discover",
+            TASK,
+            "--lexicon",
+            str(DATA / "lexicon.tsv"),
+            "--taxonomy",
+            str(DATA / "taxonomy.txt"),
+            "--index",
+            str(built_index),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {built_index}: malformed index payload: service ")
+        assert "vector norm: intermediate overflow in fsum" in err
         assert "Traceback" not in err
 
     def test_lone_surrogate_in_index_is_data_error(self, built_index, capsys):

@@ -8,6 +8,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semdisc import registry
 from semdisc.annotator import DEFAULT_THRESHOLD, Annotation, SemanticVector
@@ -134,6 +136,13 @@ class TestIngestRegistry:
         with pytest.raises(ValueError, match="A"):
             ingest_registry(path)
 
+    def test_rejects_integer_too_long_to_read(self, tmp_path):
+        path = tmp_path / "reg.jsonl"
+        path.write_text('{"name": "A"}\n{"name": "B", "x": ' + "9" * 5000 + "}\n")
+        with pytest.raises(ValueError) as info:
+            ingest_registry(path)
+        assert str(info.value).startswith(f"{path}: line 2: invalid JSON: ")
+
     def test_skips_blank_lines(self, tmp_path):
         path = tmp_path / "reg.jsonl"
         path.write_text('{"name": "A", "description": "x"}\n\n')
@@ -198,6 +207,35 @@ def index_path(demo_index, tmp_path):
     return path
 
 
+_VALID_ANNOTATION = {
+    "concept_id": "C1",
+    "lexical_form": "x",
+    "similarity": 1.0,
+    "tf": 1,
+    "idf_value": 2.0,
+    "matched_words": frozenset({"x"}),
+}
+_VALID_FIELDS = {
+    "concept_id": st.text(),
+    "lexical_form": st.text(),
+    "similarity": st.floats(-1.0, 1.0),
+    "tf": st.integers(1, 50),
+    "idf_value": st.floats(0.001, 100.0),
+    "matched_words": st.frozensets(st.text()),
+}
+# Values of every kind, most of which no Annotation field may hold.
+_ANY_VALUE = st.one_of(
+    st.text(),
+    st.integers(),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.lists(st.text()),
+    st.frozensets(st.text()),
+    st.frozensets(st.integers()),
+)
+
+
 class TestPersistence:
     def test_round_trip_preserves_everything(self, demo_index, index_path):
         loaded = load_index(index_path)
@@ -240,6 +278,22 @@ class TestPersistence:
             ({"threshold": True}, "threshold True outside [-1, 1]"),
             ({"threshold": "0.8"}, "threshold '0.8' outside [-1, 1]"),
             ({"lexicon_fingerprint": b"f"}, "lexicon_fingerprint must be a string"),
+            # A list would load back as a tuple, so not equal.
+            (
+                {"services": [AnnotatedService(ServiceRecord(name="A"), SemanticVector({}))]},
+                "services must be a tuple of AnnotatedService",
+            ),
+            (
+                {
+                    "services": (
+                        AnnotatedService(
+                            ServiceRecord(name="A"),
+                            SemanticVector({"C1": 1e154, "C2": 1e154}),
+                        ),
+                    )
+                },
+                "service 'A': vector norm: intermediate overflow in fsum",
+            ),
         ],
     )
     def test_index_the_format_cannot_hold_is_not_built(self, fields, message):
@@ -248,15 +302,70 @@ class TestPersistence:
         assert str(excinfo.value) == message
 
     @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"similarity": 1.5}, "similarity 1.5 outside [-1, 1]"),
+            ({"similarity": True}, "field 'similarity' has type bool"),
+            ({"similarity": math.nan}, "similarity nan outside [-1, 1]"),
+            ({"tf": 1.0}, "field 'tf' has type float"),
+            ({"tf": True}, "field 'tf' has type bool"),
+            ({"lexical_form": 5}, "field 'lexical_form' has type int"),
+            (
+                {"matched_words": frozenset({1})},
+                "field 'matched_words' must be a frozenset of strings",
+            ),
+            ({"matched_words": ["x"]}, "field 'matched_words' has type list"),
+        ],
+        ids=[
+            "similarity_above_one",
+            "bool_similarity",
+            "non_finite_similarity",
+            "float_tf",
+            "bool_tf",
+            "int_lexical_form",
+            "int_matched_word",
+            "matched_words_list",
+        ],
+    )
+    def test_annotation_the_format_cannot_hold_is_not_built(self, fields, message):
+        with pytest.raises(ValueError) as excinfo:
+            Annotation(**{**_VALID_ANNOTATION, **fields})
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("weights_key", ["C1", "X"])
+    def test_provenance_key_other_than_concept_is_not_built(self, weights_key):
+        # Loading keys each annotation by its concept id.
+        with pytest.raises(ValueError, match="concept X: provenance names 'C1'"):
+            SemanticVector({weights_key: 2.0}, {"X": Annotation(**_VALID_ANNOTATION)})
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), keyed_by_concept=st.booleans())
+    def test_built_index_loads_back_equal(self, tmp_path_factory, data, keyed_by_concept):
+        """Whatever the Annotation fields hold, construction rejects the
+        index or it saves and loads back equal."""
+        wild = data.draw(st.sets(st.sampled_from(sorted(_VALID_FIELDS)), max_size=3))
+        fields = {
+            key: data.draw(_ANY_VALUE if key in wild else valid, label=key)
+            for key, valid in _VALID_FIELDS.items()
+        }
+        try:
+            annotation = Annotation(**fields)
+            key = annotation.concept_id if keyed_by_concept else "X"
+            vector = SemanticVector({key: annotation.weight}, {key: annotation})
+            service = AnnotatedService(ServiceRecord(name="A"), vector)
+            index = ServiceIndex(services=(service,), lexicon_fingerprint="f")
+        except ValueError:
+            return
+        path = tmp_path_factory.getbasetemp() / "property.idx"
+        save_index(index, path)
+        assert load_index(path) == index
+
+    @pytest.mark.parametrize(
         "vector",
         [
             SemanticVector(weights={"C1": 2.0}),
-            SemanticVector(
-                weights={"C1": 2.0},
-                provenance={"C1": Annotation("C1", "x", math.nan, 1, 2.0, frozenset())},
-            ),
         ],
-        ids=["weights_without_provenance", "non_finite_similarity"],
+        ids=["weights_without_provenance"],
     )
     def test_vector_the_format_cannot_hold_is_not_saved(self, tmp_path, vector):
         service = AnnotatedService(record=ServiceRecord(name="A"), vector=vector)
@@ -430,7 +539,7 @@ class TestMalformedPayload:
         [
             (lambda payload: [payload], "expected an object"),
             (lambda payload: {**payload, "services": {}}, "'services' has type dict"),
-            (_edit_service("name", 7), "'name' has type int"),
+            (_edit_service("name", 7), "field 'name' must be a string"),
             (_edit_service("name", " "), "service name must be non-empty"),
             # json.dumps writes a lone surrogate as an escape that loads back.
             (
@@ -438,9 +547,12 @@ class TestMalformedPayload:
                 ": malformed index payload: service 0: field 'name' cannot be "
                 "encoded as UTF-8",
             ),
-            (_edit_service("description", ["x"]), "'description' has type list"),
+            (_edit_service("description", ["x"]), "field 'description' must be a string"),
             (_edit_service("tags", "protein"), "'tags' has type str"),
-            (_edit_service("categories", [1]), "'categories' must be a list of strings"),
+            (
+                _edit_service("categories", [1]),
+                "field 'categories' must be a tuple of strings",
+            ),
             (_edit_provenance("idf_value", "8.0"), "'idf_value' has type str"),
             (_edit_provenance("idf_value", -1.0), "non-positive weight"),
             (_edit_provenance("idf_value", math.nan), "non-finite number NaN"),
@@ -450,11 +562,16 @@ class TestMalformedPayload:
             (_edit_provenance("similarity", True), "'similarity' has type bool"),
             (_edit_provenance("similarity", 1.5), "similarity 1.5 outside [-1, 1]"),
             (_edit_provenance("matched_words", "tree"), "'matched_words' has type str"),
-            (_edit_payload("lexicon_fingerprint", 7), "'lexicon_fingerprint' has type int"),
+            (
+                _edit_provenance("matched_words", [1]),
+                "field 'matched_words' must be a frozenset of strings",
+            ),
+            (_edit_provenance("matched_words", [["x"]]), "unhashable type: 'list'"),
+            (_edit_payload("lexicon_fingerprint", 7), "lexicon_fingerprint must be a string"),
             (_edit_payload("lexicon_fingerprint", None), "missing key 'lexicon_fingerprint'"),
             (_edit_payload("threshold", None), "missing key 'threshold'"),
-            (_edit_payload("threshold", "0.8"), "'threshold' has type str"),
-            (_edit_payload("threshold", False), "'threshold' has type bool"),
+            (_edit_payload("threshold", "0.8"), "threshold '0.8' outside [-1, 1]"),
+            (_edit_payload("threshold", False), "threshold False outside [-1, 1]"),
             (_edit_payload("threshold", 1.5), "threshold 1.5 outside [-1, 1]"),
             (_edit_payload("threshold", -2), "threshold -2 outside [-1, 1]"),
         ],
