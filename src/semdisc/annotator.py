@@ -42,6 +42,9 @@ _ANNOTATION_TYPES = dict(
     concept_id=(str,), lexical_form=(str,), similarity=_NUMBER, tf=(int,),
     idf_value=_NUMBER, matched_words=(frozenset,),
 )
+# The range of vector weights: their squares and pairwise products are
+# normal floats.
+_MIN_WEIGHT, _MAX_WEIGHT = 2.0**-255, 2.0**255
 
 
 class UndefinedScoreError(ValueError):
@@ -118,8 +121,9 @@ def sim(concept: Concept, text_words: AbstractSet[str], lexicon: Lexicon) -> For
 
 @dataclass(frozen=True)
 class Annotation:
-    """Provenance for one vector entry; the weight is tf * idf_value.  Fields
-    hold only values an index file holds; ValueError names the field otherwise."""
+    """Provenance for one vector entry; the weight is tf * idf_value and,
+    like every vector weight, lies in [2**-255, 2**255].  Fields hold only
+    values an index file holds; ValueError names the field otherwise."""
 
     concept_id: str
     lexical_form: str
@@ -137,6 +141,10 @@ class Annotation:
             raise ValueError(f"similarity {self.similarity} outside [-1, 1]")
         if not all(type(w) is str for w in self.matched_words):
             raise ValueError("field 'matched_words' must be a frozenset of strings")
+        try:
+            _check_weight(float(self.weight), "field 'tf'")
+        except OverflowError as exc:
+            raise ValueError(f"field 'tf': {exc}") from None
 
     @property
     def weight(self) -> float:
@@ -145,16 +153,15 @@ class Annotation:
 
 @dataclass(frozen=True)
 class SemanticVector:
-    """Sparse concept vector with per-entry provenance."""
+    """Sparse concept vector with per-entry provenance.  Weights lie in
+    [2**-255, 2**255], so no norm or cosine underflows or overflows."""
 
     weights: Mapping[str, float]
     provenance: Mapping[str, Annotation] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         for cid, weight in self.weights.items():
-            if not 0.0 < weight < math.inf:
-                kind = "non-positive" if weight <= 0.0 else "non-finite"
-                raise ValueError(f"concept {cid}: {kind} weight {weight}")
+            _check_weight(weight, f"concept {cid}")
         for cid, entry in self.provenance.items():
             if entry.concept_id != cid:
                 raise ValueError(f"concept {cid}: provenance names {entry.concept_id!r}")
@@ -167,6 +174,17 @@ class SemanticVector:
 
     def __bool__(self) -> bool:
         return bool(self.weights)
+
+
+def _check_weight(weight: float, owner: str) -> None:
+    """ValueError naming ``owner`` unless ``weight`` is in the vector range."""
+    if not _MIN_WEIGHT <= weight <= _MAX_WEIGHT:
+        kind = (
+            "non-positive" if weight <= 0.0
+            else "out-of-range" if weight < math.inf
+            else "non-finite"
+        )
+        raise ValueError(f"{owner}: {kind} weight {weight} outside [2**-255, 2**255]")
 
 
 def term_frequency(form_words: AbstractSet[str], text_words: Iterable[str]) -> int:

@@ -8,13 +8,18 @@ from empty strings.
 An index annotates every service once and keeps the resulting vectors
 with two posting tables (concept -> services, category -> services) so
 queries never rescan raw text.  On disk the index is ``SDIX`` magic, a
-4-byte big-endian format version, a canonical JSON payload and the
-SHA-256 of everything before it.  Format version 3's payload holds the
-fingerprint of the lexicon the index was built from, the annotation
-threshold it was built with, and, in canonical service order, only what
-cannot be derived: each service's record fields and the provenance of
-its vector entries.  Loading rebuilds every weight as
-``tf * idf_value`` and the index derives its posting tables from the
+4-byte big-endian format version, a compact JSON payload and the
+SHA-256 of everything before it.  Format version 4's payload holds
+arrays only, and only what cannot be derived::
+
+    [lexicon_fingerprint, threshold, services]
+    service:    [name, description, documentation, tags, categories, provenance]
+    provenance: [[concept_id, lexical_form, similarity, tf, idf_value,
+                  matched_words], ...]
+
+Services are in canonical (name) order, provenance rows are sorted by
+concept id and matched words are sorted.  Loading rebuilds every weight
+as ``tf * idf_value`` and the index derives its posting tables from the
 services, so stored postings can never disagree with the vectors.
 Files of any other version are rejected with a message to rebuild the
 index.
@@ -22,7 +27,8 @@ index.
 The constructors of :class:`ServiceRecord`, :class:`ServiceIndex` and
 :class:`~semdisc.annotator.Annotation` admit only values the format
 holds, so every index the library builds loads back equal.  The loader
-checks only the payload's shape and key presence.
+checks only that each row is a JSON list of the right length and that
+each array it converts to a tuple or frozenset is a list.
 
 Index instances are immutable after construction; build, save and load
 are pure functions of their inputs, so concurrent readers need no
@@ -46,7 +52,7 @@ from .strsim import normalize_string
 log = logging.getLogger(__name__)
 
 MAGIC = b"SDIX"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -212,10 +218,7 @@ class ServiceIndex:
         # Services share a few category names; normalize each name once.
         normalized: dict[str, str] = {}
         for pos, service in enumerate(self.services):
-            try:
-                norms.append(service.vector.norm())
-            except OverflowError as exc:
-                raise ValueError(f"service {service.name!r}: vector norm: {exc}") from None
+            norms.append(service.vector.norm())
             for concept in service.vector.weights:
                 concept_postings.setdefault(concept, set()).add(pos)
             for category in service.record.categories:
@@ -274,33 +277,16 @@ def _index_payload(index: ServiceIndex) -> bytes:
                 f"service {record.name!r}: weights are not tf * idf_value of "
                 "its provenance, so the index cannot store them"
             )
+        provenance = [
+            [c, a.lexical_form, a.similarity, a.tf, a.idf_value, sorted(a.matched_words)]
+            for c, a in sorted(vector.provenance.items())
+        ]
+        tags, categories = list(record.tags), list(record.categories)
         services.append(
-            {
-                "name": record.name,
-                "description": record.description,
-                "documentation": record.documentation,
-                "tags": list(record.tags),
-                "categories": list(record.categories),
-                "provenance": {
-                    c: {
-                        "lexical_form": a.lexical_form,
-                        "similarity": a.similarity,
-                        "tf": a.tf,
-                        "idf_value": a.idf_value,
-                        "matched_words": sorted(a.matched_words),
-                    }
-                    for c, a in sorted(vector.provenance.items())
-                },
-            }
+            [record.name, record.description, record.documentation, tags, categories, provenance]
         )
-    payload = {
-        "lexicon_fingerprint": index.lexicon_fingerprint,
-        "services": services,
-        "threshold": index.threshold,
-    }
-    return json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), allow_nan=False
-    ).encode("utf-8")
+    payload = [index.lexicon_fingerprint, index.threshold, services]
+    return json.dumps(payload, separators=(",", ":"), allow_nan=False).encode("utf-8")
 
 
 def save_index(index: ServiceIndex, path: str | Path) -> None:
@@ -337,10 +323,10 @@ def load_index(path: str | Path) -> ServiceIndex:
     """Read an index file, verifying magic, checksum, version and payload.
 
     A file too short to hold magic, version and checksum fails the
-    checksum check.  A checksum-valid payload that is not JSON, lacks a
-    key or holds a value the index constructors reject raises ValueError
-    naming the file.  So does a file of another format version, with a
-    message to rebuild it.
+    checksum check.  A checksum-valid payload that is not JSON, holds a
+    row of the wrong length or a value the index constructors reject
+    raises ValueError naming the file.  So does a file of another format
+    version, with a message to rebuild it.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -356,11 +342,10 @@ def load_index(path: str | Path) -> ServiceIndex:
             f"{FORMAT_VERSION}); rebuild the index with 'semdisc index build'"
         )
     try:
-        fingerprint, entries, threshold = _fields(
-            json.loads(body[8:].decode("utf-8"), parse_constant=_reject_constant),
-            _PAYLOAD,
+        fingerprint, threshold, services = _row(
+            json.loads(body[8:].decode("utf-8"), parse_constant=_reject_constant), 3
         )
-        return ServiceIndex(tuple(_services(entries)), fingerprint, threshold)
+        return ServiceIndex(tuple(_services(services)), fingerprint, threshold)
     except (ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: malformed index payload: {exc}") from exc
 
@@ -369,58 +354,39 @@ def _reject_constant(name: str) -> float:
     raise ValueError(f"non-finite number {name}")
 
 
-def _fields(obj: object, keys: tuple[str, ...]) -> list:
-    """The values of ``keys`` in the JSON object ``obj``, in order.
+def _row(value: object, length: int | None = None) -> list:
+    """``value`` if it is a JSON list of ``length`` items, or of any
+    length when ``length`` is None; ValueError otherwise.  The loader
+    checks nothing else: the constructors check every value."""
+    if type(value) is not list:
+        raise ValueError(f"expected a list, got {type(value).__name__}")
+    if length is not None and len(value) != length:
+        raise ValueError(f"expected a list of {length} items, got {len(value)}")
+    return value
 
-    This is all the loader checks: ValueError unless ``obj`` is an object
-    holding every key, and each key in :data:`_CONTAINERS` holds that
-    JSON container.  The constructors check every other value.
-    """
-    if type(obj) is not dict:
-        raise ValueError("expected an object")
-    values = []
-    for key in keys:
+
+def _services(rows: object) -> Iterator[AnnotatedService]:
+    for pos, row in enumerate(_row(rows)):
         try:
-            value = obj[key]
-        except KeyError:
-            raise ValueError(f"missing key {key!r}") from None
-        if not isinstance(value, _CONTAINERS.get(key, object)):
-            raise ValueError(f"key {key!r} has type {type(value).__name__}")
-        values.append(value)
-    return values
-
-
-_PAYLOAD = ("lexicon_fingerprint", "services", "threshold")
-_SERVICE = ("name", "description", "documentation", "tags", "categories", "provenance")
-_ANNOTATION = ("lexical_form", "similarity", "tf", "idf_value", "matched_words")
-# The JSON containers the loader converts, by key.
-_CONTAINERS = {
-    **dict.fromkeys(("services", "tags", "categories", "matched_words"), list),
-    "provenance": dict,
-}
-
-
-def _services(entries: list) -> Iterator[AnnotatedService]:
-    for pos, entry in enumerate(entries):
-        try:
-            yield _service(entry)
-        except (ValueError, OverflowError) as exc:
+            yield _service(row)
+        except ValueError as exc:
             raise ValueError(f"service {pos}: {exc}") from None
 
 
-def _service(entry: object) -> AnnotatedService:
-    name, description, documentation, tags, categories, provenance = _fields(
-        entry, _SERVICE
-    )
+def _service(row: object) -> AnnotatedService:
+    name, description, documentation, tags, categories, provenance = _row(row, 6)
     annotations = {}
-    for cid, p in provenance.items():
+    for pos, entry in enumerate(_row(provenance)):
         try:
-            form, similarity, tf, idf_value, matched = _fields(p, _ANNOTATION)
+            cid, form, similarity, tf, idf_value, matched = _row(entry, 6)
             # TypeError when a JSON list or object is among the words.
-            matched = frozenset(matched)
-            annotations[cid] = Annotation(cid, form, similarity, tf, idf_value, matched)
+            annotations[cid] = Annotation(
+                cid, form, similarity, tf, idf_value, frozenset(_row(matched))
+            )
         except (ValueError, TypeError) as exc:
-            raise ValueError(f"provenance {cid!r}: {exc}") from None
+            raise ValueError(f"provenance {pos}: {exc}") from None
     weights = {cid: a.weight for cid, a in annotations.items()}
-    record = ServiceRecord(name, description, documentation, tuple(tags), tuple(categories))
+    record = ServiceRecord(
+        name, description, documentation, tuple(_row(tags)), tuple(_row(categories))
+    )
     return AnnotatedService(record, SemanticVector(weights, annotations))

@@ -33,6 +33,9 @@ class TaskRequirement:
     description: str
 
     def __post_init__(self) -> None:
+        for key in ("id", "description"):
+            if not isinstance(getattr(self, key), str):
+                raise ValueError(f"field {key!r} must be a string")
         if not self.id.strip() or not self.description.strip():
             raise ValueError("task id and description must be non-empty")
 

@@ -52,7 +52,7 @@ def read_index_payload(path: Path) -> bytes:
 def rewrite_index_payload(path: Path, edit: Callable[[object], object]) -> None:
     """Replace an index file's JSON payload with ``edit(payload)``."""
     payload = json.loads(read_index_payload(path))
-    blob = json.dumps(edit(payload), sort_keys=True, separators=(",", ":")).encode()
+    blob = json.dumps(edit(payload), separators=(",", ":")).encode()
     replace_index_payload(path, blob)
 
 

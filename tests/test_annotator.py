@@ -121,6 +121,24 @@ class TestSemanticVector:
         with pytest.raises(ValueError, match="non-finite weight"):
             SemanticVector(weights={"C1": weight})
 
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            {"C1": 1e-200},  # the square underflows to 0
+            {"C1": 1e160},  # the square overflows to inf
+            {"C1": 1e200},
+            {"C1": 1e154, "C2": 1e154},  # each square is finite, their sum is not
+            {"C1": math.nextafter(2.0**255, math.inf)},
+            {"C1": math.nextafter(2.0**-255, 0.0)},
+        ],
+    )
+    def test_rejects_weight_outside_range(self, weights):
+        with pytest.raises(ValueError, match="out-of-range weight .* outside"):
+            SemanticVector(weights=weights)
+
+    def test_admits_range_bounds(self):
+        assert SemanticVector(weights={"C1": 2.0**-255, "C2": 2.0**255})
+
     def test_norm(self):
         vec = SemanticVector(weights={"a": 3.0, "b": 4.0})
         assert vec.norm() == pytest.approx(5.0, abs=0)

@@ -492,11 +492,12 @@ class TestDiscoverCommand:
     )
     def test_malformed_index_is_data_error(self, built_index, capsys, damage):
         def edit(payload):
+            service = payload[2][0]  # provenance is a service row's last item
             if damage == "missing_provenance":
-                del payload["services"][0]["provenance"]
+                del service[5]
             else:
-                provenance = payload["services"][0]["provenance"]
-                provenance["D9000419"]["idf_value"] = float("nan")
+                row = next(r for r in service[5] if r[0] == "D9000419")
+                row[4] = float("nan")  # idf_value
             return payload
 
         if damage == "deeply_nested":
@@ -521,11 +522,12 @@ class TestDiscoverCommand:
         assert "Traceback" not in err
 
     def test_overflowing_vector_norm_is_data_error(self, built_index, capsys):
-        # Each weight is finite, but the sum of their squares is not.
+        # Each weight is finite, but the sum of two squares is not, so such
+        # weights are out of range.
         def inflate(payload):
-            service = next(s for s in payload["services"] if len(s["provenance"]) > 1)
-            for entry in service["provenance"].values():
-                entry.update(idf_value=1e154, tf=1)
+            service = next(s for s in payload[2] if len(s[5]) > 1)
+            for row in service[5]:
+                row[3:5] = [1, 1e154]  # tf, idf_value
             return payload
 
         rewrite_index_payload(built_index, inflate)
@@ -542,12 +544,12 @@ class TestDiscoverCommand:
         )
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {built_index}: malformed index payload: service ")
-        assert "vector norm: intermediate overflow in fsum" in err
+        assert "provenance 0: field 'tf': out-of-range weight 1e+154 outside" in err
         assert "Traceback" not in err
 
     def test_lone_surrogate_in_index_is_data_error(self, built_index, capsys):
         def rename(payload):
-            payload["services"][0]["name"] = "Bad\ud800"
+            payload[2][0][0] = "Bad\ud800"  # the first service's name
             return payload
 
         rewrite_index_payload(built_index, rename)

@@ -162,6 +162,28 @@ class TestCosine:
         b = SemanticVector(weights={"y": 1.1, "z": 4.0})
         assert cosine(a, b) == cosine(b, a)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        weights=st.dictionaries(
+            st.text(max_size=3), st.floats(2.0**-255, 2.0**255), min_size=1, max_size=20
+        ),
+        data=st.data(),
+    )
+    def test_scale_free_on_admitted_vectors(self, weights, data):
+        """Every vector the constructor admits has cosine 1 with itself,
+        and scaling it by a power of two that keeps it admitted changes
+        no cosine bit."""
+        vec = SemanticVector(weights=weights)
+        itself = cosine(vec, vec)
+        assert itself == pytest.approx(1.0, abs=1e-15)
+        # w in [2**(e-1), 2**e) for e = frexp(w)[1], so these exponents
+        # keep every scaled weight in [2**-255, 2**255].
+        lowest = -254 - math.frexp(min(weights.values()))[1]
+        highest = 255 - math.frexp(max(weights.values()))[1]
+        exponent = data.draw(st.integers(lowest, max(lowest, highest)), label="exponent")
+        scaled = SemanticVector({c: math.ldexp(w, exponent) for c, w in weights.items()})
+        assert cosine(scaled, vec) == itself
+
 
 class TestSearchRoutes:
     def test_category_route_takes_best_score(self, route_lexicon):

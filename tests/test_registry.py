@@ -257,7 +257,7 @@ class TestPersistence:
         assert first.read_bytes() == second.read_bytes()
         # Pinned so every supported Python version must write these bytes.
         assert hashlib.sha256(first.read_bytes()).hexdigest() == (
-            "018b3c423c4d09102196d86d6f1a8f8a2d376e37b64a0a82656984aedbfba6bf"
+            "8cc55f5ab1ad20dc993cf98a5d633373b4962772416037983cdf1ded505e6d0f"
         )
 
     @pytest.mark.parametrize("threshold", [DEFAULT_THRESHOLD, -1.0, 0.25, 1.0])
@@ -283,17 +283,6 @@ class TestPersistence:
                 {"services": [AnnotatedService(ServiceRecord(name="A"), SemanticVector({}))]},
                 "services must be a tuple of AnnotatedService",
             ),
-            (
-                {
-                    "services": (
-                        AnnotatedService(
-                            ServiceRecord(name="A"),
-                            SemanticVector({"C1": 1e154, "C2": 1e154}),
-                        ),
-                    )
-                },
-                "service 'A': vector norm: intermediate overflow in fsum",
-            ),
         ],
     )
     def test_index_the_format_cannot_hold_is_not_built(self, fields, message):
@@ -315,6 +304,27 @@ class TestPersistence:
                 "field 'matched_words' must be a frozenset of strings",
             ),
             ({"matched_words": ["x"]}, "field 'matched_words' has type list"),
+            # Weights are tf * idf_value and must lie in [2**-255, 2**255].
+            ({"tf": 10**400}, "field 'tf': int too large to convert to float"),
+            (
+                {"tf": 10**3000, "idf_value": 10**3000},
+                "field 'tf': int too large to convert to float",
+            ),
+            ({"tf": 0}, "field 'tf': non-positive weight 0.0 outside [2**-255, 2**255]"),
+            ({"tf": -1}, "field 'tf': non-positive weight -2.0 outside [2**-255, 2**255]"),
+            (
+                {"idf_value": 0.0},
+                "field 'tf': non-positive weight 0.0 outside [2**-255, 2**255]",
+            ),
+            (
+                {"idf_value": -1.0},
+                "field 'tf': non-positive weight -1.0 outside [2**-255, 2**255]",
+            ),
+            (
+                {"tf": 2, "idf_value": 2.0**255},
+                "field 'tf': out-of-range weight 1.157920892373162e+77 outside "
+                "[2**-255, 2**255]",
+            ),
         ],
         ids=[
             "similarity_above_one",
@@ -325,6 +335,13 @@ class TestPersistence:
             "int_lexical_form",
             "int_matched_word",
             "matched_words_list",
+            "tf_too_large_for_float",
+            "weight_too_large_for_float",
+            "zero_tf",
+            "negative_tf",
+            "zero_idf_value",
+            "negative_idf_value",
+            "weight_above_range",
         ],
     )
     def test_annotation_the_format_cannot_hold_is_not_built(self, fields, message):
@@ -465,30 +482,54 @@ class TestPersistence:
         assert str(excinfo.value).startswith(str(index_path))
 
 
-def _edit_payload(key: str, value):
-    """Set a top-level payload key; None deletes it."""
+# Item positions in the payload row, in a service row and in a
+# provenance row.
+_FINGERPRINT, _THRESHOLD, _SERVICES = range(3)
+_NAME, _DESCRIPTION, _DOCUMENTATION, _TAGS, _CATEGORIES, _PROVENANCE = range(6)
+_CONCEPT_ID, _FORM, _SIMILARITY, _TF, _IDF_VALUE, _MATCHED_WORDS = range(6)
+
+
+def _edit_payload(pos: int, value):
+    """Set a payload item; None deletes it."""
 
     def edit(payload):
-        payload[key] = value
+        payload[pos] = value
         if value is None:
-            del payload[key]
+            del payload[pos]
         return payload
 
     return edit
 
 
-def _edit_service(key: str, value):
+def _edit_service(pos: int, value):
     def edit(payload):
-        payload["services"][0][key] = value
+        payload[_SERVICES][0][pos] = value
         return payload
 
     return edit
 
 
-def _edit_provenance(key: str, value):
+def _edit_provenance(pos: int, value):
     def edit(payload):
-        entry = next(s for s in payload["services"] if s["provenance"])
-        next(iter(entry["provenance"].values()))[key] = value
+        service = next(s for s in payload[_SERVICES] if s[_PROVENANCE])
+        service[_PROVENANCE][0][pos] = value
+        return payload
+
+    return edit
+
+
+def _resize_service(resize):
+    def edit(payload):
+        payload[_SERVICES][0] = resize(payload[_SERVICES][0])
+        return payload
+
+    return edit
+
+
+def _resize_provenance(resize):
+    def edit(payload):
+        service = next(s for s in payload[_SERVICES] if s[_PROVENANCE])
+        service[_PROVENANCE][0] = resize(service[_PROVENANCE][0])
         return payload
 
     return edit
@@ -499,7 +540,7 @@ class TestMalformedPayload:
 
     def test_missing_provenance_key(self, index_path):
         def drop_provenance(payload):
-            del payload["services"][0]["provenance"]
+            del payload[_SERVICES][0][_PROVENANCE]
             return payload
 
         rewrite_index_payload(index_path, drop_provenance)
@@ -507,73 +548,114 @@ class TestMalformedPayload:
             load_index(index_path)
         message = str(excinfo.value)
         assert message.startswith(str(index_path))
-        assert "service 0: missing key 'provenance'" in message
+        assert "service 0: expected a list of 6 items, got 5" in message
 
     def test_concept_posting_past_service_list(self, index_path, demo_index):
-        """Postings are derived from the services, never read from the file."""
+        """Postings are derived from the services, never read from the file:
+        the payload row has no place for them."""
         rewrite_index_payload(
-            index_path,
-            lambda payload: {
-                **payload,
-                "concept_postings": {"D9000419": [len(demo_index)]},
-                "category_postings": {},
-            },
+            index_path, lambda payload: [*payload, {"D9000419": [len(demo_index)]}]
         )
-        assert load_index(index_path) == demo_index
+        with pytest.raises(ValueError, match="expected a list of 3 items, got 4"):
+            load_index(index_path)
 
     @pytest.mark.parametrize(
         "key, detail",
         [("idf_value", "non-finite weight inf"), ("similarity", "similarity inf outside")],
     )
     def test_overflowing_number_rejected(self, index_path, key, detail):
-        payload = read_index_payload(index_path)
-        start = payload.index(f'"{key}":'.encode()) + len(key) + 3
-        end = payload.index(b",", start)
-        replace_index_payload(index_path, payload[:start] + b"1e999" + payload[end:])
+        pos = {"idf_value": _IDF_VALUE, "similarity": _SIMILARITY}[key]
+        payload = json.loads(read_index_payload(index_path))
+        service = next(s for s in payload[_SERVICES] if s[_PROVENANCE])
+        # JSON has no infinity; 1e999 is a number literal that overflows.
+        service[_PROVENANCE][0][pos] = "OVERFLOW"
+        blob = json.dumps(payload, separators=(",", ":")).encode()
+        replace_index_payload(index_path, blob.replace(b'"OVERFLOW"', b"1e999"))
         with pytest.raises(ValueError, match=detail) as excinfo:
             load_index(index_path)
         assert str(excinfo.value).startswith(str(index_path))
 
+    # An explicit id names the defect rather than the message, so the case
+    # keeps its name when the message changes.
     @pytest.mark.parametrize(
         "edit, detail",
         [
-            (lambda payload: [payload], "expected an object"),
-            (lambda payload: {**payload, "services": {}}, "'services' has type dict"),
-            (_edit_service("name", 7), "field 'name' must be a string"),
-            (_edit_service("name", " "), "service name must be non-empty"),
+            pytest.param(
+                lambda payload: [payload],
+                ": malformed index payload: expected a list of 3 items, got 1",
+                id="payload_nested_in_a_list",
+            ),
+            pytest.param(
+                lambda payload: dict(zip(("lexicon_fingerprint", "threshold", "services"), payload)),
+                ": malformed index payload: expected a list, got dict",
+                id="payload_as_object",
+            ),
+            pytest.param(
+                lambda payload: [*payload[:_SERVICES], {}],
+                ": malformed index payload: expected a list, got dict",
+                id="<lambda>-'services' has type dict",
+            ),
+            (_resize_service(lambda row: row[1:]), "service 0: expected a list of 6 items, got 5"),
+            (
+                _resize_service(lambda row: [*row, None]),
+                "service 0: expected a list of 6 items, got 7",
+            ),
+            (_edit_service(_NAME, 7), "field 'name' must be a string"),
+            (_edit_service(_NAME, " "), "service name must be non-empty"),
             # json.dumps writes a lone surrogate as an escape that loads back.
             (
-                _edit_service("name", "Bad\ud800"),
+                _edit_service(_NAME, "Bad\ud800"),
                 ": malformed index payload: service 0: field 'name' cannot be "
                 "encoded as UTF-8",
             ),
-            (_edit_service("description", ["x"]), "field 'description' must be a string"),
-            (_edit_service("tags", "protein"), "'tags' has type str"),
+            (_edit_service(_DESCRIPTION, ["x"]), "field 'description' must be a string"),
+            # A string is no list: it must not be split into characters.
+            pytest.param(
+                _edit_service(_TAGS, "protein"),
+                "service 0: expected a list, got str",
+                id="edit-'tags' has type str",
+            ),
             (
-                _edit_service("categories", [1]),
+                _edit_service(_CATEGORIES, [1]),
                 "field 'categories' must be a tuple of strings",
             ),
-            (_edit_provenance("idf_value", "8.0"), "'idf_value' has type str"),
-            (_edit_provenance("idf_value", -1.0), "non-positive weight"),
-            (_edit_provenance("idf_value", math.nan), "non-finite number NaN"),
-            (_edit_provenance("similarity", -math.inf), "non-finite number -Infinity"),
-            (_edit_provenance("tf", 10**400), "int too large to convert to float"),
-            (_edit_provenance("tf", "1"), "'tf' has type str"),
-            (_edit_provenance("similarity", True), "'similarity' has type bool"),
-            (_edit_provenance("similarity", 1.5), "similarity 1.5 outside [-1, 1]"),
-            (_edit_provenance("matched_words", "tree"), "'matched_words' has type str"),
             (
-                _edit_provenance("matched_words", [1]),
+                _resize_provenance(lambda row: row[:-1]),
+                "provenance 0: expected a list of 6 items, got 5",
+            ),
+            (_edit_provenance(_IDF_VALUE, "8.0"), "'idf_value' has type str"),
+            (_edit_provenance(_IDF_VALUE, -1.0), "non-positive weight"),
+            (_edit_provenance(_IDF_VALUE, math.nan), "non-finite number NaN"),
+            (_edit_provenance(_SIMILARITY, -math.inf), "non-finite number -Infinity"),
+            (_edit_provenance(_TF, 10**400), "int too large to convert to float"),
+            (_edit_provenance(_TF, "1"), "'tf' has type str"),
+            (_edit_provenance(_SIMILARITY, True), "'similarity' has type bool"),
+            (_edit_provenance(_SIMILARITY, 1.5), "similarity 1.5 outside [-1, 1]"),
+            pytest.param(
+                _edit_provenance(_MATCHED_WORDS, "tree"),
+                "provenance 0: expected a list, got str",
+                id="edit-'matched_words' has type str",
+            ),
+            (
+                _edit_provenance(_MATCHED_WORDS, [1]),
                 "field 'matched_words' must be a frozenset of strings",
             ),
-            (_edit_provenance("matched_words", [["x"]]), "unhashable type: 'list'"),
-            (_edit_payload("lexicon_fingerprint", 7), "lexicon_fingerprint must be a string"),
-            (_edit_payload("lexicon_fingerprint", None), "missing key 'lexicon_fingerprint'"),
-            (_edit_payload("threshold", None), "missing key 'threshold'"),
-            (_edit_payload("threshold", "0.8"), "threshold '0.8' outside [-1, 1]"),
-            (_edit_payload("threshold", False), "threshold False outside [-1, 1]"),
-            (_edit_payload("threshold", 1.5), "threshold 1.5 outside [-1, 1]"),
-            (_edit_payload("threshold", -2), "threshold -2 outside [-1, 1]"),
+            (_edit_provenance(_MATCHED_WORDS, [["x"]]), "unhashable type: 'list'"),
+            (_edit_payload(_FINGERPRINT, 7), "lexicon_fingerprint must be a string"),
+            pytest.param(
+                _edit_payload(_FINGERPRINT, None),
+                "expected a list of 3 items, got 2",
+                id="edit-missing key 'lexicon_fingerprint'",
+            ),
+            pytest.param(
+                _edit_payload(_THRESHOLD, None),
+                "expected a list of 3 items, got 2",
+                id="edit-missing key 'threshold'",
+            ),
+            (_edit_payload(_THRESHOLD, "0.8"), "threshold '0.8' outside [-1, 1]"),
+            (_edit_payload(_THRESHOLD, False), "threshold False outside [-1, 1]"),
+            (_edit_payload(_THRESHOLD, 1.5), "threshold 1.5 outside [-1, 1]"),
+            (_edit_payload(_THRESHOLD, -2), "threshold -2 outside [-1, 1]"),
         ],
     )
     def test_rejected_with_file_name(self, index_path, edit, detail):

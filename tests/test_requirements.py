@@ -151,6 +151,15 @@ class TestModelAccessors:
         with pytest.raises(ValueError):
             TaskRequirement("t1", "   ")
 
+    @pytest.mark.parametrize(
+        "task_id, description, field",
+        [(5, "x", "id"), ("a", 5, "description"), ("a", None, "description")],
+    )
+    def test_non_string_task_field_rejected(self, task_id, description, field):
+        with pytest.raises(ValueError) as excinfo:
+            TaskRequirement(task_id, description)
+        assert str(excinfo.value) == f"field {field!r} must be a string"
+
 
 class TestSerialize:
     def test_round_trip_fixed_point(self, tmp_path):
