@@ -324,9 +324,9 @@ def load_index(path: str | Path) -> ServiceIndex:
 
     A file too short to hold magic, version and checksum fails the
     checksum check.  A checksum-valid payload that is not JSON, holds a
-    row of the wrong length or a value the index constructors reject
-    raises ValueError naming the file.  So does a file of another format
-    version, with a message to rebuild it.
+    row of the wrong length, provenance rows not ascending by concept, or
+    a value the index constructors reject raises ValueError naming the
+    file.  So does a file of another version, with a message to rebuild.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -380,9 +380,11 @@ def _service(row: object) -> AnnotatedService:
         try:
             cid, form, similarity, tf, idf_value, matched = _row(entry, 6)
             # TypeError when a JSON list or object is among the words.
-            annotations[cid] = Annotation(
-                cid, form, similarity, tf, idf_value, frozenset(_row(matched))
-            )
+            words = frozenset(_row(matched))
+            annotation = Annotation(cid, form, similarity, tf, idf_value, words)
+            if annotations and cid <= (last := next(reversed(annotations))):
+                raise ValueError(f"concept {cid!r} after {last!r}: rows must ascend by concept")
+            annotations[cid] = annotation
         except (ValueError, TypeError) as exc:
             raise ValueError(f"provenance {pos}: {exc}") from None
     weights = {cid: a.weight for cid, a in annotations.items()}

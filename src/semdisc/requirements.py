@@ -13,18 +13,40 @@ The outline format is line-oriented::
 a subgoal belongs to it: indentation is cosmetic.  Tasks may carry an
 explicit id in brackets; tasks without one are numbered t1, t2, ... in
 file order.  ``#`` lines and blanks are skipped.
+
+The model holds only what this format writes, and its constructors
+check it: names, ids and descriptions are non-empty single lines without
+surrounding whitespace, ids hold no ``]``, task ids are unique in a model,
+and a goal's direct tasks come before its subgoals.
 """
 from __future__ import annotations
 
 import logging
 import re
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Union
 
 log = logging.getLogger(__name__)
 
 _LINE = re.compile(r"^(goal|subgoal|task)(?:\[(?P<id>[^\]]+)\])?\s*:\s*(?P<text>.*)$")
+
+
+def _check_line(value: object, field: str) -> None:
+    """ValueError naming ``field`` unless ``value`` is one non-empty line
+    by ``str.splitlines``, without surrounding whitespace."""
+    if not isinstance(value, str):
+        raise ValueError(f"field {field!r} must be a string")
+    if value.splitlines() != [value] or value.strip() != value:
+        raise ValueError(
+            f"field {field!r} must be one non-empty line without surrounding "
+            f"whitespace, got {value!r}"
+        )
+
+
+def _check_children(value: object, field: str, kind: type) -> None:
+    if type(value) is not tuple or not all(isinstance(v, kind) for v in value):
+        raise ValueError(f"field {field!r} must be a tuple of {kind.__name__}")
 
 
 @dataclass(frozen=True)
@@ -33,11 +55,10 @@ class TaskRequirement:
     description: str
 
     def __post_init__(self) -> None:
-        for key in ("id", "description"):
-            if not isinstance(getattr(self, key), str):
-                raise ValueError(f"field {key!r} must be a string")
-        if not self.id.strip() or not self.description.strip():
-            raise ValueError("task id and description must be non-empty")
+        _check_line(self.id, "id")
+        _check_line(self.description, "description")
+        if "]" in self.id:
+            raise ValueError(f"field 'id' must not contain ']', got {self.id!r}")
 
 
 @dataclass(frozen=True)
@@ -45,133 +66,109 @@ class Subgoal:
     name: str
     tasks: tuple[TaskRequirement, ...] = ()
 
+    def __post_init__(self) -> None:
+        _check_line(self.name, "name")
+        _check_children(self.tasks, "tasks", TaskRequirement)
+
 
 @dataclass(frozen=True)
 class Goal:
-    """A goal with its children in original file order."""
+    """A goal's direct tasks, then its subgoals, in file order."""
 
     name: str
-    items: tuple[Union[Subgoal, TaskRequirement], ...] = ()
+    tasks: tuple[TaskRequirement, ...] = ()
+    subgoals: tuple[Subgoal, ...] = ()
 
-    @property
-    def subgoals(self) -> tuple[Subgoal, ...]:
-        return tuple(i for i in self.items if isinstance(i, Subgoal))
-
-    @property
-    def tasks(self) -> tuple[TaskRequirement, ...]:
-        """Direct tasks only; subgoal tasks live on the subgoal."""
-        return tuple(i for i in self.items if isinstance(i, TaskRequirement))
+    def __post_init__(self) -> None:
+        _check_line(self.name, "name")
+        _check_children(self.tasks, "tasks", TaskRequirement)
+        _check_children(self.subgoals, "subgoals", Subgoal)
 
 
 @dataclass(frozen=True)
 class RequirementsModel:
     goals: tuple[Goal, ...] = ()
 
+    def __post_init__(self) -> None:
+        _check_children(self.goals, "goals", Goal)
+        counts = Counter(task.id for task in tasks(self))
+        repeated = [task_id for task_id, n in counts.items() if n > 1]
+        if repeated:
+            raise ValueError(f"duplicate task id {', '.join(map(repr, repeated))}")
+
 
 def tasks(model: RequirementsModel) -> list[TaskRequirement]:
     """All tasks of the model, depth-first in file order."""
     found: list[TaskRequirement] = []
     for goal in model.goals:
-        for item in goal.items:
-            if isinstance(item, TaskRequirement):
-                found.append(item)
-            else:
-                found.extend(item.tasks)
+        found.extend(goal.tasks)
+        for subgoal in goal.subgoals:
+            found.extend(subgoal.tasks)
     return found
 
 
 def parse_requirements(path: str | Path) -> RequirementsModel:
     """Parse an outline file into a requirements model.
 
-    A task outside any goal, an unknown directive, or a duplicate task id
-    is a parse error naming the line.  An empty file yields an empty
-    model with a warning.
+    An unknown directive, an ``[id]`` on a goal or subgoal, a subgoal or
+    task outside any goal, or a value the model's constructors reject is
+    an error naming the line.  Duplicate task ids are an error naming the
+    ids.  An empty file yields an empty model with a warning.
     """
     path = Path(path)
-    goals: list[tuple[str, list]] = []  # (name, items); items hold subgoal lists
-    current_subgoal: list | None = None  # (name, tasks) cell inside items
-    auto_counter = 0
-    seen_ids: set[str] = set()
     try:
         content = path.read_text("utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not valid UTF-8: {exc}") from exc
+    # Per goal: the Goal, its direct tasks, and (Subgoal, tasks) pairs.
+    goals: list[tuple[Goal, list, list]] = []
+    open_tasks: list[TaskRequirement] = []  # the innermost open scope's tasks
+    auto_counter = 0
     for lineno, line in enumerate(content.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        parsed = _LINE.match(stripped)
-        if parsed is None:
-            raise ValueError(
-                f"{path}: line {lineno}: expected 'goal:', 'subgoal:' or 'task:'"
-            )
-        kind, text = parsed.group(1), parsed.group("text").strip()
-        explicit_id = parsed.group("id")
-        if explicit_id is not None and kind != "task":
-            raise ValueError(f"{path}: line {lineno}: only tasks take an [id]")
-        if not text:
-            raise ValueError(f"{path}: line {lineno}: {kind} needs a description")
-        if kind == "goal":
-            goals.append((text, []))
-            current_subgoal = None
-        elif kind == "subgoal":
-            if not goals:
-                raise ValueError(f"{path}: line {lineno}: subgoal outside any goal")
-            current_subgoal = [text, []]
-            goals[-1][1].append(current_subgoal)
-        else:
-            if not goals:
-                raise ValueError(f"{path}: line {lineno}: task outside any goal")
-            if explicit_id is None:
-                auto_counter += 1
-                task_id = f"t{auto_counter}"
+        try:
+            parsed = _LINE.match(stripped)
+            if parsed is None:
+                raise ValueError("expected 'goal:', 'subgoal:' or 'task:'")
+            kind, task_id, text = parsed.group(1, "id", "text")
+            if task_id is not None and kind != "task":
+                raise ValueError("only tasks take an [id]")
+            if kind == "goal":
+                open_tasks = []
+                goals.append((Goal(text.strip()), open_tasks, []))
+            elif not goals:
+                raise ValueError(f"{kind} outside any goal")
+            elif kind == "subgoal":
+                open_tasks = []
+                goals[-1][2].append((Subgoal(text.strip()), open_tasks))
             else:
-                task_id = explicit_id.strip()
-            if task_id in seen_ids:
-                raise ValueError(
-                    f"{path}: line {lineno}: duplicate task id {task_id!r}"
-                )
-            seen_ids.add(task_id)
-            task = TaskRequirement(task_id, text)
-            if current_subgoal is not None:
-                current_subgoal[1].append(task)
-            else:
-                goals[-1][1].append(task)
+                if task_id is None:
+                    auto_counter += 1
+                    task_id = f"t{auto_counter}"
+                open_tasks.append(TaskRequirement(task_id.strip(), text.strip()))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
     if not goals:
         log.warning("%s: empty requirements file", path)
-    return RequirementsModel(
-        goals=tuple(
-            Goal(
-                name=name,
-                items=tuple(
-                    Subgoal(item[0], tuple(item[1])) if isinstance(item, list) else item
-                    for item in items
-                ),
-            )
-            for name, items in goals
-        )
-    )
+    try:
+        return RequirementsModel(tuple(
+            Goal(goal.name, tuple(direct), tuple(Subgoal(s.name, tuple(t)) for s, t in subs))
+            for goal, direct, subs in goals
+        ))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def serialize_requirements(model: RequirementsModel) -> str:
-    """Render a model back to outline text.
-
-    Task ids are always written explicitly, so parse -> serialize ->
-    parse is a fixed point.  A goal's direct task after a subgoal raises
-    ``ValueError``, since parsing would move that task into the subgoal.
-    """
+    """Render a model as outline text that parses back to an equal model;
+    task ids are always written explicitly."""
     lines: list[str] = []
     for goal in model.goals:
         lines.append(f"goal: {goal.name}")
-        in_subgoal = False
-        for item in goal.items:
-            if isinstance(item, Subgoal):
-                in_subgoal = True
-                lines.append(f"  subgoal: {item.name}")
-                for task in item.tasks:
-                    lines.append(f"    task[{task.id}]: {task.description}")
-            elif in_subgoal:
-                raise ValueError(f"goal {goal.name!r}: task {item.id!r} after a subgoal")
-            else:
-                lines.append(f"  task[{item.id}]: {item.description}")
+        lines.extend(f"  task[{t.id}]: {t.description}" for t in goal.tasks)
+        for subgoal in goal.subgoals:
+            lines.append(f"  subgoal: {subgoal.name}")
+            lines.extend(f"    task[{t.id}]: {t.description}" for t in subgoal.tasks)
     return "\n".join(lines) + ("\n" if lines else "")

@@ -58,9 +58,10 @@ def load_taxonomy(path: str | Path) -> CategoryTaxonomy:
         for line in content.splitlines()
         if line.strip() and not line.strip().startswith("#")
     ]
-    if not names:
-        raise ValueError(f"{path}: empty taxonomy")
-    return CategoryTaxonomy(names)
+    try:
+        return CategoryTaxonomy(names)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

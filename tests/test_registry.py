@@ -526,6 +526,17 @@ def _resize_service(resize):
     return edit
 
 
+def _reorder_provenance(reorder):
+    """Replace the first service's provenance rows with ``reorder(rows)``."""
+
+    def edit(payload):
+        rows = payload[_SERVICES][0][_PROVENANCE]
+        payload[_SERVICES][0][_PROVENANCE] = reorder(rows)
+        return payload
+
+    return edit
+
+
 def _resize_provenance(resize):
     def edit(payload):
         service = next(s for s in payload[_SERVICES] if s[_PROVENANCE])
@@ -622,6 +633,18 @@ class TestMalformedPayload:
             (
                 _resize_provenance(lambda row: row[:-1]),
                 "provenance 0: expected a list of 6 items, got 5",
+            ),
+            # ELMdb's rows are C8200005 then D9000419.  A repeated row
+            # would otherwise load, the later copy replacing the first.
+            pytest.param(
+                _reorder_provenance(lambda rows: [*rows, rows[-1]]),
+                "service 0: provenance 2: concept 'D9000419' after 'D9000419': rows must ascend",
+                id="provenance_row_repeated",
+            ),
+            pytest.param(
+                _reorder_provenance(lambda rows: rows[::-1]),
+                "service 0: provenance 1: concept 'C8200005' after 'D9000419': rows must ascend",
+                id="provenance_rows_swapped",
             ),
             (_edit_provenance(_IDF_VALUE, "8.0"), "'idf_value' has type str"),
             (_edit_provenance(_IDF_VALUE, -1.0), "non-positive weight"),

@@ -1,7 +1,11 @@
 """Goal/subgoal/task outline parsing and serialization."""
 from __future__ import annotations
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semdisc.requirements import (
     Goal,
@@ -24,9 +28,10 @@ class TestParseDemoOutline:
             "Annotate regulatory features",
             "Publish the analysis",
         ]
-        # Goal 2 interleaves a direct task and a subgoal, in file order.
-        kinds = [type(item).__name__ for item in model.goals[1].items]
-        assert kinds == ["TaskRequirement", "Subgoal"]
+        # Goal 2 has a direct task and a subgoal.
+        goal = model.goals[1]
+        assert [t.description for t in goal.tasks] == ["Collect sequences for the target family"]
+        assert [s.name for s in goal.subgoals] == ["Find candidate motifs"]
 
     def test_task_ids_in_file_order(self):
         model = parse_requirements(DATA / "requirements.txt")
@@ -100,6 +105,28 @@ class TestParseRules:
         with pytest.raises(ValueError, match="description"):
             parse_requirements(path)
 
+    @pytest.mark.parametrize(
+        "text, detail",
+        [
+            ("goal:\n", "line 1: field 'name' must be one non-empty line"),
+            ("goal: G\nsubgoal:  \n", "line 2: field 'name' must be one non-empty line"),
+            ("goal: G\ntask[ ]: x\n", "line 2: field 'id' must be one non-empty line"),
+        ],
+    )
+    def test_constructor_error_names_line(self, tmp_path, text, detail):
+        path = tmp_path / "r.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as excinfo:
+            parse_requirements(path)
+        assert str(excinfo.value).startswith(f"{path}: {detail}")
+
+    def test_duplicate_ids_named_together(self, tmp_path):
+        path = tmp_path / "r.txt"
+        path.write_text("goal: G\ntask[x]: One\ntask[x]: Two\ntask: Three\ntask[t1]: Four\n")
+        with pytest.raises(ValueError) as excinfo:
+            parse_requirements(path)
+        assert str(excinfo.value) == f"{path}: duplicate task id 'x', 't1'"
+
     def test_empty_file_warns(self, tmp_path, caplog):
         path = tmp_path / "r.txt"
         path.write_text("# nothing but a comment\n")
@@ -114,20 +141,17 @@ class TestParseRules:
         path = tmp_path / "r.txt"
         path.write_text("goal: G\nsubgoal: S\ntask: Inner\ngoal: H\ntask: Direct\n")
         model = parse_requirements(path)
-        subgoal = model.goals[0].items[0]
-        assert isinstance(subgoal, Subgoal)
-        assert [t.description for t in subgoal.tasks] == ["Inner"]
-        assert isinstance(model.goals[1].items[0], TaskRequirement)
+        assert model.goals[0].tasks == ()
+        assert [t.description for t in model.goals[0].subgoals[0].tasks] == ["Inner"]
+        assert [t.description for t in model.goals[1].tasks] == ["Direct"]
 
 
 class TestModelAccessors:
     def test_goal_filters(self):
         goal = Goal(
             name="G",
-            items=(
-                TaskRequirement("t1", "Direct"),
-                Subgoal("S", (TaskRequirement("t2", "Nested"),)),
-            ),
+            tasks=(TaskRequirement("t1", "Direct"),),
+            subgoals=(Subgoal("S", (TaskRequirement("t2", "Nested"),)),),
         )
         assert [t.id for t in goal.tasks] == ["t1"]
         assert [s.name for s in goal.subgoals] == ["S"]
@@ -137,15 +161,16 @@ class TestModelAccessors:
             goals=(
                 Goal(
                     name="G",
-                    items=(
-                        TaskRequirement("t1", "First"),
+                    tasks=(TaskRequirement("t1", "First"),),
+                    subgoals=(
                         Subgoal("S", (TaskRequirement("t2", "Second"),)),
-                        TaskRequirement("t3", "Third"),
+                        Subgoal("T", (TaskRequirement("t3", "Third"),)),
                     ),
                 ),
+                Goal(name="H", tasks=(TaskRequirement("t4", "Fourth"),)),
             )
         )
-        assert [t.id for t in tasks(model)] == ["t1", "t2", "t3"]
+        assert [t.id for t in tasks(model)] == ["t1", "t2", "t3", "t4"]
 
     def test_blank_task_description_rejected(self):
         with pytest.raises(ValueError):
@@ -160,6 +185,33 @@ class TestModelAccessors:
             TaskRequirement(task_id, description)
         assert str(excinfo.value) == f"field {field!r} must be a string"
 
+    # Each model here has no outline form, so a constructor refuses it.
+    @pytest.mark.parametrize(
+        "make, args, detail",
+        [
+            (TaskRequirement, ("a]b", "x"), "field 'id' must not contain ']'"),
+            (TaskRequirement, ("a", "x\ny"), "field 'description' must be one"),
+            (TaskRequirement, ("a", "x\u2028y"), "field 'description' must be one"),
+            (TaskRequirement, ("a", "x\x1cy"), "field 'description' must be one"),
+            (TaskRequirement, (" a", "x"), "field 'id' must be one"),
+            (TaskRequirement, ("a", "x "), "field 'description' must be one"),
+            (Goal, ("",), "field 'name' must be one"),
+            (Goal, (5,), "field 'name' must be a string"),
+            (Subgoal, (None,), "field 'name' must be a string"),
+            (Goal, ("G", [TaskRequirement("a", "x")]), "field 'tasks' must be a tuple"),
+            (Goal, ("G", (), (Goal("H"),)), "field 'subgoals' must be a tuple of Subgoal"),
+            (RequirementsModel, ([Goal("G")],), "field 'goals' must be a tuple"),
+            (
+                RequirementsModel,
+                ((Goal("G", (TaskRequirement("a", "x"), TaskRequirement("a", "y"))),),),
+                "duplicate task id 'a'",
+            ),
+        ],
+    )
+    def test_model_without_outline_form_rejected(self, make, args, detail):
+        with pytest.raises(ValueError, match=re.escape(detail)):
+            make(*args)
+
 
 class TestSerialize:
     def test_round_trip_fixed_point(self, tmp_path):
@@ -173,23 +225,69 @@ class TestSerialize:
 
     def test_serialized_ids_explicit(self):
         model = RequirementsModel(
-            goals=(Goal(name="G", items=(TaskRequirement("t1", "Only"),)),)
+            goals=(Goal(name="G", tasks=(TaskRequirement("t1", "Only"),)),)
         )
         assert "task[t1]: Only" in serialize_requirements(model)
 
-    def test_task_after_subgoal_rejected(self):
-        # The outline would attach "After" to S on re-parsing, so the
-        # model has no outline form.
-        model = RequirementsModel(
-            goals=(
-                Goal(
-                    name="G",
-                    items=(
-                        Subgoal("S", (TaskRequirement("a", "Inside"),)),
-                        TaskRequirement("b", "After"),
-                    ),
-                ),
-            )
-        )
-        with pytest.raises(ValueError, match="goal 'G'"):
-            serialize_requirements(model)
+
+# Valid lines, and the ids among them that the pool below may repeat.
+_LINE = st.text(
+    st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")), min_size=1, max_size=8
+).map(str.strip).filter(bool)
+_POOL_ID = st.sampled_from(["t1", "t2", "rank-motifs"])
+# Values no name, id or description may hold.
+_WRONG_FIELDS = (
+    "a]b", "a\nb", "a\u2028b", "a\rb", "a\x1cb", "a\x85b", " a", "a ", "", "\t", 5, None
+)
+_WRONG_KINDS = (*_WRONG_FIELDS, "a list for a tuple", "a stray int", "nothing")
+
+
+def _raw_goals(wrong):
+    """Goals as nested (name, tasks, subgoals) values for ``_build``, with
+    one kind of wrong item from ``_WRONG_KINDS`` in about one place in ten.
+    One valid id in ten comes from a small pool, so models repeat ids."""
+
+    def one_in_ten(rare, common, applies=True):
+        if not applies:
+            return common
+        return st.integers(0, 9).flatmap(lambda n: rare if n == 0 else common)
+
+    def children(element):
+        items = st.lists(one_in_ten(st.integers(), element, wrong == "a stray int"), max_size=2)
+        return one_in_ten(items, items.map(tuple), wrong == "a list for a tuple")
+
+    bad_field = wrong in _WRONG_FIELDS
+    text = one_in_ten(st.just(wrong), _LINE, bad_field)
+    free_id = _LINE.filter(lambda s: "]" not in s)
+    task = st.tuples(one_in_ten(st.just(wrong), one_in_ten(_POOL_ID, free_id), bad_field), text)
+    return children(st.tuples(text, children(task), children(st.tuples(text, children(task)))))
+
+
+def _build(goals) -> RequirementsModel:
+    """The model whose fields hold the drawn values; stray items stay as drawn."""
+
+    def kids(raw, make):
+        return type(raw)(make(*item) if isinstance(item, tuple) else item for item in raw)
+
+    def subgoal(name, raw_tasks):
+        return Subgoal(name, kids(raw_tasks, TaskRequirement))
+
+    def goal(name, raw_tasks, raw_subgoals):
+        return Goal(name, kids(raw_tasks, TaskRequirement), kids(raw_subgoals, subgoal))
+
+    return RequirementsModel(kids(goals, goal))
+
+
+@settings(max_examples=400, deadline=None)
+@given(wrong=st.sampled_from(_WRONG_KINDS), data=st.data())
+def test_model_rejected_or_round_trips(tmp_path_factory, wrong, data):
+    """Whatever the fields hold, construction raises ValueError or the
+    model serializes and parses back equal."""
+    goals = data.draw(_raw_goals(wrong), label="goals")
+    try:
+        model = _build(goals)
+    except ValueError:
+        return
+    path = tmp_path_factory.getbasetemp() / "property.txt"
+    path.write_text(serialize_requirements(model), "utf-8")
+    assert parse_requirements(path) == model

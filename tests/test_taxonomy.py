@@ -48,6 +48,25 @@ class TestCategoryTaxonomy:
         with pytest.raises(ValueError):
             load_taxonomy(path)
 
+    @pytest.mark.parametrize(
+        "content, detail",
+        [
+            (
+                "Protein analysis\nprotein-analysis\n",
+                "duplicate category after normalization: 'protein-analysis'",
+            ),
+            ("Protein analysis\n---\n", "category '---' has no words"),
+            ("# only a comment\n", "empty taxonomy"),
+        ],
+        ids=["duplicate_after_normalization", "no_words", "empty"],
+    )
+    def test_load_error_names_path(self, tmp_path, content, detail):
+        path = tmp_path / "tax.txt"
+        path.write_text(content)
+        with pytest.raises(ValueError) as info:
+            load_taxonomy(path)
+        assert str(info.value) == f"{path}: {detail}"
+
     def test_load_undecodable_file_names_path(self, tmp_path):
         path = tmp_path / "tax.txt"
         path.write_bytes(b"Sequence Analysis\nCaf\xe9 Search\n")
