@@ -5,25 +5,27 @@ dump into an index file; ``semdisc annotate`` shows the semantic vector
 (and category matches) for task text; ``semdisc discover`` ranks indexed
 services for task text or for every task in a requirements outline.
 
-Settings resolve in precedence order: command-line flags, then
-``SEMDISC_*`` environment variables, then a JSON config file (--config
-or ``SEMDISC_CONFIG``), then built-in defaults.  Output is deterministic
-for identical inputs; table mode prints scores to 4 decimal places,
-records mode prints one JSON object per line at full precision.
+Each setting is one row of ``SETTINGS``: its type, default, valid range
+and flag help.  Settings resolve in precedence order: command-line flags,
+then ``SEMDISC_*`` environment variables, then a JSON config file
+(--config or ``SEMDISC_CONFIG``), then the defaults.  One function reads
+a value from any of these sources, so a flag is read exactly like an
+environment value; a flag given twice is a usage error.  Output is
+deterministic for identical inputs; table mode prints scores to 4
+decimal places, records mode prints one JSON object per line at full
+precision.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .annotator import DEFAULT_THRESHOLD, SemanticVector, annotate
-from .lexicon import Lexicon, load_lexicon
+from .lexicon import load_lexicon
 from .ranker import (
     DEFAULT_TOP_K,
     DEFAULT_W1,
@@ -32,7 +34,7 @@ from .ranker import (
     Weights,
     discover,
 )
-from .registry import ServiceIndex, build_index, ingest_registry, load_index, save_index
+from .registry import build_index, ingest_registry, load_index, save_index
 from .requirements import parse_requirements, tasks
 from .taxonomy import (
     DEFAULT_MIN_CSCORE,
@@ -44,30 +46,40 @@ from .taxonomy import (
 
 ENV_PREFIX = "SEMDISC_"
 
-# Valid ranges of numeric settings, checked before any input is loaded.
-# NaN compares false, so it is in no range.  Weights checks w1 and w2.
-_RANGES = {
-    "threshold": (-1.0, 1.0, "a number in [-1, 1]"),
-    "min_cscore": (0.0, 1.0, "a number in [0, 1]"),
-    "top_k": (1, math.inf, "an integer >= 1"),
-    "top_k_categories": (1, math.inf, "an integer >= 1"),
+
+class Setting(NamedTuple):
+    """A setting's type (str, float or int), default and flag help, and its
+    range: ``valid`` admits what ``expected`` describes."""
+
+    type: type
+    default: object
+    help: str
+    valid: Callable[[object], bool] = lambda value: True
+    expected: str = ""
+    invalid: str = "invalid value for {name}: {value!r}"
+
+
+# Ranges are checked before any input is loaded.  NaN compares false, so
+# it is in no range.  Weights checks w1 and w2 together.
+SETTINGS = {
+    "lexicon": Setting(str, None, "lexicon TSV file"),
+    "taxonomy": Setting(str, None, "category taxonomy file"),
+    "registry": Setting(str, None, "registry dump (JSON lines)"),
+    "index": Setting(str, None, "service index file"),
+    "requirements": Setting(str, None, "requirements outline file"),
+    "w1": Setting(float, DEFAULT_W1, "category score weight"),
+    "w2": Setting(float, DEFAULT_W2, "concept score weight"),
+    "threshold": Setting(float, DEFAULT_THRESHOLD, "annotation similarity threshold",
+                         lambda v: -1 <= v <= 1, "a number in [-1, 1]"),
+    "min_cscore": Setting(float, DEFAULT_MIN_CSCORE, "minimum category match score",
+                          lambda v: 0 <= v <= 1, "a number in [0, 1]"),
+    "top_k": Setting(int, DEFAULT_TOP_K, "maximum ranked services",
+                     lambda v: v >= 1, "an integer >= 1"),
+    "top_k_categories": Setting(int, DEFAULT_TOP_K_CATEGORIES, "maximum matched categories",
+                                lambda v: v >= 1, "an integer >= 1"),
+    "format": Setting(str, "table", "output format", lambda v: v in ("table", "records"),
+                      "'table' or 'records'", "invalid format {value!r}"),
 }
-
-
-@dataclass
-class Settings:
-    lexicon: str | None = None
-    taxonomy: str | None = None
-    registry: str | None = None
-    index: str | None = None
-    requirements: str | None = None
-    w1: float = DEFAULT_W1
-    w2: float = DEFAULT_W2
-    threshold: float = DEFAULT_THRESHOLD
-    min_cscore: float = DEFAULT_MIN_CSCORE
-    top_k: int = DEFAULT_TOP_K
-    top_k_categories: int = DEFAULT_TOP_K_CATEGORIES
-    format: str = "table"
 
 
 class CliError(Exception):
@@ -78,17 +90,34 @@ class CliError(Exception):
         self.exit_code = exit_code
 
 
-def resolve_settings(args: argparse.Namespace) -> Settings:
-    """Merge flags, environment, config file and defaults."""
+def _read_setting(name: str, value: object) -> object:
+    """``value`` as setting ``name``: a string from a flag or the
+    environment, or any JSON value from a config file."""
+    setting = SETTINGS[name]
+    try:
+        # No setting is a JSON true/false, and a count has no fraction.
+        if isinstance(value, bool) or (setting.type is str and not isinstance(value, str)):
+            raise TypeError
+        if setting.type is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError
+        converted = setting.type(value)
+    except (TypeError, ValueError, OverflowError):
+        raise CliError(f"invalid value for {name}: {value!r}", exit_code=2) from None
+    if not setting.valid(converted):
+        message = setting.invalid.format(name=name, value=converted)
+        raise CliError(f"{message} (expected {setting.expected})", exit_code=2)
+    return converted
+
+
+def resolve_settings(args: argparse.Namespace) -> argparse.Namespace:
+    """Each setting from its flag, environment variable, config file entry
+    or default, whichever comes first."""
     try:
         # Undecodable argv bytes arrive as lone surrogates.
         (getattr(args, "text", None) or "").encode("utf-8")
     except UnicodeEncodeError:
         raise CliError("task text cannot be encoded as UTF-8", exit_code=2) from None
-    settings = Settings()
-    config_path = getattr(args, "config", None) or os.environ.get(
-        ENV_PREFIX + "CONFIG"
-    )
+    config_path = getattr(args, "config", None) or os.environ.get(ENV_PREFIX + "CONFIG")
     file_values: dict = {}
     if config_path:
         path = Path(config_path)
@@ -103,59 +132,24 @@ def resolve_settings(args: argparse.Namespace) -> Settings:
             raise CliError(f"config file {path}: invalid JSON: {exc}", exit_code=2)
         if not isinstance(file_values, dict):
             raise CliError(f"config file {path}: expected a JSON object", exit_code=2)
-    for field in fields(Settings):
-        name = field.name
-        flag_value = getattr(args, name, None)
-        env_value = os.environ.get(ENV_PREFIX + name.upper())
-        if flag_value is not None:
-            value = flag_value
-        elif env_value is not None:
-            value = env_value
-        elif name in file_values and file_values[name] is not None:
-            value = file_values[name]
-        else:
-            continue
-        try:
-            # No setting is a JSON true/false, and a count has no fraction.
-            if isinstance(value, bool):
-                raise TypeError
-            if name in ("w1", "w2", "threshold", "min_cscore"):
-                value = float(value)
-            elif name in ("top_k", "top_k_categories"):
-                if isinstance(value, float) and not value.is_integer():
-                    raise ValueError
-                value = int(value)
-            elif not isinstance(value, str):
-                raise TypeError
-        except (TypeError, ValueError, OverflowError):
-            raise CliError(f"invalid value for {name}: {value!r}", exit_code=2)
-        if name in _RANGES:
-            low, high, expected = _RANGES[name]
-            if not low <= value <= high:
-                raise CliError(
-                    f"invalid value for {name}: {value!r} (expected {expected})",
-                    exit_code=2,
-                )
-        setattr(settings, name, value)
-    if settings.format not in ("table", "records"):
-        raise CliError(
-            f"invalid format {settings.format!r} (expected 'table' or 'records')",
-            exit_code=2,
-        )
-    return settings
+    values = {}
+    for name, setting in SETTINGS.items():
+        given = (getattr(args, name, None), os.environ.get(ENV_PREFIX + name.upper()),
+                 file_values.get(name))
+        value = next((v for v in given if v is not None), None)
+        values[name] = setting.default if value is None else _read_setting(name, value)
+    return argparse.Namespace(**values)
 
 
-def _require_path(settings: Settings, name: str) -> Path:
+def _required(settings: argparse.Namespace, name: str) -> str:
     value = getattr(settings, name)
     if not value:
         raise CliError(f"missing required setting: --{name.replace('_', '-')}", 2)
-    path = Path(value)
-    if not path.is_file():
-        raise CliError(f"{name} not found: {path}", exit_code=2)
-    return path
+    return value
 
 
-def _load_inputs(settings: Settings, *names: str):
+def _load_inputs(settings: argparse.Namespace, *names: str):
+    # Looked up per call, so that the module's loaders can be replaced.
     loaders = {
         "lexicon": load_lexicon,
         "taxonomy": load_taxonomy,
@@ -165,7 +159,9 @@ def _load_inputs(settings: Settings, *names: str):
     }
     out = []
     for name in names:
-        path = _require_path(settings, name)
+        path = Path(_required(settings, name))
+        if not path.is_file():
+            raise CliError(f"{name} not found: {path}", exit_code=2)
         try:
             out.append(loaders[name](path))
         except ValueError as exc:
@@ -173,7 +169,7 @@ def _load_inputs(settings: Settings, *names: str):
     return out
 
 
-def _task_list(settings: Settings, text: str | None) -> list[tuple[str, str]]:
+def _task_list(settings: argparse.Namespace, text: str | None) -> list[tuple[str, str]]:
     """(task id, task text) pairs from the positional text or the outline."""
     if text is not None and settings.requirements:
         raise CliError("give either task text or --requirements, not both", 2)
@@ -188,7 +184,7 @@ def _task_list(settings: Settings, text: str | None) -> list[tuple[str, str]]:
     raise CliError("task text or --requirements required", exit_code=2)
 
 
-def _weights(settings: Settings) -> Weights:
+def _weights(settings: argparse.Namespace) -> Weights:
     try:
         return Weights(settings.w1, settings.w2)
     except ValueError as exc:
@@ -197,17 +193,16 @@ def _weights(settings: Settings) -> Weights:
 
 def cmd_index_build(args: argparse.Namespace) -> int:
     settings = resolve_settings(args)
+    index_path = _required(settings, "index")
     lexicon, records = _load_inputs(settings, "lexicon", "registry")
-    if not settings.index:
-        raise CliError("missing required setting: --index", exit_code=2)
     index = build_index(records, lexicon, threshold=settings.threshold)
-    save_index(index, settings.index)
+    save_index(index, index_path)
     empty = sum(1 for s in index.services if not s.vector)
     print(f"services\t{len(index)}")
     print(f"annotated\t{len(index) - empty}")
     print(f"empty_vectors\t{empty}")
     print(f"lexicon_fingerprint\t{index.lexicon_fingerprint}")
-    print(f"index\t{settings.index}")
+    print(f"index\t{index_path}")
     return 0
 
 
@@ -349,27 +344,20 @@ def cmd_discover(args: argparse.Namespace) -> int:
     return 0
 
 
+class _StoreOnce(argparse.Action):
+    """Store a flag's value as given; a second occurrence is a usage error."""
+
+    def __call__(self, parser, namespace, values, option_string=None) -> None:
+        if getattr(namespace, self.dest) is not None:
+            raise argparse.ArgumentError(self, "given more than once")
+        setattr(namespace, self.dest, values)
+
+
 def _add_common_flags(parser: argparse.ArgumentParser, *names: str) -> None:
-    flags = {
-        "lexicon": dict(help="lexicon TSV file"),
-        "taxonomy": dict(help="category taxonomy file"),
-        "registry": dict(help="registry dump (JSON lines)"),
-        "index": dict(help="service index file"),
-        "requirements": dict(help="requirements outline file"),
-        "w1": dict(type=float, help="category score weight"),
-        "w2": dict(type=float, help="concept score weight"),
-        "threshold": dict(type=float, help="annotation similarity threshold"),
-        "min_cscore": dict(type=float, help="minimum category match score"),
-        "top_k": dict(type=int, help="maximum ranked services"),
-        "top_k_categories": dict(type=int, help="maximum matched categories"),
-        "format": dict(choices=["table", "records"], help="output format"),
-    }
-    parser.add_argument("--config", help="JSON config file")
+    parser.add_argument("--config", action=_StoreOnce, help="JSON config file")
     for name in names:
-        kwargs = dict(flags[name])
-        parser.add_argument(
-            "--" + name.replace("_", "-"), dest=name, default=None, **kwargs
-        )
+        flag = "--" + name.replace("_", "-")
+        parser.add_argument(flag, dest=name, action=_StoreOnce, help=SETTINGS[name].help)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,8 +16,8 @@ file order.  ``#`` lines and blanks are skipped.
 
 The model holds only what this format writes, and its constructors
 check it: names, ids and descriptions are non-empty single lines without
-surrounding whitespace, ids hold no ``]``, task ids are unique in a model,
-and a goal's direct tasks come before its subgoals.
+surrounding whitespace that UTF-8 can encode, ids hold no ``]``, task ids
+are unique in a model, and a goal's direct tasks come before its subgoals.
 """
 from __future__ import annotations
 
@@ -34,7 +34,8 @@ _LINE = re.compile(r"^(goal|subgoal|task)(?:\[(?P<id>[^\]]+)\])?\s*:\s*(?P<text>
 
 def _check_line(value: object, field: str) -> None:
     """ValueError naming ``field`` unless ``value`` is one non-empty line
-    by ``str.splitlines``, without surrounding whitespace."""
+    by ``str.splitlines``, without surrounding whitespace, that UTF-8 can
+    encode."""
     if not isinstance(value, str):
         raise ValueError(f"field {field!r} must be a string")
     if value.splitlines() != [value] or value.strip() != value:
@@ -42,6 +43,10 @@ def _check_line(value: object, field: str) -> None:
             f"field {field!r} must be one non-empty line without surrounding "
             f"whitespace, got {value!r}"
         )
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"field {field!r} cannot be encoded as UTF-8: {exc.reason}") from None
 
 
 def _check_children(value: object, field: str, kind: type) -> None:

@@ -81,6 +81,38 @@ class TestIndexBuild:
         assert code == 2
         assert "--index" in err
 
+    def test_missing_index_flag_checked_before_loading(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("not json\n")
+        code, out, err = run(
+            capsys,
+            "index",
+            "build",
+            f"--lexicon={DATA / 'lexicon.tsv'}",
+            f"--registry={bad}",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: missing required setting: --index\n"
+
+    def test_repeated_registry_flag_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "out.idx"
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "index",
+                    "build",
+                    f"--lexicon={DATA / 'lexicon.tsv'}",
+                    f"--registry={DATA / 'services.jsonl'}",
+                    f"--registry={DATA / 'registry_misc.jsonl'}",
+                    f"--index={path}",
+                ]
+            )
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert captured.out == ""
+        assert "argument --registry: given more than once" in captured.err
+        assert not path.exists()
+
     def test_missing_lexicon_file(self, tmp_path, capsys):
         code, _, err = run(
             capsys,
@@ -704,6 +736,15 @@ class TestSettingsPrecedence:
         assert code == 2
         assert "invalid value for w1" in err
 
+    def test_repeated_flag_is_usage_error(self, built_index, capsys):
+        argv = [*self.base_argv(built_index), "--top-k", "1", "--top-k", "2"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert captured.out == ""
+        assert "argument --top-k: given more than once" in captured.err
+
     def test_invalid_format_via_env(self, built_index, capsys, monkeypatch):
         monkeypatch.setenv("SEMDISC_FORMAT", "yaml")
         code, _, err = run(capsys, *self.base_argv(built_index))
@@ -747,6 +788,37 @@ class TestSettingRanges:
         assert out == ""
         assert err.startswith(f"error: invalid value for {name}: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("top_k", "2.0"),
+            ("w1", "abc"),
+            ("threshold", "nan"),
+            ("top_k_categories", "0"),
+            ("format", "yaml"),
+        ],
+    )
+    def test_same_error_from_every_source(self, tmp_path, capsys, monkeypatch, name, value):
+        argv = self.argv("discover", tmp_path)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({name: value}))
+        results = {}
+        for source in ("flag", "environment", "config"):
+            with monkeypatch.context() as patch:
+                extra = []
+                if source == "flag":
+                    extra = [f"--{name.replace('_', '-')}", value]
+                elif source == "environment":
+                    patch.setenv(f"SEMDISC_{name.upper()}", value)
+                else:
+                    extra = [f"--config={config}"]
+                results[source] = run(capsys, *argv, *extra)
+        assert results["flag"] == results["environment"] == results["config"]
+        code, out, err = results["flag"]
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid ")
+        assert err.count("\n") == 1
 
     def test_environment(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SEMDISC_TOP_K", "0")

@@ -206,6 +206,7 @@ class TestModelAccessors:
                 ((Goal("G", (TaskRequirement("a", "x"), TaskRequirement("a", "y"))),),),
                 "duplicate task id 'a'",
             ),
+            (TaskRequirement, ("a", "x\ud800"), "field 'description' cannot be encoded"),
         ],
     )
     def test_model_without_outline_form_rejected(self, make, args, detail):
@@ -237,7 +238,8 @@ _LINE = st.text(
 _POOL_ID = st.sampled_from(["t1", "t2", "rank-motifs"])
 # Values no name, id or description may hold.
 _WRONG_FIELDS = (
-    "a]b", "a\nb", "a\u2028b", "a\rb", "a\x1cb", "a\x85b", " a", "a ", "", "\t", 5, None
+    "a]b", "a\nb", "a\u2028b", "a\rb", "a\x1cb", "a\x85b", " a", "a ", "", "\t", 5, None,
+    "a\ud800b",
 )
 _WRONG_KINDS = (*_WRONG_FIELDS, "a list for a tuple", "a stray int", "nothing")
 
