@@ -42,8 +42,8 @@ _ANNOTATION_TYPES = dict(
     concept_id=(str,), lexical_form=(str,), similarity=_NUMBER, tf=(int,),
     idf_value=_NUMBER, matched_words=(frozenset,),
 )
-# The range of vector weights: their squares and pairwise products are
-# normal floats.
+# The range of annotation weights: their squares and pairwise products
+# are normal floats.
 _MIN_WEIGHT, _MAX_WEIGHT = 2.0**-255, 2.0**255
 
 
@@ -121,9 +121,9 @@ def sim(concept: Concept, text_words: AbstractSet[str], lexicon: Lexicon) -> For
 
 @dataclass(frozen=True)
 class Annotation:
-    """Provenance for one vector entry; the weight is tf * idf_value and,
-    like every vector weight, lies in [2**-255, 2**255].  Fields hold only
-    values an index file holds; ValueError names the field otherwise."""
+    """One vector entry; its weight is tf * idf_value and lies in
+    [2**-255, 2**255].  Fields hold only values an index file holds;
+    ValueError names the field otherwise."""
 
     concept_id: str
     lexical_form: str
@@ -142,9 +142,16 @@ class Annotation:
         if not all(type(w) is str for w in self.matched_words):
             raise ValueError("field 'matched_words' must be a frozenset of strings")
         try:
-            _check_weight(float(self.weight), "field 'tf'")
+            weight = float(self.weight)
         except OverflowError as exc:
             raise ValueError(f"field 'tf': {exc}") from None
+        if not _MIN_WEIGHT <= weight <= _MAX_WEIGHT:
+            kind = (
+                "non-positive" if weight <= 0.0
+                else "out-of-range" if weight < math.inf
+                else "non-finite"
+            )
+            raise ValueError(f"field 'tf': {kind} weight {weight} outside [2**-255, 2**255]")
 
     @property
     def weight(self) -> float:
@@ -153,18 +160,22 @@ class Annotation:
 
 @dataclass(frozen=True)
 class SemanticVector:
-    """Sparse concept vector with per-entry provenance.  Weights lie in
-    [2**-255, 2**255], so no norm or cosine underflows or overflows."""
+    """Sparse concept vector: one :class:`Annotation` per concept, keyed by
+    its concept id.  ``weights`` maps each concept to its annotation's
+    weight, tf * idf_value, which lies in [2**-255, 2**255], so no norm or
+    cosine underflows or overflows."""
 
-    weights: Mapping[str, float]
     provenance: Mapping[str, Annotation] = field(default_factory=dict)
+    weights: Mapping[str, float] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        for cid, weight in self.weights.items():
-            _check_weight(weight, f"concept {cid}")
         for cid, entry in self.provenance.items():
+            if not isinstance(entry, Annotation):
+                raise ValueError(f"concept {cid}: {type(entry).__name__} is not an Annotation")
             if entry.concept_id != cid:
                 raise ValueError(f"concept {cid}: provenance names {entry.concept_id!r}")
+        weights = {cid: entry.weight for cid, entry in self.provenance.items()}
+        object.__setattr__(self, "weights", weights)
 
     def support(self) -> frozenset[str]:
         return frozenset(self.weights)
@@ -174,17 +185,6 @@ class SemanticVector:
 
     def __bool__(self) -> bool:
         return bool(self.weights)
-
-
-def _check_weight(weight: float, owner: str) -> None:
-    """ValueError naming ``owner`` unless ``weight`` is in the vector range."""
-    if not _MIN_WEIGHT <= weight <= _MAX_WEIGHT:
-        kind = (
-            "non-positive" if weight <= 0.0
-            else "out-of-range" if weight < math.inf
-            else "non-finite"
-        )
-        raise ValueError(f"{owner}: {kind} weight {weight} outside [2**-255, 2**255]")
 
 
 def term_frequency(form_words: AbstractSet[str], text_words: Iterable[str]) -> int:
@@ -255,14 +255,13 @@ def annotate(
         ):
             best[cid] = (value, form)
     counts = Counter(words)
-    weights: dict[str, float] = {}
     provenance: dict[str, Annotation] = {}
     for cid in sorted(best):
         value, form = best[cid]
         if value < threshold:
             continue
         form_words = lexicon.form_words(cid, form)
-        entry = Annotation(
+        provenance[cid] = Annotation(
             concept_id=cid,
             lexical_form=form,
             similarity=value,
@@ -270,9 +269,7 @@ def annotate(
             idf_value=lexicon.form_idf(cid, form),
             matched_words=cw(form_words, text_set),
         )
-        weights[cid] = entry.weight
-        provenance[cid] = entry
-    return SemanticVector(weights=weights, provenance=provenance)
+    return SemanticVector(provenance)
 
 
 def _wins_tie(lexicon: Lexicon, concept_id: str, form: str, other: str) -> bool:

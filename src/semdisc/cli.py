@@ -3,7 +3,9 @@
 Three commands: ``semdisc index build`` turns a lexicon and a registry
 dump into an index file; ``semdisc annotate`` shows the semantic vector
 (and category matches) for task text; ``semdisc discover`` ranks indexed
-services for task text or for every task in a requirements outline.
+services for task text or for every task in a requirements outline,
+annotated at the index's threshold.  Every usage rule is checked before
+any input file is loaded.
 
 Each setting is one row of ``SETTINGS``: its type, default, valid range
 and flag help.  Settings resolve in precedence order: command-line flags,
@@ -39,7 +41,6 @@ from .requirements import parse_requirements, tasks
 from .taxonomy import (
     DEFAULT_MIN_CSCORE,
     DEFAULT_TOP_K_CATEGORIES,
-    CategoryTaxonomy,
     load_taxonomy,
     match_categories,
 )
@@ -148,7 +149,14 @@ def _required(settings: argparse.Namespace, name: str) -> str:
     return value
 
 
-def _load_inputs(settings: argparse.Namespace, *names: str):
+def _load_inputs(settings: argparse.Namespace, *names: str) -> dict:
+    """Each named input loaded from its file, in order, once every file
+    is known to exist."""
+    paths = {}
+    for name in names:
+        paths[name] = Path(_required(settings, name))
+        if not paths[name].is_file():
+            raise CliError(f"{name} not found: {paths[name]}", exit_code=2)
     # Looked up per call, so that the module's loaders can be replaced.
     loaders = {
         "lexicon": load_lexicon,
@@ -157,31 +165,30 @@ def _load_inputs(settings: argparse.Namespace, *names: str):
         "index": load_index,
         "requirements": parse_requirements,
     }
-    out = []
-    for name in names:
-        path = Path(_required(settings, name))
-        if not path.is_file():
-            raise CliError(f"{name} not found: {path}", exit_code=2)
-        try:
-            out.append(loaders[name](path))
-        except ValueError as exc:
-            raise CliError(str(exc), exit_code=1)
-    return out
+    try:
+        return {name: loaders[name](path) for name, path in paths.items()}
+    except ValueError as exc:
+        raise CliError(str(exc), exit_code=1)
 
 
-def _task_list(settings: argparse.Namespace, text: str | None) -> list[tuple[str, str]]:
-    """(task id, task text) pairs from the positional text or the outline."""
+def _task_inputs(settings: argparse.Namespace, text: str | None) -> tuple[str, ...]:
+    """The inputs the task source needs: the outline, or none for task
+    text.  A usage error unless exactly one source is given."""
     if text is not None and settings.requirements:
         raise CliError("give either task text or --requirements, not both", 2)
+    if text is None and not settings.requirements:
+        raise CliError("task text or --requirements required", exit_code=2)
+    return () if text is not None else ("requirements",)
+
+
+def _task_list(text: str | None, inputs: dict) -> list[tuple[str, str]]:
+    """(task id, task text) pairs from the positional text or the outline."""
     if text is not None:
         return [("query", text)]
-    if settings.requirements:
-        (model,) = _load_inputs(settings, "requirements")
-        pairs = [(t.id, t.description) for t in tasks(model)]
-        if not pairs:
-            raise CliError("requirements file contains no tasks", exit_code=1)
-        return pairs
-    raise CliError("task text or --requirements required", exit_code=2)
+    pairs = [(t.id, t.description) for t in tasks(inputs["requirements"])]
+    if not pairs:
+        raise CliError("requirements file contains no tasks", exit_code=1)
+    return pairs
 
 
 def _weights(settings: argparse.Namespace) -> Weights:
@@ -194,8 +201,8 @@ def _weights(settings: argparse.Namespace) -> Weights:
 def cmd_index_build(args: argparse.Namespace) -> int:
     settings = resolve_settings(args)
     index_path = _required(settings, "index")
-    lexicon, records = _load_inputs(settings, "lexicon", "registry")
-    index = build_index(records, lexicon, threshold=settings.threshold)
+    inputs = _load_inputs(settings, "lexicon", "registry")
+    index = build_index(inputs["registry"], inputs["lexicon"], threshold=settings.threshold)
     save_index(index, index_path)
     empty = sum(1 for s in index.services if not s.vector)
     print(f"services\t{len(index)}")
@@ -252,12 +259,12 @@ def _vector_lines(
 
 def cmd_annotate(args: argparse.Namespace) -> int:
     settings = resolve_settings(args)
-    (lexicon,) = _load_inputs(settings, "lexicon")
-    taxonomy: CategoryTaxonomy | None = None
-    if settings.taxonomy:
-        (taxonomy,) = _load_inputs(settings, "taxonomy")
+    optional = ("taxonomy",) if settings.taxonomy else ()
+    task_inputs = _task_inputs(settings, args.text)
+    inputs = _load_inputs(settings, "lexicon", *optional, *task_inputs)
+    lexicon, taxonomy = inputs["lexicon"], inputs.get("taxonomy")
     blocks: list[str] = []
-    for task_id, text in _task_list(settings, args.text):
+    for task_id, text in _task_list(args.text, inputs):
         vector = annotate(text, lexicon, threshold=settings.threshold)
         categories = None
         if taxonomy is not None:
@@ -305,28 +312,23 @@ def _result_lines(task_id: str, results: list[RankedResult], fmt: str) -> list[s
 def cmd_discover(args: argparse.Namespace) -> int:
     settings = resolve_settings(args)
     weights = _weights(settings)
-    lexicon, taxonomy, index = _load_inputs(settings, "lexicon", "taxonomy", "index")
+    task_inputs = _task_inputs(settings, args.text)
+    inputs = _load_inputs(settings, "lexicon", "taxonomy", "index", *task_inputs)
+    lexicon, index = inputs["lexicon"], inputs["index"]
     if index.lexicon_fingerprint != lexicon.fingerprint:
         print(
             "warning: index was built from a different lexicon "
             "(fingerprint mismatch)",
             file=sys.stderr,
         )
-    if index.threshold != settings.threshold:
-        print(
-            f"warning: index was built with threshold {index.threshold}, "
-            f"tasks are annotated with threshold {settings.threshold}",
-            file=sys.stderr,
-        )
     blocks: list[str] = []
-    for task_id, text in _task_list(settings, args.text):
+    for task_id, text in _task_list(args.text, inputs):
         results = discover(
             text,
             lexicon,
-            taxonomy,
+            inputs["taxonomy"],
             index,
             weights,
-            threshold=settings.threshold,
             min_cscore=settings.min_cscore,
             top_k=settings.top_k,
             top_k_categories=settings.top_k_categories,
@@ -397,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
         "requirements",
         "w1",
         "w2",
-        "threshold",
         "min_cscore",
         "top_k",
         "top_k_categories",

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .annotator import DEFAULT_THRESHOLD, SemanticVector, annotate
+from .annotator import SemanticVector, annotate
 from .lexicon import Lexicon
 from .registry import ServiceIndex
 from .taxonomy import (
@@ -171,13 +171,17 @@ def discover(
     index: ServiceIndex,
     weights: Weights = Weights(),
     *,
-    threshold: float = DEFAULT_THRESHOLD,
     min_cscore: float = DEFAULT_MIN_CSCORE,
     top_k: int = DEFAULT_TOP_K,
     top_k_categories: int = DEFAULT_TOP_K_CATEGORIES,
 ) -> list[RankedResult]:
-    """Full pipeline for one task: annotate, match categories, rank."""
-    task_vector = annotate(task_text, lexicon, threshold=threshold)
+    """Full pipeline for one task: annotate, match categories, rank.
+
+    The task is annotated at ``index.threshold``, the threshold its
+    services were annotated with, so both sides of the cosine admit
+    concepts alike.
+    """
+    task_vector = annotate(task_text, lexicon, threshold=index.threshold)
     matches = match_categories(
         task_text, taxonomy, min_cscore=min_cscore, top_k=top_k_categories
     )

@@ -1,8 +1,8 @@
 """Service registry ingestion and the annotated service index.
 
-Registry dumps are JSON-lines files: one JSON object per line with the
-fields ``name``, ``description``, ``documentation``, ``tags`` and
-``categories``.  Absent fields stay absent (None) and are distinguished
+Registry dumps are JSON-lines files: one JSON object per line, where
+only a line feed (U+000A) ends a line, with the fields ``name``,
+``description``, ``documentation``, ``tags`` and ``categories``.  Absent fields stay absent (None) and are distinguished
 from empty strings.
 
 An index annotates every service once and keeps the resulting vectors
@@ -18,11 +18,11 @@ arrays only, and only what cannot be derived::
                   matched_words], ...]
 
 Services are in canonical (name) order, provenance rows are sorted by
-concept id and matched words are sorted.  Loading rebuilds every weight
-as ``tf * idf_value`` and the index derives its posting tables from the
-services, so stored postings can never disagree with the vectors.
-Files of any other version are rejected with a message to rebuild the
-index.
+concept id and matched words are sorted.  A vector derives each weight
+from its annotation as ``tf * idf_value`` and the index derives its
+posting tables from the services, so neither weights nor postings are
+stored, and neither can disagree with the annotations.  Files of any
+other version are rejected with a message to rebuild the index.
 
 The constructors of :class:`ServiceRecord`, :class:`ServiceIndex` and
 :class:`~semdisc.annotator.Annotation` admit only values the format
@@ -119,7 +119,7 @@ def ingest_registry(path: str | Path) -> list[ServiceRecord]:
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not valid UTF-8: {exc}") from exc
     records: list[ServiceRecord] = []
-    for lineno, line in enumerate(content.splitlines(), start=1):
+    for lineno, line in enumerate(content.split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -271,15 +271,9 @@ def _index_payload(index: ServiceIndex) -> bytes:
     services = []
     for service in index.services:
         record = service.record
-        vector = service.vector
-        if vector.weights != {c: a.weight for c, a in vector.provenance.items()}:
-            raise ValueError(
-                f"service {record.name!r}: weights are not tf * idf_value of "
-                "its provenance, so the index cannot store them"
-            )
         provenance = [
             [c, a.lexical_form, a.similarity, a.tf, a.idf_value, sorted(a.matched_words)]
-            for c, a in sorted(vector.provenance.items())
+            for c, a in sorted(service.vector.provenance.items())
         ]
         tags, categories = list(record.tags), list(record.categories)
         services.append(
@@ -294,10 +288,6 @@ def save_index(index: ServiceIndex, path: str | Path) -> None:
 
     The file is replaced atomically, so a failed or interrupted save
     leaves any previous index intact.
-
-    Raises ValueError when a vector's weights are not ``tf * idf_value``
-    of its provenance or a number is not finite, since loading could not
-    reproduce them.
     """
     body = MAGIC + FORMAT_VERSION.to_bytes(4, "big") + _index_payload(index)
     _write_atomic(Path(path), body + hashlib.sha256(body).digest())
@@ -387,8 +377,7 @@ def _service(row: object) -> AnnotatedService:
             annotations[cid] = annotation
         except (ValueError, TypeError) as exc:
             raise ValueError(f"provenance {pos}: {exc}") from None
-    weights = {cid: a.weight for cid, a in annotations.items()}
     record = ServiceRecord(
         name, description, documentation, tuple(_row(tags)), tuple(_row(categories))
     )
-    return AnnotatedService(record, SemanticVector(weights, annotations))
+    return AnnotatedService(record, SemanticVector(annotations))

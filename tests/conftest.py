@@ -14,12 +14,19 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Mapping
 
 import pytest
 from hypothesis import settings
 
-from semdisc import build_index, ingest_registry, load_lexicon, load_taxonomy
+from semdisc import (
+    Annotation,
+    SemanticVector,
+    build_index,
+    ingest_registry,
+    load_lexicon,
+    load_taxonomy,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -28,6 +35,14 @@ if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
     settings.load_profile("ci")
 
 _ACCEPTANCE: list[tuple[str, str, str]] = []
+
+
+def vector_of(weights: Mapping[str, float]) -> SemanticVector:
+    """A vector with exactly these weights: each concept's annotation has
+    tf 1 and the weight as its idf_value."""
+    return SemanticVector(
+        {c: Annotation(c, c, 1.0, 1, w, frozenset()) for c, w in weights.items()}
+    )
 
 
 def write_index_body(path: Path, body: bytes) -> None:

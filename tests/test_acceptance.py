@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import DATA
+from conftest import DATA, vector_of
 from semdisc import (
     Weights,
     annotate,
@@ -33,7 +33,7 @@ from semdisc import (
     match_categories,
     save_index,
 )
-from semdisc.annotator import SemanticVector, ratio
+from semdisc.annotator import ratio
 from semdisc.cli import main
 from semdisc.lexicon import Concept, Lexicon
 from semdisc.registry import ServiceRecord, _index_payload
@@ -169,7 +169,7 @@ vector_st = st.dictionaries(
     st.floats(min_value=0.1, max_value=10.0),
     min_size=1,
     max_size=6,
-).map(lambda weights: SemanticVector(weights=weights))
+).map(vector_of)
 
 record_st = st.builds(
     ServiceRecord,
@@ -341,7 +341,6 @@ def _suite_e_brute_force_equivalence(lexicon, records, text, threshold, weight_p
         taxonomy,
         index,
         weights,
-        threshold=threshold,
         min_cscore=0.0,
         top_k=25,
         top_k_categories=2,

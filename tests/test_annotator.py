@@ -23,7 +23,7 @@ from semdisc.lexicon import Concept, Lexicon
 from semdisc.registry import annotation_text
 from semdisc.requirements import parse_requirements, tasks
 
-from conftest import DATA
+from conftest import DATA, vector_of
 
 
 @pytest.fixture()
@@ -111,41 +111,59 @@ class TestTermFrequency:
         assert term_frequency({"tree"}, ["unrelated"]) == 1
 
 
-class TestSemanticVector:
+class TestAnnotationWeight:
+    """An annotation's weight, tf * idf_value, lies in [2**-255, 2**255]."""
+
+    @staticmethod
+    def annotation(weight: float) -> Annotation:
+        return Annotation("C1", "c1", 1.0, 1, weight, frozenset())
+
     def test_rejects_non_positive_weight(self):
         with pytest.raises(ValueError):
-            SemanticVector(weights={"C1": 0.0})
+            self.annotation(0.0)
 
     @pytest.mark.parametrize("weight", [math.nan, math.inf])
     def test_rejects_non_finite_weight(self, weight):
         with pytest.raises(ValueError, match="non-finite weight"):
-            SemanticVector(weights={"C1": weight})
+            self.annotation(weight)
 
     @pytest.mark.parametrize(
-        "weights",
+        "weight",
         [
-            {"C1": 1e-200},  # the square underflows to 0
-            {"C1": 1e160},  # the square overflows to inf
-            {"C1": 1e200},
-            {"C1": 1e154, "C2": 1e154},  # each square is finite, their sum is not
-            {"C1": math.nextafter(2.0**255, math.inf)},
-            {"C1": math.nextafter(2.0**-255, 0.0)},
+            1e-200,  # the square underflows to 0
+            1e160,  # the square overflows to inf
+            1e200,
+            1e154,  # the square is finite, the sum of two squares is not
+            math.nextafter(2.0**255, math.inf),
+            math.nextafter(2.0**-255, 0.0),
         ],
     )
-    def test_rejects_weight_outside_range(self, weights):
+    def test_rejects_weight_outside_range(self, weight):
         with pytest.raises(ValueError, match="out-of-range weight .* outside"):
-            SemanticVector(weights=weights)
+            self.annotation(weight)
 
     def test_admits_range_bounds(self):
-        assert SemanticVector(weights={"C1": 2.0**-255, "C2": 2.0**255})
+        assert vector_of({"C1": 2.0**-255, "C2": 2.0**255})
+
+
+class TestSemanticVector:
+    def test_weights_are_tf_times_idf_value(self):
+        entry = Annotation("C1", "tree", 1.0, 3, 1.25, frozenset({"tree"}))
+        vec = SemanticVector({"C1": entry})
+        assert vec.weights == {"C1": 3.75}
+        assert vec.provenance == {"C1": entry}
+
+    def test_weights_are_not_a_parameter(self):
+        with pytest.raises(TypeError):
+            SemanticVector(weights={"C1": 2.0})  # type: ignore[call-arg]
 
     def test_norm(self):
-        vec = SemanticVector(weights={"a": 3.0, "b": 4.0})
+        vec = vector_of({"a": 3.0, "b": 4.0})
         assert vec.norm() == pytest.approx(5.0, abs=0)
 
     def test_truthiness(self):
-        assert not SemanticVector(weights={})
-        assert SemanticVector(weights={"a": 1.0})
+        assert not SemanticVector({})
+        assert vector_of({"a": 1.0})
 
     def test_weight_property(self):
         entry = Annotation(

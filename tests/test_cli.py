@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import semdisc
-from semdisc import load_lexicon
+from semdisc import build_index, discover, load_lexicon
 from semdisc.cli import main
 from semdisc.registry import FORMAT_VERSION
 
@@ -482,24 +482,65 @@ class TestDiscoverCommand:
         assert code == 0
         assert "fingerprint mismatch" in err
 
-    def test_threshold_other_than_index_warns(self, built_index, capsys):
-        argv = [
+    def test_tasks_annotated_at_index_threshold(
+        self, tmp_path, capsys, demo_lexicon, demo_taxonomy, demo_records
+    ):
+        # Covers C8200004 only partly: a concept at 0.5, none at 0.8.
+        task = "Find transmembrane topology segments in protein sequences"
+        path = tmp_path / "half.idx"
+        code, _, _ = run(
+            capsys,
+            "index",
+            "build",
+            f"--lexicon={DATA / 'lexicon.tsv'}",
+            f"--registry={DATA / 'services.jsonl'}",
+            f"--index={path}",
+            "--threshold=0.5",
+        )
+        assert code == 0
+        code, out, err = run(
+            capsys,
             "discover",
-            TASK,
+            task,
             f"--lexicon={DATA / 'lexicon.tsv'}",
             f"--taxonomy={DATA / 'taxonomy.txt'}",
-            f"--index={built_index}",
-        ]
-        code, default_out, err = run(capsys, *argv, "--threshold=0.8")
-        assert (code, err) == (0, "")
-        code, out, err = run(capsys, *argv, "--threshold=0.9")
-        assert code == 0
-        assert err == (
-            "warning: index was built with threshold 0.8, "
-            "tasks are annotated with threshold 0.9\n"
+            f"--index={path}",
+            "--format=records",
         )
-        # The demo task annotates alike at both thresholds.
-        assert out == default_out
+        assert (code, err) == (0, "")
+        index = build_index(demo_records, demo_lexicon, threshold=0.5)
+        expected = [
+            {
+                "task": "query",
+                "service": r.service,
+                "shared_annotations": sorted(r.shared_annotations),
+                "c_score": r.c_score,
+                "s_score": r.s_score,
+                "score": r.score,
+            }
+            for r in discover(task, demo_lexicon, demo_taxonomy, index)
+        ]
+        assert [json.loads(line) for line in out.splitlines()] == expected
+        # Annotated at 0.8, the task shares no concept with Emboss tmap.
+        assert expected[0]["service"] == "Emboss tmap"
+        assert "C8200004" in expected[0]["shared_annotations"]
+
+    def test_threshold_flag_is_usage_error(self, built_index, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "discover",
+                    TASK,
+                    f"--lexicon={DATA / 'lexicon.tsv'}",
+                    f"--taxonomy={DATA / 'taxonomy.txt'}",
+                    f"--index={built_index}",
+                    "--threshold=0.9",
+                ]
+            )
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert captured.out == ""
+        assert "unrecognized arguments: --threshold=0.9" in captured.err
 
     def test_previous_format_is_data_error(self, built_index, capsys):
         body = bytearray(built_index.read_bytes()[:-32])
@@ -772,7 +813,7 @@ class TestSettingRanges:
         "command, name, value",
         [
             ("index build", "threshold", "5"),
-            ("discover", "threshold", "-1.5"),
+            ("index build", "threshold", "-1.5"),
             ("annotate", "threshold", "nan"),
             ("discover", "min_cscore", "1.5"),
             ("annotate", "min_cscore", "-0.1"),
@@ -800,7 +841,8 @@ class TestSettingRanges:
         ],
     )
     def test_same_error_from_every_source(self, tmp_path, capsys, monkeypatch, name, value):
-        argv = self.argv("discover", tmp_path)
+        # discover annotates at its index's threshold, so has no flag for it.
+        argv = self.argv("annotate" if name == "threshold" else "discover", tmp_path)
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({name: value}))
         results = {}
@@ -885,23 +927,61 @@ class TestSettingRanges:
     )
     def test_bounds_are_inclusive(self, built_index, capsys, name, value):
         flag = f"--{name.replace('_', '-')}={value}"
-        code, _, err = run(
-            capsys,
-            "discover",
-            TASK,
-            f"--lexicon={DATA / 'lexicon.tsv'}",
-            f"--taxonomy={DATA / 'taxonomy.txt'}",
-            f"--index={built_index}",
-            flag,
-        )
-        # The index was built at the default threshold, so -1 differs from it.
-        expected = ""
+        inputs = [f"--lexicon={DATA / 'lexicon.tsv'}", f"--taxonomy={DATA / 'taxonomy.txt'}"]
         if name == "threshold":
-            expected = (
-                "warning: index was built with threshold 0.8, "
-                "tasks are annotated with threshold -1.0\n"
-            )
-        assert (code, err) == (0, expected)
+            # discover annotates at its index's threshold, so has no flag for it.
+            argv = ["annotate", TASK, *inputs, flag]
+        else:
+            argv = ["discover", TASK, *inputs, f"--index={built_index}", flag]
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+
+
+class TestUsageCheckedBeforeLoading:
+    """Usage errors exit 2 before any input file loads, so a malformed
+    lexicon cannot hide them behind its own error."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["discover", TASK, "--index={absent}"], "index not found: {absent}"),
+            (["discover", "--index={index}"], "task text or --requirements required"),
+            (
+                ["discover", TASK, "--index={index}", "--requirements={outline}"],
+                "give either task text or --requirements, not both",
+            ),
+            (
+                ["discover", "--index={index}", "--requirements={absent}"],
+                "requirements not found: {absent}",
+            ),
+            (["annotate"], "task text or --requirements required"),
+            (
+                ["annotate", TASK, "--requirements={outline}"],
+                "give either task text or --requirements, not both",
+            ),
+        ],
+        ids=[
+            "discover_absent_index",
+            "discover_no_task_source",
+            "discover_text_and_requirements",
+            "discover_absent_requirements",
+            "annotate_no_task_source",
+            "annotate_text_and_requirements",
+        ],
+    )
+    def test_with_malformed_lexicon(self, built_index, tmp_path, capsys, argv, message):
+        lexicon = tmp_path / "bad.tsv"
+        lexicon.write_text("C1\tumls\n")
+        paths = {
+            "absent": tmp_path / "absent",
+            "index": built_index,
+            "outline": DATA / "requirements.txt",
+        }
+        argv = [arg.format(**paths) for arg in argv]
+        extra = [f"--lexicon={lexicon}", f"--taxonomy={DATA / 'taxonomy.txt'}"]
+        code, out, err = run(capsys, *argv, *extra)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message.format(**paths)}\n"
 
 
 class TestEmptyRequirements:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from semdisc.annotator import SemanticVector, annotate
+from semdisc.annotator import annotate
 from semdisc.lexicon import Concept, Lexicon
 from semdisc.ranker import (
     RankedResult,
@@ -23,7 +23,7 @@ from semdisc.registry import AnnotatedService, ServiceIndex, ServiceRecord, buil
 from semdisc.requirements import parse_requirements, tasks
 from semdisc.taxonomy import CategoryMatch, CategoryTaxonomy
 
-from conftest import DATA
+from conftest import DATA, vector_of
 
 
 @pytest.fixture()
@@ -110,7 +110,7 @@ vector_st = st.dictionaries(
     st.sampled_from([f"c{i}" for i in range(6)]),
     st.floats(min_value=1e-3, max_value=1e3),
     max_size=6,
-).map(lambda weights: SemanticVector(weights=weights))
+).map(vector_of)
 
 
 class TestWeights:
@@ -139,27 +139,27 @@ class TestWeights:
 class TestCosine:
     def test_partial_overlap_oracle(self):
         # Shared support {q}: dot = 16, norms 5 * 5, cosine = 0.64.
-        a = SemanticVector(weights={"p": 3.0, "q": 4.0})
-        b = SemanticVector(weights={"q": 4.0, "r": 3.0})
+        a = vector_of({"p": 3.0, "q": 4.0})
+        b = vector_of({"q": 4.0, "r": 3.0})
         assert cosine(a, b) == pytest.approx(16 / 25, abs=1e-15)
 
     def test_self_similarity(self):
-        vec = SemanticVector(weights={"a": 1.7, "b": 2.9, "c": 0.4})
+        vec = vector_of({"a": 1.7, "b": 2.9, "c": 0.4})
         assert cosine(vec, vec) == pytest.approx(1.0, abs=1e-12)
 
     def test_disjoint_supports(self):
-        a = SemanticVector(weights={"a": 1.0})
-        b = SemanticVector(weights={"b": 1.0})
+        a = vector_of({"a": 1.0})
+        b = vector_of({"b": 1.0})
         assert cosine(a, b) == 0.0
 
     def test_empty_vector(self):
-        a = SemanticVector(weights={})
-        b = SemanticVector(weights={"b": 1.0})
+        a = vector_of({})
+        b = vector_of({"b": 1.0})
         assert cosine(a, b) == 0.0
 
     def test_symmetry(self):
-        a = SemanticVector(weights={"x": 0.3, "y": 2.0})
-        b = SemanticVector(weights={"y": 1.1, "z": 4.0})
+        a = vector_of({"x": 0.3, "y": 2.0})
+        b = vector_of({"y": 1.1, "z": 4.0})
         assert cosine(a, b) == cosine(b, a)
 
     @settings(max_examples=300, deadline=None)
@@ -173,7 +173,7 @@ class TestCosine:
         """Every vector the constructor admits has cosine 1 with itself,
         and scaling it by a power of two that keeps it admitted changes
         no cosine bit."""
-        vec = SemanticVector(weights=weights)
+        vec = vector_of(weights)
         itself = cosine(vec, vec)
         assert itself == pytest.approx(1.0, abs=1e-15)
         # w in [2**(e-1), 2**e) for e = frexp(w)[1], so these exponents
@@ -181,7 +181,7 @@ class TestCosine:
         lowest = -254 - math.frexp(min(weights.values()))[1]
         highest = 255 - math.frexp(max(weights.values()))[1]
         exponent = data.draw(st.integers(lowest, max(lowest, highest)), label="exponent")
-        scaled = SemanticVector({c: math.ldexp(w, exponent) for c, w in weights.items()})
+        scaled = vector_of({c: math.ldexp(w, exponent) for c, w in weights.items()})
         assert cosine(scaled, vec) == itself
 
 
@@ -214,7 +214,7 @@ class TestSearchRoutes:
         assert all(value > 0.0 for value in scores.values())
 
     def test_concept_route_empty_task(self, route_index):
-        assert search_by_concepts(SemanticVector(weights={}), route_index) == {}
+        assert search_by_concepts(vector_of({}), route_index) == {}
 
     def test_concept_route_is_cosine_on_demo(self, demo_lexicon, demo_index):
         model = parse_requirements(DATA / "requirements.txt")
@@ -281,7 +281,7 @@ class TestRank:
         ]
         index = build_index(records, route_lexicon)
         results = rank(
-            SemanticVector(weights={}), [CategoryMatch("Cat A", 0.5)], index
+            vector_of({}), [CategoryMatch("Cat A", 0.5)], index
         )
         assert [r.service for r in results] == ["Alpha", "Beta"]
 
@@ -305,7 +305,7 @@ class TestRank:
 
     def test_top_k_validation(self, route_index):
         with pytest.raises(ValueError):
-            rank(SemanticVector(weights={}), [], route_index, top_k=0)
+            rank(vector_of({}), [], route_index, top_k=0)
 
     def test_shared_annotations(self, route_lexicon, route_index):
         from semdisc import annotate
@@ -376,5 +376,5 @@ def test_cosine_norm_consistency():
     # SemanticVector.norm, so a vector against itself stays at 1 even
     # with many entries.
     weights = {f"c{i}": math.sqrt(i + 1) for i in range(50)}
-    vec = SemanticVector(weights=weights)
+    vec = vector_of(weights)
     assert cosine(vec, vec) == pytest.approx(1.0, abs=1e-12)

@@ -160,6 +160,22 @@ class TestIngestRegistry:
             f"{path}: line 2: field {field!r} cannot be encoded as UTF-8"
         )
 
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"])
+    def test_only_line_feed_ends_a_line(self, tmp_path, char):
+        # json.dumps(..., ensure_ascii=False) writes these characters raw.
+        objects = [{"name": "A", "description": f"one{char}two"}, {"name": "B"}]
+        text = "".join(json.dumps(o, ensure_ascii=False) + "\n" for o in objects)
+        path = tmp_path / "reg.jsonl"
+        path.write_text(text, encoding="utf-8")
+        records = ingest_registry(path)
+        assert [(r.name, r.description) for r in records] == [
+            ("A", f"one{char}two"),
+            ("B", None),
+        ]
+        path.write_text(text + '{"name": 5}\n', encoding="utf-8")
+        with pytest.raises(ValueError, match=": line 3: field 'name'"):
+            ingest_registry(path)
+
     def test_undecodable_file_names_path(self, tmp_path):
         path = tmp_path / "reg.jsonl"
         path.write_bytes(b'{"name": "A", "description": "\xff"}\n')
@@ -349,11 +365,11 @@ class TestPersistence:
             Annotation(**{**_VALID_ANNOTATION, **fields})
         assert str(excinfo.value) == message
 
-    @pytest.mark.parametrize("weights_key", ["C1", "X"])
-    def test_provenance_key_other_than_concept_is_not_built(self, weights_key):
+    @pytest.mark.parametrize("key", ["c1", "X"])
+    def test_provenance_key_other_than_concept_is_not_built(self, key):
         # Loading keys each annotation by its concept id.
-        with pytest.raises(ValueError, match="concept X: provenance names 'C1'"):
-            SemanticVector({weights_key: 2.0}, {"X": Annotation(**_VALID_ANNOTATION)})
+        with pytest.raises(ValueError, match=f"concept {key}: provenance names 'C1'"):
+            SemanticVector({key: Annotation(**_VALID_ANNOTATION)})
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), keyed_by_concept=st.booleans())
@@ -368,7 +384,7 @@ class TestPersistence:
         try:
             annotation = Annotation(**fields)
             key = annotation.concept_id if keyed_by_concept else "X"
-            vector = SemanticVector({key: annotation.weight}, {key: annotation})
+            vector = SemanticVector({key: annotation})
             service = AnnotatedService(ServiceRecord(name="A"), vector)
             index = ServiceIndex(services=(service,), lexicon_fingerprint="f")
         except ValueError:
@@ -378,18 +394,15 @@ class TestPersistence:
         assert load_index(path) == index
 
     @pytest.mark.parametrize(
-        "vector",
-        [
-            SemanticVector(weights={"C1": 2.0}),
-        ],
-        ids=["weights_without_provenance"],
+        "provenance",
+        [{"C1": 2.0}, {"C1": ("C1", "x", 1.0, 1, 2.0, frozenset())}],
+        ids=["weights_without_provenance", "annotation_fields_as_tuple"],
     )
-    def test_vector_the_format_cannot_hold_is_not_saved(self, tmp_path, vector):
-        service = AnnotatedService(record=ServiceRecord(name="A"), vector=vector)
-        index = ServiceIndex(services=(service,), lexicon_fingerprint="f")
-        with pytest.raises(ValueError):
-            save_index(index, tmp_path / "a.idx")
-        assert not (tmp_path / "a.idx").exists()
+    def test_vector_the_format_cannot_hold_is_not_built(self, provenance):
+        # Every weight is its annotation's tf * idf_value, so a vector
+        # holds nothing the index file cannot store.
+        with pytest.raises(ValueError, match="concept C1: .* is not an Annotation"):
+            SemanticVector(provenance)
 
     @pytest.mark.parametrize("fail_at", ["write", "replace"])
     def test_failed_save_keeps_previous_index(
