@@ -25,15 +25,12 @@ or form directly and serve as the reference for that pass.
 """
 from __future__ import annotations
 
-import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import AbstractSet, Iterable, Mapping
 
 from .lexicon import Concept, Lexicon, normalize
-
-log = logging.getLogger(__name__)
 
 DEFAULT_THRESHOLD = 0.8
 # Exact types of the Annotation fields, so a bool is no number.
@@ -48,7 +45,8 @@ _MIN_WEIGHT, _MAX_WEIGHT = 2.0**-255, 2.0**255
 
 
 class UndefinedScoreError(ValueError):
-    """A form carries no information (idf 0), so its ratio is undefined."""
+    """A form word set is empty, so it carries no information and its
+    ratio is undefined."""
 
 
 def cw(form_words: AbstractSet[str], text_words: AbstractSet[str]) -> frozenset[str]:
@@ -76,12 +74,13 @@ def ratio(
 ) -> float:
     """Coverage score in [-1, 1]; 1 iff the text covers the whole form.
 
-    Raises UndefinedScoreError when idf(form) is 0 (every word has
-    probability 1), since coverage of zero information is meaningless.
+    Every word has probability below 1, so any non-empty form has idf > 0.
+    Raises UndefinedScoreError for the one input with no information, an
+    empty form word set, since coverage of it is meaningless.
     """
+    if not form_words:
+        raise UndefinedScoreError("an empty form word set carries no information")
     form_idf = lexicon.idf(form_words)
-    if form_idf <= 0.0:
-        raise UndefinedScoreError(f"form words {sorted(form_words)} carry no information")
     value = (2.0 * lexicon.idf(cw(form_words, text_words)) - form_idf) / form_idf
     return min(1.0, max(-1.0, value))
 
@@ -95,28 +94,23 @@ class FormMatch:
     matched_words: frozenset[str]
 
 
-def sim(concept: Concept, text_words: AbstractSet[str], lexicon: Lexicon) -> FormMatch | None:
-    """Best ratio over the concept's lexical forms.
+def sim(concept: Concept, text_words: AbstractSet[str], lexicon: Lexicon) -> FormMatch:
+    """Best ratio over the concept's lexical forms, every one of which
+    has words and so a ratio.
 
     Ties prefer the form with the most words, then the lexicographically
-    smallest.  Returns None when every form is unscoreable (idf 0); those
-    forms are skipped with a log message.
+    smallest.
     """
-    best: FormMatch | None = None
     forms = sorted(
         concept.lexical_forms,
         key=lambda f: (-len(lexicon.form_words(concept.id, f)), f),
     )
-    for form in forms:
-        words = lexicon.form_words(concept.id, form)
-        try:
-            value = ratio(words, text_words, lexicon)
-        except UndefinedScoreError:
-            log.warning("concept %s: skipping zero-information form %r", concept.id, form)
-            continue
-        if best is None or value > best.similarity:
-            best = FormMatch(form, value, cw(words, text_words))
-    return best
+    # max keeps the first of equal values, so forms go in tie-break order.
+    form = max(
+        forms, key=lambda f: ratio(lexicon.form_words(concept.id, f), text_words, lexicon)
+    )
+    words = lexicon.form_words(concept.id, form)
+    return FormMatch(form, ratio(words, text_words, lexicon), cw(words, text_words))
 
 
 @dataclass(frozen=True)
@@ -246,8 +240,6 @@ def annotate(
     best: dict[str, tuple[float, str]] = {}
     for (cid, form), infos in candidates:
         form_idf = lexicon.form_idf(cid, form)
-        if form_idf <= 0.0:
-            continue
         value = min(1.0, max(-1.0, (2.0 * math.fsum(infos) - form_idf) / form_idf))
         current = best.get(cid)
         if current is None or value > current[0] or (

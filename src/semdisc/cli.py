@@ -8,14 +8,15 @@ annotated at the index's threshold.  Every usage rule is checked before
 any input file is loaded.
 
 Each setting is one row of ``SETTINGS``: its type, default, valid range
-and flag help.  Settings resolve in precedence order: command-line flags,
-then ``SEMDISC_*`` environment variables, then a JSON config file
-(--config or ``SEMDISC_CONFIG``), then the defaults.  One function reads
-a value from any of these sources, so a flag is read exactly like an
-environment value; a flag given twice is a usage error.  Output is
-deterministic for identical inputs; table mode prints scores to 4
-decimal places, records mode prints one JSON object per line at full
-precision.
+and flag help.  A command reads only the settings it has flags for, each
+in precedence order: command-line flag, then ``SEMDISC_*`` environment
+variable, then a JSON config file (--config or ``SEMDISC_CONFIG``), then
+the default; a value for another command's setting is never read.  One
+function reads a value from any of these sources, so a flag is read
+exactly like an environment value; a flag given twice is a usage error.
+Output is deterministic for identical inputs; table mode prints scores
+to 4 decimal places, records mode prints one JSON object per line at
+full precision.
 """
 from __future__ import annotations
 
@@ -111,8 +112,9 @@ def _read_setting(name: str, value: object) -> object:
 
 
 def resolve_settings(args: argparse.Namespace) -> argparse.Namespace:
-    """Each setting from its flag, environment variable, config file entry
-    or default, whichever comes first."""
+    """Each setting the command has a flag for, from that flag, its
+    environment variable, config file entry or default, whichever comes
+    first."""
     try:
         # Undecodable argv bytes arrive as lone surrogates.
         (getattr(args, "text", None) or "").encode("utf-8")
@@ -134,11 +136,11 @@ def resolve_settings(args: argparse.Namespace) -> argparse.Namespace:
         if not isinstance(file_values, dict):
             raise CliError(f"config file {path}: expected a JSON object", exit_code=2)
     values = {}
-    for name, setting in SETTINGS.items():
-        given = (getattr(args, name, None), os.environ.get(ENV_PREFIX + name.upper()),
+    for name in args.settings:
+        given = (getattr(args, name), os.environ.get(ENV_PREFIX + name.upper()),
                  file_values.get(name))
         value = next((v for v in given if v is not None), None)
-        values[name] = setting.default if value is None else _read_setting(name, value)
+        values[name] = SETTINGS[name].default if value is None else _read_setting(name, value)
     return argparse.Namespace(**values)
 
 
@@ -201,6 +203,9 @@ def _weights(settings: argparse.Namespace) -> Weights:
 def cmd_index_build(args: argparse.Namespace) -> int:
     settings = resolve_settings(args)
     index_path = _required(settings, "index")
+    directory = Path(index_path).parent
+    if not directory.is_dir():
+        raise CliError(f"index directory not found: {directory}", exit_code=2)
     inputs = _load_inputs(settings, "lexicon", "registry")
     index = build_index(inputs["registry"], inputs["lexicon"], threshold=settings.threshold)
     save_index(index, index_path)
@@ -356,7 +361,9 @@ class _StoreOnce(argparse.Action):
 
 
 def _add_common_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    """Flags for the settings ``names``, the only ones the command reads."""
     parser.add_argument("--config", action=_StoreOnce, help="JSON config file")
+    parser.set_defaults(settings=names)
     for name in names:
         flag = "--" + name.replace("_", "-")
         parser.add_argument(flag, dest=name, action=_StoreOnce, help=SETTINGS[name].help)

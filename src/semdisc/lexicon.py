@@ -3,9 +3,11 @@
 A lexicon maps concept identifiers to their lexical forms and carries a
 word-probability model estimated from those forms.  The information content
 (idf) of a word collection is the sum of -log P(w) over its words, so rare
-words weigh more than common ones.  Probabilities are estimated with
-Laplace add-one smoothing over the corpus of lexical forms; words never
-seen in any form fall back to a shared floor probability.
+words weigh more than common ones.  A :class:`Lexicon` estimates the
+probabilities itself, with Laplace add-one smoothing over the corpus of
+its lexical forms; words never seen in any form fall back to a shared
+floor probability.  Every probability is below 1, so every form carries
+information.
 
 Instances are immutable after construction and safe to share across
 threads; the only table filled later, each form's idf, is a memo of
@@ -14,15 +16,12 @@ values that do not depend on which thread computes them.
 from __future__ import annotations
 
 import hashlib
-import logging
 import math
 import re
 from collections import Counter
 from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
-
-log = logging.getLogger(__name__)
 
 _NON_WORD = re.compile(r"[\W_]+", re.UNICODE)
 
@@ -68,12 +67,15 @@ class Concept:
 
 
 class Lexicon:
-    """Immutable concept collection with a word-probability model.
+    """Immutable concept collection with the word-probability model its
+    forms estimate.
 
-    ``word_prob`` assigns each known word a probability in (0, 1];
-    ``unseen_prob`` is the floor used for words outside the model.  Use
-    :meth:`from_concepts` to estimate both from the lexical forms, or pass
-    explicit probabilities (useful for fixtures with designed idf values).
+    Laplace add-one smoothing: P(w) = (count(w) + 1) / (total + vocab + 1),
+    where counts run over every lexical form of every concept, repeated
+    words counting once per occurrence; ``unseen_prob``, 1 / (total +
+    vocab + 1), is the floor for words outside the model.  The denominator
+    exceeds every numerator, so every probability is below 1 (as floats,
+    while total < 2**52) and every form carries information: idf > 0.
 
     Each form's idf is memoised the first time :meth:`form_idf` asks for
     it, not at load time, so loading pays nothing for forms no text ever
@@ -86,75 +88,43 @@ class Lexicon:
     tokenizer = staticmethod(normalize)
 
     def __init__(
-        self,
-        concepts: Iterable[Concept],
-        word_prob: Mapping[str, float],
-        unseen_prob: float,
-        *,
-        fingerprint: str | None = None,
+        self, concepts: Iterable[Concept], *, fingerprint: str | None = None
     ) -> None:
         by_id: dict[str, Concept] = {}
         for concept in concepts:
             if concept.id in by_id:
                 raise ValueError(f"duplicate concept id {concept.id!r}")
             by_id[concept.id] = concept
-        for word, prob in word_prob.items():
-            if not 0.0 < prob <= 1.0:
-                raise ValueError(f"word {word!r}: probability {prob} outside (0, 1]")
-        if not 0.0 < unseen_prob <= 1.0:
-            raise ValueError(f"unseen probability {unseen_prob} outside (0, 1]")
         self._by_id = by_id
         self._concepts = tuple(by_id[cid] for cid in sorted(by_id))
-        self._word_prob = dict(word_prob)
-        self.unseen_prob = unseen_prob
-        # Post every form under each of its words; annotation is read-heavy.
+        # Count every word occurrence, and post every form under each of
+        # its words; annotation is read-heavy.
+        counts: Counter[str] = Counter()
         self._form_words: dict[tuple[str, str], frozenset[str]] = {}
         self._postings: dict[str, list[tuple[str, str]]] = {}
         for concept in self._concepts:
             for form in concept.lexical_forms:
+                words = concept.form_words[form]
+                counts.update(words)
                 key = (concept.id, form)
-                words = frozenset(concept.form_words[form])
-                self._form_words[key] = words
-                for word in words:
+                distinct = self._form_words[key] = frozenset(words)
+                for word in distinct:
                     self._postings.setdefault(word, []).append(key)
+        if not counts:
+            raise ValueError("empty lexicon: no lexical forms to estimate from")
+        denom = sum(counts.values()) + len(counts) + 1
+        self._word_prob = {w: (c + 1) / denom for w, c in counts.items()}
+        self.unseen_prob = 1.0 / denom
         self._form_idf: dict[tuple[str, str], float] = {}
         self.fingerprint = fingerprint or self._content_fingerprint()
 
     def _content_fingerprint(self) -> str:
+        """SHA-256 of the concept lines; the probabilities follow from them."""
         digest = hashlib.sha256()
         for concept in self._concepts:
             for form in sorted(concept.lexical_forms):
                 digest.update(f"{concept.id}\t{concept.source}\t{form}\n".encode())
-        for word in sorted(self._word_prob):
-            digest.update(f"{word}\t{self._word_prob[word]!r}\n".encode())
-        digest.update(f"unseen\t{self.unseen_prob!r}\n".encode())
         return digest.hexdigest()
-
-    @classmethod
-    def from_concepts(
-        cls,
-        concepts: Iterable[Concept],
-        *,
-        fingerprint: str | None = None,
-    ) -> "Lexicon":
-        """Build a lexicon estimating word probabilities from the forms.
-
-        Laplace add-one smoothing: P(w) = (count(w) + 1) / (total + vocab + 1),
-        where counts run over every lexical form of every concept, repeated
-        words counting once per occurrence.  Unseen words get
-        1 / (total + vocab + 1).
-        """
-        concepts = tuple(concepts)
-        counts: Counter[str] = Counter()
-        for concept in concepts:
-            for words in concept.form_words.values():
-                counts.update(words)
-        if not counts:
-            raise ValueError("empty lexicon: no lexical forms to estimate from")
-        total = sum(counts.values())
-        denom = total + len(counts) + 1
-        word_prob = {w: (c + 1) / denom for w, c in counts.items()}
-        return cls(concepts, word_prob, 1.0 / denom, fingerprint=fingerprint)
 
     @property
     def concepts(self) -> tuple[Concept, ...]:
@@ -191,21 +161,12 @@ class Lexicon:
         return self._form_words[concept_id, form]
 
     def form_idf(self, concept_id: str, form: str) -> float:
-        """idf of one lexical form's distinct words, memoised.
-
-        A zero-information form (idf 0, every word has probability 1) is
-        logged once, when its value is first memoised.
-        """
+        """idf of one lexical form's distinct words, memoised; always > 0,
+        since a form has words and every probability is below 1."""
         key = (concept_id, form)
         value = self._form_idf.get(key)
         if value is None:
-            value = self.idf(self._form_words[key])
-            if value <= 0.0:
-                log.warning(
-                    "concept %s: zero-information form %r is never scored",
-                    concept_id, form,
-                )
-            self._form_idf[key] = value
+            value = self._form_idf[key] = self.idf(self._form_words[key])
         return value
 
     def forms_with_word(self, word: str) -> Sequence[tuple[str, str]]:
@@ -220,10 +181,11 @@ class Lexicon:
 def load_lexicon(path: str | Path) -> Lexicon:
     """Load a tab-separated lexicon file.
 
-    Each record line is ``concept_id<TAB>source<TAB>lexical form``; lines
-    starting with ``#`` and blank lines are skipped.  Repeated concept_id
-    lines accumulate lexical forms; the same id under two different sources
-    is rejected.  The lexicon fingerprint is the SHA-256 of the file bytes.
+    Each record line is ``concept_id<TAB>source<TAB>lexical form``, and
+    only a line feed (U+000A) ends a line; lines starting with ``#`` and
+    blank lines are skipped.  Repeated concept_id lines accumulate lexical
+    forms; the same id under two different sources is rejected.  The
+    lexicon fingerprint is the SHA-256 of the file bytes.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -233,7 +195,7 @@ def load_lexicon(path: str | Path) -> Lexicon:
         raise ValueError(f"{path}: not valid UTF-8: {exc}") from exc
     sources: dict[str, str] = {}
     forms: dict[str, dict[str, tuple[str, ...]]] = {}
-    for lineno, line in enumerate(content.splitlines(), start=1):
+    for lineno, line in enumerate(content.split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -262,6 +224,4 @@ def load_lexicon(path: str | Path) -> Lexicon:
         Concept(cid, frozenset(forms[cid]), sources[cid], forms[cid])
         for cid in sorted(forms)
     ]
-    return Lexicon.from_concepts(
-        concepts, fingerprint=hashlib.sha256(raw).hexdigest()
-    )
+    return Lexicon(concepts, fingerprint=hashlib.sha256(raw).hexdigest())

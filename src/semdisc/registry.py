@@ -115,7 +115,7 @@ def ingest_registry(path: str | Path) -> list[ServiceRecord]:
     """
     path = Path(path)
     try:
-        content = path.read_text("utf-8")
+        content = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not valid UTF-8: {exc}") from exc
     records: list[ServiceRecord] = []

@@ -12,7 +12,8 @@ The outline format is line-oriented::
 ``task:`` attaches to the innermost open scope, so a task written after
 a subgoal belongs to it: indentation is cosmetic.  Tasks may carry an
 explicit id in brackets; tasks without one are numbered t1, t2, ... in
-file order.  ``#`` lines and blanks are skipped.
+file order.  Only a line feed (U+000A) ends a line; ``#`` lines and
+blanks are skipped.
 
 The model holds only what this format writes, and its constructors
 check it: names, ids and descriptions are non-empty single lines without
@@ -122,14 +123,14 @@ def parse_requirements(path: str | Path) -> RequirementsModel:
     """
     path = Path(path)
     try:
-        content = path.read_text("utf-8")
+        content = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not valid UTF-8: {exc}") from exc
     # Per goal: the Goal, its direct tasks, and (Subgoal, tasks) pairs.
     goals: list[tuple[Goal, list, list]] = []
     open_tasks: list[TaskRequirement] = []  # the innermost open scope's tasks
     auto_counter = 0
-    for lineno, line in enumerate(content.splitlines(), start=1):
+    for lineno, line in enumerate(content.split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

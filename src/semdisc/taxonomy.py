@@ -47,15 +47,16 @@ class CategoryTaxonomy:
 
 
 def load_taxonomy(path: str | Path) -> CategoryTaxonomy:
-    """Load one category name per line; ``#`` lines and blanks skipped."""
+    """Load one category name per line, where only a line feed (U+000A)
+    ends a line; ``#`` lines and blanks skipped."""
     path = Path(path)
     try:
-        content = path.read_text("utf-8")
+        content = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not valid UTF-8: {exc}") from exc
     names = [
         line.strip()
-        for line in content.splitlines()
+        for line in content.split("\n")
         if line.strip() and not line.strip().startswith("#")
     ]
     try:

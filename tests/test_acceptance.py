@@ -157,7 +157,7 @@ concept_forms_st = st.frozensets(form_st, min_size=1, max_size=2)
 
 def _lexicon_from(form_sets: list[frozenset[str]]) -> Lexicon:
     concepts = [Concept(f"C{i}", forms) for i, forms in enumerate(form_sets)]
-    return Lexicon.from_concepts(concepts)
+    return Lexicon(concepts)
 
 
 lexicon_st = st.lists(concept_forms_st, min_size=1, max_size=10).map(_lexicon_from)

@@ -28,20 +28,21 @@ from conftest import DATA, vector_of
 
 @pytest.fixture()
 def toy_lexicon():
-    """Two words with idf targets 3 and 1 (to float precision)."""
-    return Lexicon(
-        concepts=[Concept("X", frozenset({"alpha beta"}))],
-        word_prob={"alpha": math.exp(-3.0), "beta": math.exp(-1.0)},
-        unseen_prob=0.5,
-    )
+    """Counts alpha 1 and beta 2 over 3 tokens and 2 words: denominator 6,
+    so P(alpha) = 2/6 and P(beta) = 3/6, idf ln 3 and ln 2."""
+    return Lexicon([Concept("X", frozenset({"alpha beta"})), Concept("Y", frozenset({"beta"}))])
+
+
+# ratio of X's form "alpha beta" against a text holding only "alpha":
+# idf(form) = ln 3 + ln 2 = ln 6 and idf(shared) = ln 3, so
+# (2 ln 3 - ln 6) / ln 6 = ln(3/2) / ln 6.
+TOY_HALF_COVERAGE = math.log(3 / 2) / math.log(6)
 
 
 class TestRatio:
     def test_half_coverage_oracle(self, toy_lexicon):
-        # idf(form) = 3 + 1 = 4, idf(shared) = 3 when only "alpha" is in
-        # the text: ratio = (2*3 - 4) / 4 = 0.5.
         value = ratio({"alpha", "beta"}, {"alpha", "other"}, toy_lexicon)
-        assert value == pytest.approx(0.5, abs=1e-12)
+        assert value == pytest.approx(TOY_HALF_COVERAGE, abs=1e-12)
 
     def test_full_coverage_is_exactly_one(self, mini_lexicon):
         assert ratio({"tree", "topology"}, {"tree", "topology", "x"}, mini_lexicon) == 1.0
@@ -49,14 +50,10 @@ class TestRatio:
     def test_no_coverage_is_exactly_minus_one(self, mini_lexicon):
         assert ratio({"tree"}, {"unrelated"}, mini_lexicon) == -1.0
 
-    def test_zero_information_form_raises(self):
-        lex = Lexicon(
-            concepts=[Concept("X", frozenset({"the"}))],
-            word_prob={"the": 1.0},
-            unseen_prob=0.5,
-        )
+    def test_zero_information_form_raises(self, mini_lexicon):
+        # An empty word set is the one form with no information.
         with pytest.raises(UndefinedScoreError):
-            ratio({"the"}, {"the"}, lex)
+            ratio(frozenset(), {"tree"}, mini_lexicon)
 
     def test_missing_never_negative(self, mini_lexicon):
         assert missing({"tree"}, {"tree"}, mini_lexicon) == 0.0
@@ -82,23 +79,11 @@ class TestSim:
         assert match.matched_words == frozenset({"tree"})
 
     def test_lexicographic_tiebreak_on_equal_length(self):
-        lex = Lexicon.from_concepts(
-            [Concept("X", frozenset({"beta alpha", "alpha beta"}))]
-        )
+        lex = Lexicon([Concept("X", frozenset({"beta alpha", "alpha beta"}))])
         # Both forms have the same word set, hence equal similarity; the
         # lexicographically smaller form wins.
         match = sim(lex.concept("X"), {"alpha", "beta"}, lex)
         assert match.form == "alpha beta"
-
-    def test_returns_none_when_all_forms_unscoreable(self, caplog):
-        lex = Lexicon(
-            concepts=[Concept("X", frozenset({"the"}))],
-            word_prob={"the": 1.0},
-            unseen_prob=0.5,
-        )
-        with caplog.at_level("WARNING"):
-            assert sim(lex.concept("X"), {"the"}, lex) is None
-        assert "zero-information" in caplog.text
 
 
 class TestTermFrequency:
@@ -210,9 +195,13 @@ class TestAnnotate:
             annotate("tree", mini_lexicon, threshold=1.5)
 
     def test_threshold_boundary_inclusive(self, toy_lexicon):
-        # The concept's only form scores 0.5 against this text.
-        assert annotate("alpha other", toy_lexicon, threshold=0.49).support() == {"X"}
-        assert not annotate("alpha other", toy_lexicon, threshold=0.51)
+        # X's only form scores exactly TOY_HALF_COVERAGE against this
+        # text, and Y's form scores -1.
+        value = ratio({"alpha", "beta"}, {"alpha", "other"}, toy_lexicon)
+        assert value == pytest.approx(TOY_HALF_COVERAGE, abs=1e-12)
+        assert annotate("alpha other", toy_lexicon, threshold=value).support() == {"X"}
+        above = math.nextafter(value, 1.0)
+        assert not annotate("alpha other", toy_lexicon, threshold=above)
 
     def test_floor_threshold_scans_all_concepts(self, mini_lexicon):
         # At threshold -1 even concepts sharing no word are admitted,
@@ -236,35 +225,18 @@ class TestAnnotate:
         assert vec.weights["D9000419"] == pytest.approx(15.0, abs=0.01)
 
     def test_tie_prefers_more_words_then_lexicographic(self):
+        # alpha and beta occur 4 times each, so they are equally probable.
         lex = Lexicon(
-            concepts=[
+            [
                 Concept("X", frozenset({"beta alpha", "alpha beta", "alpha"})),
                 Concept("Y", frozenset({"beta", "alpha"})),
-            ],
-            word_prob={"alpha": 0.5, "beta": 0.5},
-            unseen_prob=0.5,
+                Concept("Z", frozenset({"beta"})),
+            ]
         )
+        assert lex.probability("alpha") == lex.probability("beta") == 5 / 11
         vec = annotate("beta alpha", lex)
         assert vec.provenance["X"].lexical_form == "alpha beta"
         assert vec.provenance["Y"].lexical_form == "alpha"
-
-    def test_zero_information_form_warns_once_per_lexicon(self, caplog):
-        lex = Lexicon(
-            concepts=[
-                Concept("X", frozenset({"the"})),
-                Concept("Y", frozenset({"the tree", "tree"})),
-            ],
-            word_prob={"the": 1.0, "tree": 0.5},
-            unseen_prob=0.5,
-        )
-        with caplog.at_level("WARNING"):
-            first = annotate("the tree", lex)
-            second = annotate("the tree", lex)
-        warnings = [r for r in caplog.records if r.levelname == "WARNING"]
-        assert len(warnings) == 1
-        assert "zero-information" in warnings[0].getMessage()
-        assert first.provenance == second.provenance
-        assert first.support() == {"Y"}
 
 
 def _reference_provenance(
@@ -276,7 +248,7 @@ def _reference_provenance(
     out = {}
     for concept in lexicon.concepts:
         match = sim(concept, text_set, lexicon)
-        if match is None or match.similarity < threshold:
+        if match.similarity < threshold:
             continue
         form_words = lexicon.form_words(concept.id, match.form)
         out[concept.id] = (
@@ -336,21 +308,12 @@ class TestAnnotateMatchesSim:
 
     @given(
         form_sets=_concepts,
-        # None estimates probabilities from the forms; otherwise one value
-        # per word, where equal values force ties and 1.0 makes
-        # zero-information forms.
-        probs=st.none() | st.lists(st.sampled_from([0.5, 0.25, 1.0]), min_size=4, max_size=4),
         text=st.lists(_words | st.just("other"), max_size=6).map(" ".join),
         threshold=st.sampled_from([-1.0, 0.0, 0.5, DEFAULT_THRESHOLD, 1.0]),
     )
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_tie_prone_lexicons(self, form_sets, probs, text, threshold):
-        concepts = [Concept(f"C{i}", forms) for i, forms in enumerate(form_sets)]
-        if probs is None:
-            lexicon = Lexicon.from_concepts(concepts)
-        else:
-            words = ["alpha", "beta", "gamma", "delta"]
-            lexicon = Lexicon(concepts, dict(zip(words, probs)), unseen_prob=0.5)
+    def test_tie_prone_lexicons(self, form_sets, text, threshold):
+        lexicon = Lexicon(Concept(f"C{i}", forms) for i, forms in enumerate(form_sets))
         assert _provenance_fields(text, lexicon, threshold) == (
             _reference_provenance(text, lexicon, threshold)
         )

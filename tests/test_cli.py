@@ -880,7 +880,7 @@ class TestSettingRanges:
         "values, message",
         [
             ({"top_k_categories": "1e999"}, "invalid value for top_k_categories: "),
-            ({"threshold": "9" * 400}, "invalid value for threshold: "),
+            ({"min_cscore": "9" * 400}, "invalid value for min_cscore: "),
             ({"top_k": "true"}, "invalid value for top_k: "),
             ({"top_k": "2.7"}, "invalid value for top_k: "),
             ({"w1": "false", "w2": "1"}, "invalid value for w1: "),
@@ -937,6 +937,45 @@ class TestSettingRanges:
         assert (code, err) == (0, "")
 
 
+class TestOnlyOwnSettingsRead:
+    """A command reads only the settings it has flags for, so a value
+    another command would reject changes nothing."""
+
+    @staticmethod
+    def argv(command: str, built_index, tmp_path) -> list[str]:
+        lexicon = f"--lexicon={DATA / 'lexicon.tsv'}"
+        taxonomy = f"--taxonomy={DATA / 'taxonomy.txt'}"
+        if command == "index build":
+            registry = f"--registry={DATA / 'services.jsonl'}"
+            return ["index", "build", lexicon, registry, f"--index={tmp_path / 'out.idx'}"]
+        if command == "annotate":
+            return ["annotate", TASK, lexicon, taxonomy]
+        return ["discover", TASK, lexicon, taxonomy, f"--index={built_index}"]
+
+    @pytest.mark.parametrize(
+        "command, name, value",
+        [
+            ("discover", "threshold", "nan"),
+            ("annotate", "w1", "abc"),
+            ("index build", "format", "yaml"),
+        ],
+    )
+    def test_environment(self, built_index, tmp_path, capsys, monkeypatch, command, name, value):
+        argv = self.argv(command, built_index, tmp_path)
+        code, out, err = expected = run(capsys, *argv)
+        assert (code, err) == (0, "") and out
+        monkeypatch.setenv(f"SEMDISC_{name.upper()}", value)
+        assert run(capsys, *argv) == expected
+
+    def test_config(self, built_index, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text('{"top_k": 0}')
+        argv = self.argv("index build", built_index, tmp_path)
+        code, out, err = expected = run(capsys, *argv)
+        assert (code, err) == (0, "") and out
+        assert run(capsys, *argv, f"--config={config}") == expected
+
+
 class TestUsageCheckedBeforeLoading:
     """Usage errors exit 2 before any input file loads, so a malformed
     lexicon cannot hide them behind its own error."""
@@ -982,6 +1021,22 @@ class TestUsageCheckedBeforeLoading:
         code, out, err = run(capsys, *argv, *extra)
         assert (code, out) == (2, "")
         assert err == f"error: {message.format(**paths)}\n"
+
+    def test_index_directory_with_malformed_lexicon(self, tmp_path, capsys):
+        lexicon = tmp_path / "bad.tsv"
+        lexicon.write_text("C1\tumls\n")
+        directory = tmp_path / "absent"
+        code, out, err = run(
+            capsys,
+            "index",
+            "build",
+            f"--lexicon={lexicon}",
+            f"--registry={DATA / 'services.jsonl'}",
+            f"--index={directory / 'x.idx'}",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: index directory not found: {directory}\n"
+        assert not directory.exists()
 
 
 class TestEmptyRequirements:

@@ -5,6 +5,8 @@ import hashlib
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from semdisc import lexicon as lexicon_module
 from semdisc.lexicon import Concept, Lexicon, load_lexicon, normalize
@@ -45,7 +47,7 @@ class TestLaplaceModel:
     def test_single_form_probabilities(self):
         # One concept, one form, one word: 1 token, 1 distinct word, so
         # the denominator is 1 + 1 + 1 = 3; seen 2/3, unseen 1/3.
-        lex = Lexicon.from_concepts([Concept("C1", frozenset({"alignment"}))])
+        lex = Lexicon([Concept("C1", frozenset({"alignment"}))])
         assert lex.probability("alignment") == pytest.approx(2 / 3, abs=0)
         assert lex.unseen_prob == pytest.approx(1 / 3, abs=0)
 
@@ -61,15 +63,32 @@ class TestLaplaceModel:
 
     def test_empty_lexicon_rejected(self):
         with pytest.raises(ValueError):
-            Lexicon.from_concepts([])
+            Lexicon([])
 
-    def test_probability_bounds_enforced(self):
-        with pytest.raises(ValueError):
-            Lexicon(
-                concepts=[Concept("C1", frozenset({"a"}))],
-                word_prob={"a": 1.5},
-                unseen_prob=0.1,
-            )
+    # Forms of up to 60 words from a small pool, so one word can make up
+    # nearly the whole corpus.
+    _form = st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=60).map(" ".join)
+
+    @given(st.lists(st.frozensets(_form, min_size=1, max_size=3), min_size=1, max_size=6))
+    def test_every_probability_below_one(self, form_sets):
+        lex = Lexicon(Concept(f"C{i}", forms) for i, forms in enumerate(form_sets))
+        assert 0.0 < lex.unseen_prob < 1.0
+        for word in lex.vocabulary:
+            assert 0.0 < lex.probability(word) < 1.0
+        for concept in lex.concepts:
+            for form in concept.lexical_forms:
+                assert lex.form_idf(concept.id, form) > 0.0
+
+    def test_fingerprint_follows_concept_lines(self):
+        one = Concept("C1", frozenset({"alignment", "sequence alignment"}))
+        two = Concept("C2", frozenset({"tree"}))
+        fingerprint = Lexicon([one, two]).fingerprint
+        assert Lexicon([two, one]).fingerprint == fingerprint
+        assert Lexicon([one, Concept("C2", frozenset({"trees"}))]).fingerprint != fingerprint
+        assert Lexicon([one, Concept("C2", frozenset({"tree"}), "mesh")]).fingerprint != (
+            fingerprint
+        )
+        assert Lexicon([one, two], fingerprint="given").fingerprint == "given"
 
 
 class TestIdf:
@@ -138,6 +157,27 @@ class TestLoadLexicon:
         path = tmp_path / "lex.tsv"
         path.write_text("# header\n\nC1\tumls\talpha\n")
         assert len(load_lexicon(path)) == 1
+
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85", "\r"])
+    def test_only_line_feed_ends_a_line(self, tmp_path, char):
+        path = tmp_path / "lex.tsv"
+        path.write_bytes(f"C1\tumls\tone{char}two\nC2\tumls\ttree\n".encode())
+        lex = load_lexicon(path)
+        assert lex.concept("C1").lexical_forms == frozenset({f"one{char}two"})
+        assert lex.form_words("C1", f"one{char}two") == frozenset({"one", "two"})
+        path.write_bytes(f"C1\tumls\tone{char}two\nC2\tumls\n".encode())
+        with pytest.raises(ValueError, match=": line 2: expected 3 tab-separated fields"):
+            load_lexicon(path)
+
+    def test_crlf_file(self, tmp_path):
+        path = tmp_path / "lex.tsv"
+        path.write_bytes(b"# header\r\n\r\nC1\tumls\talpha\r\nC1\tumls\tbeta gamma\r\n")
+        lf = tmp_path / "lf.tsv"
+        lf.write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
+        assert load_lexicon(path).concepts == load_lexicon(lf).concepts
+        assert load_lexicon(path).concept("C1").lexical_forms == frozenset(
+            {"alpha", "beta gamma"}
+        )
 
     def test_undecodable_file_names_path(self, tmp_path):
         path = tmp_path / "lex.tsv"

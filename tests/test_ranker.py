@@ -28,7 +28,7 @@ from conftest import DATA, vector_of
 
 @pytest.fixture()
 def route_lexicon():
-    return Lexicon.from_concepts(
+    return Lexicon(
         [
             Concept("C1", frozenset({"alignment"})),
             Concept("C2", frozenset({"tree"})),

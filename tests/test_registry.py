@@ -176,6 +176,17 @@ class TestIngestRegistry:
         with pytest.raises(ValueError, match=": line 3: field 'name'"):
             ingest_registry(path)
 
+    def test_lone_carriage_return_does_not_end_a_line(self, tmp_path):
+        path = tmp_path / "reg.jsonl"
+        path.write_bytes(b'{"name": "A"}\r{"name": "B"}\n')
+        with pytest.raises(ValueError, match=": line 1: invalid JSON: Extra data"):
+            ingest_registry(path)
+
+    def test_crlf_file(self, tmp_path):
+        path = tmp_path / "reg.jsonl"
+        path.write_bytes((DATA / "services.jsonl").read_bytes().replace(b"\n", b"\r\n"))
+        assert ingest_registry(path) == ingest_registry(DATA / "services.jsonl")
+
     def test_undecodable_file_names_path(self, tmp_path):
         path = tmp_path / "reg.jsonl"
         path.write_bytes(b'{"name": "A", "description": "\xff"}\n')
@@ -708,7 +719,7 @@ class TestMalformedPayload:
 
 class TestEmptyVectorHandling:
     def test_build_with_synthetic_lexicon(self):
-        lex = Lexicon.from_concepts([Concept("C1", frozenset({"alignment"}))])
+        lex = Lexicon([Concept("C1", frozenset({"alignment"}))])
         records = [
             ServiceRecord(name="Hit", description="alignment provider"),
             ServiceRecord(name="Miss", description="unrelated"),

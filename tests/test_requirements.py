@@ -120,6 +120,23 @@ class TestParseRules:
             parse_requirements(path)
         assert str(excinfo.value).startswith(f"{path}: {detail}")
 
+    @pytest.mark.parametrize("char", ["\u2028", "\x85", "\r"])
+    def test_only_line_feed_ends_a_line(self, tmp_path, char):
+        # The character stays in the task, which the model's one-line
+        # rule rejects.
+        path = tmp_path / "r.txt"
+        path.write_bytes(f"goal: G\ntask: one{char}two\n".encode())
+        with pytest.raises(ValueError) as excinfo:
+            parse_requirements(path)
+        assert str(excinfo.value).startswith(
+            f"{path}: line 2: field 'description' must be one non-empty line"
+        )
+
+    def test_crlf_file(self, tmp_path):
+        path = tmp_path / "r.txt"
+        path.write_bytes((DATA / "requirements.txt").read_bytes().replace(b"\n", b"\r\n"))
+        assert parse_requirements(path) == parse_requirements(DATA / "requirements.txt")
+
     def test_duplicate_ids_named_together(self, tmp_path):
         path = tmp_path / "r.txt"
         path.write_text("goal: G\ntask[x]: One\ntask[x]: Two\ntask: Three\ntask[t1]: Four\n")

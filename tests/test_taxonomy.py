@@ -67,6 +67,20 @@ class TestCategoryTaxonomy:
             load_taxonomy(path)
         assert str(info.value) == f"{path}: {detail}"
 
+    @pytest.mark.parametrize("char", ["\x85", "\u2028", "\r"])
+    def test_load_only_line_feed_ends_a_line(self, tmp_path, char):
+        path = tmp_path / "tax.txt"
+        path.write_bytes(f"Protein{char}Analysis\nSequence Search\n".encode())
+        tax = load_taxonomy(path)
+        assert tax.names == (f"Protein{char}Analysis", "Sequence Search")
+        assert "protein analysis" in tax
+        assert "Protein" not in tax
+
+    def test_load_crlf_file(self, tmp_path):
+        path = tmp_path / "tax.txt"
+        path.write_bytes((DATA / "taxonomy.txt").read_bytes().replace(b"\n", b"\r\n"))
+        assert load_taxonomy(path).names == load_taxonomy(DATA / "taxonomy.txt").names
+
     def test_load_undecodable_file_names_path(self, tmp_path):
         path = tmp_path / "tax.txt"
         path.write_bytes(b"Sequence Analysis\nCaf\xe9 Search\n")
