@@ -22,23 +22,21 @@ shares a word collects that word's -log P(w), and ``math.fsum`` of the
 collected values is exactly the idf of the shared words that
 :func:`ratio` computes.  :func:`sim` and :func:`ratio` score one concept
 or form directly and serve as the reference for that pass.
+
+:class:`Annotation` is a checked tuple type (a ``typing.NamedTuple``
+subclass whose constructor checks every field), so it compares equal to
+a plain tuple of its fields; :class:`SemanticVector` is an immutable
+class with ``__slots__``, equal to another vector with equal provenance.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import AbstractSet, Iterable, Mapping
+from typing import AbstractSet, Iterable, Mapping, NamedTuple
 
 from .lexicon import Concept, Lexicon, normalize
 
 DEFAULT_THRESHOLD = 0.8
-# Exact types of the Annotation fields, so a bool is no number.
-_NUMBER = (int, float)
-_ANNOTATION_TYPES = dict(
-    concept_id=(str,), lexical_form=(str,), similarity=_NUMBER, tf=(int,),
-    idf_value=_NUMBER, matched_words=(frozenset,),
-)
 # The range of annotation weights: their squares and pairwise products
 # are normal floats.
 _MIN_WEIGHT, _MAX_WEIGHT = 2.0**-255, 2.0**255
@@ -85,8 +83,7 @@ def ratio(
     return min(1.0, max(-1.0, value))
 
 
-@dataclass(frozen=True)
-class FormMatch:
+class FormMatch(NamedTuple):
     """Winning lexical form for one concept against one text."""
 
     form: str
@@ -113,12 +110,7 @@ def sim(concept: Concept, text_words: AbstractSet[str], lexicon: Lexicon) -> For
     return FormMatch(form, ratio(words, text_words, lexicon), cw(words, text_words))
 
 
-@dataclass(frozen=True)
-class Annotation:
-    """One vector entry; its weight is tf * idf_value and lies in
-    [2**-255, 2**255].  Fields hold only values an index file holds;
-    ValueError names the field otherwise."""
-
+class _AnnotationRow(NamedTuple):
     concept_id: str
     lexical_form: str
     similarity: float
@@ -126,17 +118,43 @@ class Annotation:
     idf_value: float
     matched_words: frozenset[str]
 
-    def __post_init__(self) -> None:
-        for key, types in _ANNOTATION_TYPES.items():
-            value = getattr(self, key)
-            if type(value) not in types:
-                raise ValueError(f"field {key!r} has type {type(value).__name__}")
-        if not -1.0 <= self.similarity <= 1.0:
-            raise ValueError(f"similarity {self.similarity} outside [-1, 1]")
-        if not all(type(w) is str for w in self.matched_words):
-            raise ValueError("field 'matched_words' must be a frozenset of strings")
+
+class Annotation(_AnnotationRow):
+    """One vector entry, a checked tuple of the fields an index file holds
+    for it; its weight is tf * idf_value and lies in [2**-255, 2**255].
+    ValueError names the field a value does not fit."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        concept_id: str,
+        lexical_form: str,
+        similarity: float,
+        tf: int,
+        idf_value: float,
+        matched_words: frozenset[str],
+    ) -> Annotation:
+        # Exact types, so a bool is no number.
+        if type(concept_id) is not str:
+            raise ValueError(f"field 'concept_id' has type {type(concept_id).__name__}")
+        if type(lexical_form) is not str:
+            raise ValueError(f"field 'lexical_form' has type {type(lexical_form).__name__}")
+        if type(similarity) is not float and type(similarity) is not int:
+            raise ValueError(f"field 'similarity' has type {type(similarity).__name__}")
+        if type(tf) is not int:
+            raise ValueError(f"field 'tf' has type {type(tf).__name__}")
+        if type(idf_value) is not float and type(idf_value) is not int:
+            raise ValueError(f"field 'idf_value' has type {type(idf_value).__name__}")
+        if type(matched_words) is not frozenset:
+            raise ValueError(f"field 'matched_words' has type {type(matched_words).__name__}")
+        if not -1.0 <= similarity <= 1.0:
+            raise ValueError(f"similarity {similarity} outside [-1, 1]")
+        for word in matched_words:
+            if type(word) is not str:
+                raise ValueError("field 'matched_words' must be a frozenset of strings")
         try:
-            weight = float(self.weight)
+            weight = float(tf * idf_value)
         except OverflowError as exc:
             raise ValueError(f"field 'tf': {exc}") from None
         if not _MIN_WEIGHT <= weight <= _MAX_WEIGHT:
@@ -146,30 +164,61 @@ class Annotation:
                 else "non-finite"
             )
             raise ValueError(f"field 'tf': {kind} weight {weight} outside [2**-255, 2**255]")
+        return tuple.__new__(
+            cls, (concept_id, lexical_form, similarity, tf, idf_value, matched_words)
+        )
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> Annotation:
+        """Through the checks, as ``_replace`` is too."""
+        return cls(*iterable)
 
     @property
     def weight(self) -> float:
         return self.tf * self.idf_value
 
 
-@dataclass(frozen=True)
 class SemanticVector:
     """Sparse concept vector: one :class:`Annotation` per concept, keyed by
     its concept id.  ``weights`` maps each concept to its annotation's
     weight, tf * idf_value, which lies in [2**-255, 2**255], so no norm or
-    cosine underflows or overflows."""
+    cosine underflows or overflows.  Immutable; two vectors are equal when
+    their provenance is."""
 
-    provenance: Mapping[str, Annotation] = field(default_factory=dict)
-    weights: Mapping[str, float] = field(init=False, compare=False)
+    __slots__ = ("provenance", "weights")
+    provenance: Mapping[str, Annotation]
+    weights: Mapping[str, float]
 
-    def __post_init__(self) -> None:
-        for cid, entry in self.provenance.items():
+    def __init__(self, provenance: Mapping[str, Annotation]) -> None:
+        weights = {}
+        for cid, entry in provenance.items():
             if not isinstance(entry, Annotation):
                 raise ValueError(f"concept {cid}: {type(entry).__name__} is not an Annotation")
             if entry.concept_id != cid:
                 raise ValueError(f"concept {cid}: provenance names {entry.concept_id!r}")
-        weights = {cid: entry.weight for cid, entry in self.provenance.items()}
+            weights[cid] = entry.weight
+        object.__setattr__(self, "provenance", provenance)
         object.__setattr__(self, "weights", weights)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not SemanticVector:
+            return NotImplemented
+        return self.provenance == other.provenance
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"SemanticVector({self.provenance!r})"
+
+    def __reduce__(self) -> tuple:
+        # Copies and unpickling go through the checks.
+        return SemanticVector, (self.provenance,)
 
     def support(self) -> frozenset[str]:
         return frozenset(self.weights)

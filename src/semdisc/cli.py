@@ -38,7 +38,7 @@ from .ranker import (
     discover,
 )
 from .registry import build_index, ingest_registry, load_index, save_index
-from .requirements import parse_requirements, tasks
+from .requirements import has_line_break, parse_requirements, tasks
 from .taxonomy import (
     DEFAULT_MIN_CSCORE,
     DEFAULT_TOP_K_CATEGORIES,
@@ -115,11 +115,15 @@ def resolve_settings(args: argparse.Namespace) -> argparse.Namespace:
     """Each setting the command has a flag for, from that flag, its
     environment variable, config file entry or default, whichever comes
     first."""
+    text = getattr(args, "text", None) or ""
     try:
         # Undecodable argv bytes arrive as lone surrogates.
-        (getattr(args, "text", None) or "").encode("utf-8")
+        text.encode("utf-8")
     except UnicodeEncodeError:
         raise CliError("task text cannot be encoded as UTF-8", exit_code=2) from None
+    # Output prints the task on one line, so a break could forge rows.
+    if has_line_break(text):
+        raise CliError("task text must be one line", exit_code=2)
     config_path = getattr(args, "config", None) or os.environ.get(ENV_PREFIX + "CONFIG")
     file_values: dict = {}
     if config_path:
@@ -206,6 +210,8 @@ def cmd_index_build(args: argparse.Namespace) -> int:
     directory = Path(index_path).parent
     if not directory.is_dir():
         raise CliError(f"index directory not found: {directory}", exit_code=2)
+    if Path(index_path).is_dir():
+        raise CliError(f"index is a directory: {index_path}", exit_code=2)
     inputs = _load_inputs(settings, "lexicon", "registry")
     index = build_index(inputs["registry"], inputs["lexicon"], threshold=settings.threshold)
     save_index(index, index_path)

@@ -9,6 +9,13 @@ its lexical forms; words never seen in any form fall back to a shared
 floor probability.  Every probability is below 1, so every form carries
 information.
 
+:class:`Concept` is a checked tuple type (a ``typing.NamedTuple``
+subclass whose constructor checks its fields), so it compares equal to a
+plain tuple of its fields.  :func:`load_lexicon` and ``Lexicon(concepts)``
+build the model with one routine from ``(concept_id, source, form,
+words)`` rows, so both give the same probabilities, postings and form
+words.
+
 Instances are immutable after construction and safe to share across
 threads; the only table filled later, each form's idf, is a memo of
 values that do not depend on which thread computes them.
@@ -19,9 +26,9 @@ import hashlib
 import math
 import re
 from collections import Counter
-from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, NamedTuple
 
 _NON_WORD = re.compile(r"[\W_]+", re.UNICODE)
 
@@ -35,35 +42,35 @@ def normalize(text: str) -> list[str]:
     return _NON_WORD.sub(" ", text.lower()).split()
 
 
-@dataclass(frozen=True)
-class Concept:
-    """One ontology concept: an identifier plus its lexical forms.
-
-    ``form_words`` maps each form to its :func:`normalize` words, derived
-    on construction; every form needs at least one word.
-    """
-
+class _ConceptRow(NamedTuple):
     id: str
     lexical_forms: frozenset[str]
-    source: str = "umls"
-    form_words: Mapping[str, tuple[str, ...]] = field(
-        init=False, repr=False, compare=False
-    )
-    # Words a loader already computed for these forms, so they are not
-    # tokenized a second time.
-    _words: InitVar[Mapping[str, tuple[str, ...]] | None] = None
+    source: str
 
-    def __post_init__(self, _words: Mapping[str, tuple[str, ...]] | None) -> None:
-        if not self.id:
+
+class Concept(_ConceptRow):
+    """One ontology concept, a checked tuple: an identifier, its lexical
+    forms and its source.  The id must be non-empty, and so must the
+    forms, each of which needs at least one :func:`normalize` word."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, id: str, lexical_forms: frozenset[str], source: str = "umls"
+    ) -> Concept:
+        if not id:
             raise ValueError("concept id must be non-empty")
-        if not self.lexical_forms:
-            raise ValueError(f"concept {self.id}: at least one lexical form required")
-        if _words is None:
-            _words = {form: tuple(normalize(form)) for form in self.lexical_forms}
-        for form in self.lexical_forms:
-            if not _words.get(form):
-                raise ValueError(f"concept {self.id}: form {form!r} has no words")
-        object.__setattr__(self, "form_words", _words)
+        if not lexical_forms:
+            raise ValueError(f"concept {id}: at least one lexical form required")
+        for form in lexical_forms:
+            if not normalize(form):
+                raise ValueError(f"concept {id}: form {form!r} has no words")
+        return tuple.__new__(cls, (id, lexical_forms, source))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> Concept:
+        """Through the checks, as ``_replace`` is too."""
+        return cls(*iterable)
 
 
 class Lexicon:
@@ -79,9 +86,11 @@ class Lexicon:
 
     Each form's idf is memoised the first time :meth:`form_idf` asks for
     it, not at load time, so loading pays nothing for forms no text ever
-    touches.  A memoised value is a pure function of the form, so two
-    threads filling the same entry store equal floats and sharing an
-    instance across threads stays safe.
+    touches; :attr:`concepts` is likewise built on first use, since
+    annotation reads only the postings and form words.  A memoised value
+    is a pure function of the lexicon's rows, so two threads filling the
+    same entry store equal values and sharing an instance across threads
+    stays safe.
     """
 
     #: Splits forms and texts into words: always :func:`normalize`.
@@ -95,50 +104,83 @@ class Lexicon:
             if concept.id in by_id:
                 raise ValueError(f"duplicate concept id {concept.id!r}")
             by_id[concept.id] = concept
-        self._by_id = by_id
-        self._concepts = tuple(by_id[cid] for cid in sorted(by_id))
-        # Count every word occurrence, and post every form under each of
-        # its words; annotation is read-heavy.
-        counts: Counter[str] = Counter()
-        self._form_words: dict[tuple[str, str], frozenset[str]] = {}
-        self._postings: dict[str, list[tuple[str, str]]] = {}
-        for concept in self._concepts:
-            for form in concept.lexical_forms:
-                words = concept.form_words[form]
-                counts.update(words)
-                key = (concept.id, form)
-                distinct = self._form_words[key] = frozenset(words)
-                for word in distinct:
-                    self._postings.setdefault(word, []).append(key)
-        if not counts:
+        self._fill(
+            (concept.id, concept.source, form, tuple(normalize(form)))
+            for concept in by_id.values()
+            for form in concept.lexical_forms
+        )
+        self.fingerprint = fingerprint or self._content_fingerprint()
+
+    def _fill(self, rows: Iterable[tuple[str, str, str, tuple[str, ...]]]) -> None:
+        """Build the model from ``(concept_id, source, form, words)`` rows,
+        ``words`` being the form's :func:`normalize` words: each concept's
+        forms and source, the word counts, the postings and each form's
+        words.  A repeated (concept_id, form) row counts once; rows of one
+        concept share their source."""
+        forms: dict[str, list[str]] = {}
+        sources: dict[str, str] = {}
+        form_words: dict[tuple[str, str], tuple[str, ...]] = {}
+        postings: dict[str, list[tuple[str, str]]] = {}
+        tokens: list[str] = []
+        for concept_id, source, form, words in rows:
+            key = (concept_id, form)
+            if key in form_words:
+                continue
+            form_words[key] = words
+            tokens += words
+            for word in words:
+                keys = postings.get(word)
+                if keys is None:
+                    postings[word] = [key]
+                # A word repeated in this form was just posted under key.
+                elif keys[-1] is not key:
+                    keys.append(key)
+            if concept_id in forms:
+                forms[concept_id].append(form)
+            else:
+                forms[concept_id] = [form]
+                sources[concept_id] = source
+        if not tokens:
             raise ValueError("empty lexicon: no lexical forms to estimate from")
-        denom = sum(counts.values()) + len(counts) + 1
+        self._forms = forms
+        self._sources = sources
+        self._form_words = form_words
+        self._postings = {word: tuple(keys) for word, keys in postings.items()}
+        counts = Counter(tokens)
+        denom = len(tokens) + len(counts) + 1
         self._word_prob = {w: (c + 1) / denom for w, c in counts.items()}
         self.unseen_prob = 1.0 / denom
         self._form_idf: dict[tuple[str, str], float] = {}
-        self.fingerprint = fingerprint or self._content_fingerprint()
 
     def _content_fingerprint(self) -> str:
         """SHA-256 of the concept lines; the probabilities follow from them."""
         digest = hashlib.sha256()
-        for concept in self._concepts:
+        for concept in self.concepts:
             for form in sorted(concept.lexical_forms):
                 digest.update(f"{concept.id}\t{concept.source}\t{form}\n".encode())
         return digest.hexdigest()
 
-    @property
+    @cached_property
     def concepts(self) -> tuple[Concept, ...]:
-        """All concepts in ascending id order."""
-        return self._concepts
+        """All concepts in ascending id order, built on first use."""
+        # Every row had an id and a form with words, all Concept checks.
+        return tuple(
+            tuple.__new__(Concept, (cid, frozenset(self._forms[cid]), self._sources[cid]))
+            for cid in sorted(self._forms)
+        )
+
+    @cached_property
+    def _by_id(self) -> dict[str, Concept]:
+        return {concept.id: concept for concept in self.concepts}
 
     def concept(self, concept_id: str) -> Concept:
         return self._by_id[concept_id]
 
     def __len__(self) -> int:
-        return len(self._concepts)
+        return len(self._forms)
 
     def __contains__(self, concept_id: str) -> bool:
-        return concept_id in self._by_id
+        return concept_id in self._forms
 
     @property
     def vocabulary(self) -> frozenset[str]:
@@ -157,8 +199,8 @@ class Lexicon:
         return math.fsum(-math.log(self.probability(w)) for w in words)
 
     def form_words(self, concept_id: str, form: str) -> frozenset[str]:
-        """Distinct normalized words of one lexical form (precomputed)."""
-        return self._form_words[concept_id, form]
+        """Distinct normalized words of one lexical form."""
+        return frozenset(self._form_words[concept_id, form])
 
     def form_idf(self, concept_id: str, form: str) -> float:
         """idf of one lexical form's distinct words, memoised; always > 0,
@@ -166,11 +208,11 @@ class Lexicon:
         key = (concept_id, form)
         value = self._form_idf.get(key)
         if value is None:
-            value = self._form_idf[key] = self.idf(self._form_words[key])
+            value = self._form_idf[key] = self.idf(self.form_words(concept_id, form))
         return value
 
-    def forms_with_word(self, word: str) -> Sequence[tuple[str, str]]:
-        """``(concept_id, form)`` of every form having ``word``; do not mutate."""
+    def forms_with_word(self, word: str) -> tuple[tuple[str, str], ...]:
+        """``(concept_id, form)`` of every form having ``word``."""
         return self._postings.get(word, ())
 
     def concepts_with_word(self, word: str) -> frozenset[str]:
@@ -194,7 +236,7 @@ def load_lexicon(path: str | Path) -> Lexicon:
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not valid UTF-8: {exc}") from exc
     sources: dict[str, str] = {}
-    forms: dict[str, dict[str, tuple[str, ...]]] = {}
+    rows = []
     for lineno, line in enumerate(content.split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -205,23 +247,23 @@ def load_lexicon(path: str | Path) -> Lexicon:
                 f"{path}: line {lineno}: expected 3 tab-separated fields, "
                 f"got {len(fields)}"
             )
-        concept_id, source, form = (f.strip() for f in fields)
+        concept_id, source, form = fields
+        concept_id, source, form = concept_id.strip(), source.strip(), form.strip()
         if not concept_id or not source or not form:
             raise ValueError(f"{path}: line {lineno}: empty field")
         words = tuple(normalize(form))
         if not words:
             raise ValueError(f"{path}: line {lineno}: form {form!r} has no words")
-        if concept_id in sources and sources[concept_id] != source:
+        known = sources.setdefault(concept_id, source)
+        if known != source:
             raise ValueError(
                 f"{path}: line {lineno}: concept {concept_id} already declared "
-                f"with source {sources[concept_id]!r}, got {source!r}"
+                f"with source {known!r}, got {source!r}"
             )
-        sources[concept_id] = source
-        forms.setdefault(concept_id, {})[form] = words
-    if not forms:
+        rows.append((concept_id, source, form, words))
+    if not rows:
         raise ValueError(f"{path}: empty lexicon")
-    concepts = [
-        Concept(cid, frozenset(forms[cid]), sources[cid], forms[cid])
-        for cid in sorted(forms)
-    ]
-    return Lexicon(concepts, fingerprint=hashlib.sha256(raw).hexdigest())
+    lexicon = Lexicon.__new__(Lexicon)
+    lexicon._fill(rows)
+    lexicon.fingerprint = hashlib.sha256(raw).hexdigest()
+    return lexicon

@@ -2,8 +2,8 @@
 
 Registry dumps are JSON-lines files: one JSON object per line, where
 only a line feed (U+000A) ends a line, with the fields ``name``,
-``description``, ``documentation``, ``tags`` and ``categories``.  Absent fields stay absent (None) and are distinguished
-from empty strings.
+``description``, ``documentation``, ``tags`` and ``categories``.  Absent
+fields stay absent (None) and are distinguished from empty strings.
 
 An index annotates every service once and keeps the resulting vectors
 with two posting tables (concept -> services, category -> services) so
@@ -24,9 +24,13 @@ posting tables from the services, so neither weights nor postings are
 stored, and neither can disagree with the annotations.  Files of any
 other version are rejected with a message to rebuild the index.
 
-The constructors of :class:`ServiceRecord`, :class:`ServiceIndex` and
-:class:`~semdisc.annotator.Annotation` admit only values the format
-holds, so every index the library builds loads back equal.  The loader
+:class:`ServiceRecord` and :class:`AnnotatedService`, like
+:class:`~semdisc.annotator.Annotation`, are checked tuple types
+(``typing.NamedTuple`` subclasses), so a value compares equal to a plain
+tuple of its fields.  The constructors of :class:`ServiceRecord`,
+:class:`ServiceIndex` and :class:`~semdisc.annotator.Annotation` admit
+only values the format holds, so every index the library builds loads
+back equal.  The loader hands each row's items straight to them and
 checks only that each row is a JSON list of the right length and that
 each array it converts to a tuple or frozenset is a list.
 
@@ -41,11 +45,11 @@ import hashlib
 import json
 import logging
 import os
-from dataclasses import dataclass, field
+from collections import defaultdict
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .annotator import _NUMBER, DEFAULT_THRESHOLD, Annotation, SemanticVector, annotate
+from .annotator import DEFAULT_THRESHOLD, Annotation, SemanticVector, annotate
 from .lexicon import Lexicon
 from .strsim import normalize_string
 
@@ -55,40 +59,73 @@ MAGIC = b"SDIX"
 FORMAT_VERSION = 4
 
 
-@dataclass(frozen=True)
-class ServiceRecord:
-    """One registry entry as ingested, field presence preserved.  Fields
-    hold strings (description and documentation may be None) or tuples of
-    strings, all encodable as UTF-8; ValueError names the field otherwise."""
-
+class _ServiceRow(NamedTuple):
     name: str
-    description: str | None = None
-    documentation: str | None = None
-    tags: tuple[str, ...] = ()
-    categories: tuple[str, ...] = ()
+    description: str | None
+    documentation: str | None
+    tags: tuple[str, ...]
+    categories: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.name, str):
+
+class ServiceRecord(_ServiceRow):
+    """One registry entry as ingested, field presence preserved: a checked
+    tuple whose fields hold strings (description and documentation may be
+    None) or tuples of strings, all encodable as UTF-8; ValueError names
+    the field otherwise."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        name: str,
+        description: str | None = None,
+        documentation: str | None = None,
+        tags: tuple[str, ...] = (),
+        categories: tuple[str, ...] = (),
+    ) -> ServiceRecord:
+        if not isinstance(name, str):
             raise ValueError("field 'name' must be a string")
-        for key in ("description", "documentation"):
-            if not isinstance(getattr(self, key), (str, type(None))):
-                raise ValueError(f"field {key!r} must be a string")
-        for key in ("tags", "categories"):
-            value = getattr(self, key)
-            if not isinstance(value, tuple) or not all(isinstance(t, str) for t in value):
-                raise ValueError(f"field {key!r} must be a tuple of strings")
-        # JSON escapes can spell lone surrogates, which no output can encode.
-        for key in ("name", "description", "documentation", "tags", "categories"):
-            value = getattr(self, key) or ()
-            for text in (value,) if isinstance(value, str) else value:
-                try:
-                    text.encode("utf-8")
-                except UnicodeEncodeError as exc:
-                    raise ValueError(
-                        f"field {key!r} cannot be encoded as UTF-8: {exc.reason}"
-                    ) from None
-        if not self.name.strip():
+        if description is not None and not isinstance(description, str):
+            raise ValueError("field 'description' must be a string")
+        if documentation is not None and not isinstance(documentation, str):
+            raise ValueError("field 'documentation' must be a string")
+        if not isinstance(tags, tuple):
+            raise ValueError("field 'tags' must be a tuple of strings")
+        for tag in tags:
+            if not isinstance(tag, str):
+                raise ValueError("field 'tags' must be a tuple of strings")
+        if not isinstance(categories, tuple):
+            raise ValueError("field 'categories' must be a tuple of strings")
+        for category in categories:
+            if not isinstance(category, str):
+                raise ValueError("field 'categories' must be a tuple of strings")
+        # JSON escapes can spell lone surrogates, which no output can
+        # encode; ``key`` names the field being encoded.
+        try:
+            key = "name"
+            name.encode("utf-8")
+            key = "description"
+            if description is not None:
+                description.encode("utf-8")
+            key = "documentation"
+            if documentation is not None:
+                documentation.encode("utf-8")
+            key = "tags"
+            for tag in tags:
+                tag.encode("utf-8")
+            key = "categories"
+            for category in categories:
+                category.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"field {key!r} cannot be encoded as UTF-8: {exc.reason}") from None
+        if not name.strip():
             raise ValueError("service name must be non-empty")
+        return tuple.__new__(cls, (name, description, documentation, tags, categories))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> ServiceRecord:
+        """Through the checks, as ``_replace`` is too."""
+        return cls(*iterable)
 
 
 def annotation_text(record: ServiceRecord) -> str:
@@ -167,8 +204,7 @@ def _duplicate_names(records: Iterable[ServiceRecord]) -> list[str]:
     return duplicates
 
 
-@dataclass(frozen=True)
-class AnnotatedService:
+class AnnotatedService(NamedTuple):
     """A service record plus its semantic vector."""
 
     record: ServiceRecord
@@ -182,7 +218,6 @@ class AnnotatedService:
         return tuple(normalize_string(c) for c in self.record.categories)
 
 
-@dataclass(frozen=True)
 class ServiceIndex:
     """Annotated services in canonical (name) order plus posting tables.
 
@@ -192,50 +227,84 @@ class ServiceIndex:
     holds each service vector's ``norm()`` at the same position, so
     ranking never recomputes a service norm per query.  All three are
     derived from the services on construction and never stored in the
-    index file.
+    index file.  Immutable; two indexes are equal when their services,
+    fingerprint and threshold are.
     """
 
+    __slots__ = (
+        "services", "lexicon_fingerprint", "threshold",
+        "concept_postings", "category_postings", "norms",
+    )
     services: tuple[AnnotatedService, ...]
     lexicon_fingerprint: str
-    threshold: float = DEFAULT_THRESHOLD
-    concept_postings: Mapping[str, frozenset[int]] = field(init=False)
-    category_postings: Mapping[str, frozenset[int]] = field(init=False)
-    norms: tuple[float, ...] = field(init=False)
+    threshold: float
+    concept_postings: Mapping[str, frozenset[int]]
+    category_postings: Mapping[str, frozenset[int]]
+    norms: tuple[float, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        services: tuple[AnnotatedService, ...],
+        lexicon_fingerprint: str,
+        threshold: float = DEFAULT_THRESHOLD,
+    ) -> None:
         # Only values the file format holds, so every index loads back.
-        if not isinstance(self.services, tuple) or not all(
-            isinstance(s, AnnotatedService) for s in self.services
+        if not isinstance(services, tuple) or not all(
+            isinstance(s, AnnotatedService) for s in services
         ):
             raise ValueError("services must be a tuple of AnnotatedService")
-        if not isinstance(self.lexicon_fingerprint, str):
+        if not isinstance(lexicon_fingerprint, str):
             raise ValueError("lexicon_fingerprint must be a string")
-        if type(self.threshold) not in _NUMBER or not -1.0 <= self.threshold <= 1.0:
-            raise ValueError(f"threshold {self.threshold!r} outside [-1, 1]")
-        concept_postings: dict[str, set[int]] = {}
-        category_postings: dict[str, set[int]] = {}
+        if type(threshold) not in (int, float) or not -1.0 <= threshold <= 1.0:
+            raise ValueError(f"threshold {threshold!r} outside [-1, 1]")
+        concept_postings: defaultdict[str, list[int]] = defaultdict(list)
+        category_postings: defaultdict[str, list[int]] = defaultdict(list)
         norms: list[float] = []
         # Services share a few category names; normalize each name once.
         normalized: dict[str, str] = {}
-        for pos, service in enumerate(self.services):
+        for pos, service in enumerate(services):
             norms.append(service.vector.norm())
             for concept in service.vector.weights:
-                concept_postings.setdefault(concept, set()).add(pos)
+                concept_postings[concept].append(pos)
             for category in service.record.categories:
                 if category not in normalized:
                     normalized[category] = normalize_string(category)
-                category_postings.setdefault(normalized[category], set()).add(pos)
-        object.__setattr__(
-            self,
-            "concept_postings",
-            {c: frozenset(p) for c, p in concept_postings.items()},
+                category_postings[normalized[category]].append(pos)
+        fields = {
+            "services": services,
+            "lexicon_fingerprint": lexicon_fingerprint,
+            "threshold": threshold,
+            "concept_postings": {c: frozenset(p) for c, p in concept_postings.items()},
+            "category_postings": {c: frozenset(p) for c, p in category_postings.items()},
+            "norms": tuple(norms),
+        }
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not ServiceIndex:
+            return NotImplemented
+        return (self.services, self.lexicon_fingerprint, self.threshold) == (
+            other.services, other.lexicon_fingerprint, other.threshold
         )
-        object.__setattr__(
-            self,
-            "category_postings",
-            {c: frozenset(p) for c, p in category_postings.items()},
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"ServiceIndex(<{len(self.services)} services>, "
+            f"lexicon_fingerprint={self.lexicon_fingerprint!r}, threshold={self.threshold!r})"
         )
-        object.__setattr__(self, "norms", tuple(norms))
+
+    def __reduce__(self) -> tuple:
+        # Copies and unpickling go through the checks.
+        return ServiceIndex, (self.services, self.lexicon_fingerprint, self.threshold)
 
     def __len__(self) -> int:
         return len(self.services)
@@ -268,17 +337,15 @@ def build_index(
 
 
 def _index_payload(index: ServiceIndex) -> bytes:
+    # Records and annotations are tuples of their row's items, in row
+    # order; annotations sort by concept id, which is unique in a vector.
     services = []
     for service in index.services:
-        record = service.record
         provenance = [
-            [c, a.lexical_form, a.similarity, a.tf, a.idf_value, sorted(a.matched_words)]
-            for c, a in sorted(service.vector.provenance.items())
+            [*annotation[:5], sorted(annotation.matched_words)]
+            for annotation in sorted(service.vector.provenance.values())
         ]
-        tags, categories = list(record.tags), list(record.categories)
-        services.append(
-            [record.name, record.description, record.documentation, tags, categories, provenance]
-        )
+        services.append([*service.record, provenance])
     payload = [index.lexicon_fingerprint, index.threshold, services]
     return json.dumps(payload, separators=(",", ":"), allow_nan=False).encode("utf-8")
 
@@ -365,18 +432,22 @@ def _services(rows: object) -> Iterator[AnnotatedService]:
 
 def _service(row: object) -> AnnotatedService:
     name, description, documentation, tags, categories, provenance = _row(row, 6)
-    annotations = {}
+    annotations: dict[str, Annotation] = {}
+    last = None
     for pos, entry in enumerate(_row(provenance)):
         try:
             cid, form, similarity, tf, idf_value, matched = _row(entry, 6)
-            # TypeError when a JSON list or object is among the words.
-            words = frozenset(_row(matched))
+            try:
+                words = frozenset(_row(matched))
+            except TypeError as exc:  # a JSON list or object among the words
+                raise ValueError(str(exc)) from None
             annotation = Annotation(cid, form, similarity, tf, idf_value, words)
-            if annotations and cid <= (last := next(reversed(annotations))):
+            if last is not None and cid <= last:
                 raise ValueError(f"concept {cid!r} after {last!r}: rows must ascend by concept")
-            annotations[cid] = annotation
-        except (ValueError, TypeError) as exc:
+        except ValueError as exc:
             raise ValueError(f"provenance {pos}: {exc}") from None
+        annotations[cid] = annotation
+        last = cid
     record = ServiceRecord(
         name, description, documentation, tuple(_row(tags)), tuple(_row(categories))
     )

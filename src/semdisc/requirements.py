@@ -33,13 +33,18 @@ log = logging.getLogger(__name__)
 _LINE = re.compile(r"^(goal|subgoal|task)(?:\[(?P<id>[^\]]+)\])?\s*:\s*(?P<text>.*)$")
 
 
+def has_line_break(text: str) -> bool:
+    """Whether ``text`` holds a line boundary by ``str.splitlines``."""
+    return text.splitlines() not in ([], [text])
+
+
 def _check_line(value: object, field: str) -> None:
     """ValueError naming ``field`` unless ``value`` is one non-empty line
     by ``str.splitlines``, without surrounding whitespace, that UTF-8 can
     encode."""
     if not isinstance(value, str):
         raise ValueError(f"field {field!r} must be a string")
-    if value.splitlines() != [value] or value.strip() != value:
+    if not value or has_line_break(value) or value.strip() != value:
         raise ValueError(
             f"field {field!r} must be one non-empty line without surrounding "
             f"whitespace, got {value!r}"

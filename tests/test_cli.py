@@ -922,6 +922,21 @@ class TestSettingRanges:
         assert (code, out) == (2, "")
         assert err == "error: task text cannot be encoded as UTF-8\n"
 
+    @pytest.mark.parametrize("command", ["annotate", "discover"])
+    @pytest.mark.parametrize(
+        "text",
+        [f"{TASK}\nFAKE\t1\t2\t3\t4", f"{TASK}\n", f"{TASK}\r", f"{TASK}\u2028x"],
+        ids=["forged_row", "trailing_line_feed", "carriage_return", "line_separator"],
+    )
+    def test_task_text_with_line_break(self, tmp_path, capsys, command, text):
+        # Table output prints the task on one line, so a break could
+        # forge result rows under it.
+        argv = self.argv(command, tmp_path)
+        argv[1] = text
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: task text must be one line\n"
+
     @pytest.mark.parametrize(
         "name, value", [("threshold", "-1"), ("min_cscore", "1"), ("top_k", "1")]
     )
@@ -1037,6 +1052,25 @@ class TestUsageCheckedBeforeLoading:
         assert (code, out) == (2, "")
         assert err == f"error: index directory not found: {directory}\n"
         assert not directory.exists()
+
+
+    def test_index_that_is_a_directory_with_malformed_lexicon(self, tmp_path, capsys):
+        lexicon = tmp_path / "bad.tsv"
+        lexicon.write_text("C1\tumls\n")
+        directory = tmp_path / "existing"
+        directory.mkdir()
+        code, out, err = run(
+            capsys,
+            "index",
+            "build",
+            f"--lexicon={lexicon}",
+            f"--registry={DATA / 'services.jsonl'}",
+            f"--index={directory}",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: index is a directory: {directory}\n"
+        assert list(directory.iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.tsv", "existing"]
 
 
 class TestEmptyRequirements:

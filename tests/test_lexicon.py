@@ -209,17 +209,70 @@ class TestLoadLexicon:
         )
         lex = load_lexicon(path)
         assert len(split) == 4
-        assert lex.concept("C1").form_words == {
-            "alpha": ("alpha",),
-            "Beta gamma": ("beta", "gamma"),
+        forms = lex.concept("C1").lexical_forms
+        assert {form: lex.form_words("C1", form) for form in forms} == {
+            "alpha": frozenset({"alpha"}),
+            "Beta gamma": frozenset({"beta", "gamma"}),
         }
         # 4 occurrences of gamma among 7 words over a vocabulary of 4.
         assert lex.probability("gamma") == 5 / 12
-        assert lex.forms_with_word("gamma") == [
+        assert lex.forms_with_word("gamma") == (
             ("C1", "Beta gamma"),
             ("C2", "gamma"),
             ("C3", "gamma-gamma delta"),
+        )
+
+
+def _assert_same_model(loaded: Lexicon, built: Lexicon) -> None:
+    """Everything but the fingerprint, which differs by design."""
+    assert loaded.concepts == built.concepts
+    assert loaded.vocabulary == built.vocabulary
+    assert loaded.unseen_prob == built.unseen_prob
+    for word in [*loaded.vocabulary, "unseenword"]:
+        assert loaded.probability(word) == built.probability(word)
+        assert set(loaded.forms_with_word(word)) == set(built.forms_with_word(word))
+    for concept in loaded.concepts:
+        for form in concept.lexical_forms:
+            key = (concept.id, form)
+            assert loaded.form_words(*key) == built.form_words(*key)
+            assert loaded.form_idf(*key) == built.form_idf(*key)
+
+
+class TestEntryPointsAgree:
+    """``load_lexicon`` and ``Lexicon(concepts)`` build one model."""
+
+    def test_demo_lexicon(self, demo_lexicon):
+        _assert_same_model(demo_lexicon, Lexicon(demo_lexicon.concepts))
+
+    # Forms with case, punctuation and repeated words; lines of one
+    # concept may repeat or come apart.
+    _form = st.lists(
+        st.sampled_from(["Alpha", "beta", "beta", "gamma-ray", "x_1", "Δέλτα"]),
+        min_size=1,
+        max_size=4,
+    ).map(" ".join)
+
+    @given(
+        concepts=st.dictionaries(
+            st.sampled_from(["C1", "C2", "C3", "D4"]),
+            st.tuples(st.sampled_from(["umls", "mesh"]), st.frozensets(_form, min_size=1)),
+            min_size=1,
+        ),
+        data=st.data(),
+    )
+    def test_drawn_lexicons(self, tmp_path_factory, concepts, data):
+        lines = [
+            f"{cid}\t{source}\t{form}\n"
+            for cid, (source, forms) in concepts.items()
+            for form in forms
         ]
+        lines = data.draw(st.permutations(lines + data.draw(st.lists(st.sampled_from(lines)))))
+        path = tmp_path_factory.getbasetemp() / "drawn.tsv"
+        path.write_text("".join(lines), encoding="utf-8")
+        built = Lexicon(
+            Concept(cid, forms, source) for cid, (source, forms) in concepts.items()
+        )
+        _assert_same_model(load_lexicon(path), built)
 
 
 class TestDemoLexicon:

@@ -2,16 +2,19 @@
 from __future__ import annotations
 
 import contextlib
+import copy
 import errno
 import hashlib
+import io
 import json
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semdisc import registry
+from semdisc import cli, registry
 from semdisc.annotator import DEFAULT_THRESHOLD, Annotation, SemanticVector
 from semdisc.lexicon import Concept, Lexicon
 from semdisc.registry import (
@@ -715,6 +718,105 @@ class TestMalformedPayload:
     def test_unchanged_payload_still_loads(self, index_path, demo_index):
         rewrite_index_payload(index_path, lambda payload: payload)
         assert load_index(index_path) == demo_index
+
+
+class TestValueTypes:
+    """Records, annotations and concepts are checked tuple types."""
+
+    def test_replace_and_make_run_the_checks(self):
+        with pytest.raises(ValueError, match="non-positive weight"):
+            Annotation(**_VALID_ANNOTATION)._replace(tf=0)
+        with pytest.raises(ValueError, match="service name must be non-empty"):
+            ServiceRecord._make([" "])
+        with pytest.raises(ValueError, match="at least one lexical form required"):
+            Concept("C1", frozenset({"x"}))._replace(lexical_forms=frozenset())
+
+    def test_equal_to_a_plain_tuple_of_fields(self):
+        assert ServiceRecord("A") == ("A", None, None, (), ())
+        assert Annotation(**_VALID_ANNOTATION) == tuple(_VALID_ANNOTATION.values())
+
+    def test_copies_and_pickles_equal_the_original(self, demo_index):
+        service = demo_index.services[0]
+        for value in (demo_index, service, service.vector):
+            assert copy.deepcopy(value) == value
+            assert pickle.loads(pickle.dumps(value)) == value
+
+
+# JSON values of every kind a payload item can hold.
+_JSON_KINDS = {
+    "string": st.text(max_size=8),
+    "int": st.integers(),
+    "float": st.floats(),
+    "bool": st.booleans(),
+    "null": st.none(),
+    "list": st.lists(st.text(max_size=4), max_size=3),
+    "object": st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
+    "list of lists": st.lists(st.lists(st.text(max_size=4), max_size=2), min_size=1, max_size=2),
+}
+
+
+def _read_rows(rows: list) -> tuple[AnnotatedService, ...]:
+    """The services the constructors make of well-formed service rows."""
+    return tuple(
+        AnnotatedService(
+            ServiceRecord(name, description, documentation, tuple(tags), tuple(categories)),
+            SemanticVector(
+                {row[0]: Annotation(*row[:5], frozenset(row[5])) for row in provenance}
+            ),
+        )
+        for name, description, documentation, tags, categories, provenance in rows
+    )
+
+
+class TestMutatedPayload:
+    """Checksum-valid payloads with one service or provenance row changed:
+    one item replaced by a JSON value of another type, or the row made
+    one item short or long."""
+
+    @pytest.mark.parametrize("change", ["short", "long", *_JSON_KINDS])
+    @pytest.mark.parametrize("pos", range(6))
+    @pytest.mark.parametrize("row_kind", ["service", "provenance"])
+    @settings(max_examples=3, deadline=None)
+    @given(data=st.data())
+    def test_loads_as_read_or_names_the_file(
+        self, tmp_path_factory, demo_index, row_kind, pos, change, data
+    ):
+        payload = json.loads(_index_payload(demo_index))
+        row = payload[_SERVICES][data.draw(st.integers(0, len(demo_index) - 1))]
+        if row_kind == "provenance":
+            row = row[_PROVENANCE][data.draw(st.integers(0, len(row[_PROVENANCE]) - 1))]
+        if change == "short":
+            del row[pos]
+        elif change == "long":
+            row.insert(pos, data.draw(st.one_of(*_JSON_KINDS.values())))
+        else:
+            row[pos] = data.draw(_JSON_KINDS[change])
+        path = tmp_path_factory.getbasetemp() / "mutated.idx"
+        write_index_body(path, MAGIC + FORMAT_VERSION.to_bytes(4, "big") + json.dumps(
+            payload, separators=(",", ":")
+        ).encode())
+        try:
+            loaded = load_index(path)
+        except ValueError as exc:
+            loaded = None
+            assert str(exc).startswith(f"{path}: malformed index payload: ")
+        else:
+            assert loaded.services == _read_rows(payload[_SERVICES])
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main([
+                "discover",
+                "Analyze domains in protein sequences",
+                f"--lexicon={DATA / 'mini_lexicon.tsv'}",
+                f"--taxonomy={DATA / 'taxonomy.txt'}",
+                f"--index={path}",
+            ])
+        assert "Traceback" not in stderr.getvalue()
+        if loaded is None:
+            assert code == 1
+            assert stderr.getvalue().startswith(f"error: {path}: malformed index payload: ")
+        else:
+            assert code == 0
 
 
 class TestEmptyVectorHandling:
