@@ -182,14 +182,16 @@ class SemanticVector:
     """Sparse concept vector: one :class:`Annotation` per concept, keyed by
     its concept id.  ``weights`` maps each concept to its annotation's
     weight, tf * idf_value, which lies in [2**-255, 2**255], so no norm or
-    cosine underflows or overflows.  Immutable; two vectors are equal when
-    their provenance is."""
+    cosine underflows or overflows.  Immutable: a vector keeps its own copy
+    of the mapping it is given.  Two vectors are equal when their
+    provenance is."""
 
     __slots__ = ("provenance", "weights")
     provenance: Mapping[str, Annotation]
     weights: Mapping[str, float]
 
     def __init__(self, provenance: Mapping[str, Annotation]) -> None:
+        provenance = dict(provenance)
         weights = {}
         for cid, entry in provenance.items():
             if not isinstance(entry, Annotation):

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 from .annotator import DEFAULT_THRESHOLD, SemanticVector, annotate
-from .lexicon import load_lexicon
+from .lexicon import has_line_break, load_lexicon
 from .ranker import (
     DEFAULT_TOP_K,
     DEFAULT_W1,
@@ -38,7 +38,7 @@ from .ranker import (
     discover,
 )
 from .registry import build_index, ingest_registry, load_index, save_index
-from .requirements import has_line_break, parse_requirements, tasks
+from .requirements import parse_requirements, tasks
 from .taxonomy import (
     DEFAULT_MIN_CSCORE,
     DEFAULT_TOP_K_CATEGORIES,

@@ -19,6 +19,9 @@ words.
 Instances are immutable after construction and safe to share across
 threads; the only table filled later, each form's idf, is a memo of
 values that do not depend on which thread computes them.
+
+:func:`record_lines`, :func:`check_text`, :func:`check_texts` and
+:func:`has_line_break` own the package's text-input rules.
 """
 from __future__ import annotations
 
@@ -28,9 +31,53 @@ import re
 from collections import Counter
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 _NON_WORD = re.compile(r"[\W_]+", re.UNICODE)
+
+
+def record_lines(path: Path, raw: bytes, *, comments: bool = True) -> Iterator[tuple[int, str]]:
+    """``(line number, line)`` for each non-blank line of file ``path``'s
+    bytes ``raw``, UTF-8 (else ValueError) where only a line feed ends a line;
+    lines starting with ``#`` are skipped too unless ``comments`` is false."""
+    try:
+        content = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not valid UTF-8: {exc}") from exc
+    for lineno, line in enumerate(content.split("\n"), start=1):
+        stripped = line.strip()
+        if stripped and not (comments and stripped[0] == "#"):
+            yield lineno, line
+
+
+def has_line_break(text: str) -> bool:
+    """Whether ``text`` holds a line boundary by ``str.splitlines``."""
+    return text.splitlines() not in ([], [text])
+
+
+def check_text(value: object, field: str) -> None:
+    """ValueError naming ``field`` unless ``value`` is a string that UTF-8
+    can encode (JSON escapes can spell lone surrogates, which it cannot)."""
+    if not isinstance(value, str):
+        raise ValueError(f"field {field!r} must be a string")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"field {field!r} cannot be encoded as UTF-8: {exc.reason}") from None
+
+
+def check_texts(values: object, field: str) -> None:
+    """ValueError naming ``field`` unless ``values`` is a tuple of such strings."""
+    if not isinstance(values, tuple):
+        raise ValueError(f"field {field!r} must be a tuple of strings")
+    # A plain loop: a generator here costs ServiceRecord 2-3x its time.
+    for value in values:
+        if not isinstance(value, str):
+            raise ValueError(f"field {field!r} must be a tuple of strings")
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"field {field!r} cannot be encoded as UTF-8: {exc.reason}") from None
 
 
 def normalize(text: str) -> list[str]:
@@ -223,24 +270,17 @@ class Lexicon:
 def load_lexicon(path: str | Path) -> Lexicon:
     """Load a tab-separated lexicon file.
 
-    Each record line is ``concept_id<TAB>source<TAB>lexical form``, and
-    only a line feed (U+000A) ends a line; lines starting with ``#`` and
-    blank lines are skipped.  Repeated concept_id lines accumulate lexical
-    forms; the same id under two different sources is rejected.  The
-    lexicon fingerprint is the SHA-256 of the file bytes.
+    Each record line (see :func:`record_lines`) is
+    ``concept_id<TAB>source<TAB>lexical form``.  Repeated concept_id
+    lines accumulate lexical forms; the same id under two different
+    sources is rejected.  The lexicon fingerprint is the SHA-256 of the
+    file bytes.
     """
     path = Path(path)
     raw = path.read_bytes()
-    try:
-        content = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not valid UTF-8: {exc}") from exc
     sources: dict[str, str] = {}
     rows = []
-    for lineno, line in enumerate(content.split("\n"), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, line in record_lines(path, raw):
         fields = line.split("\t")
         if len(fields) != 3:
             raise ValueError(

@@ -1,7 +1,8 @@
 """Service registry ingestion and the annotated service index.
 
-Registry dumps are JSON-lines files: one JSON object per line, where
-only a line feed (U+000A) ends a line, with the fields ``name``,
+Registry dumps are JSON-lines files: one JSON object per line, read by
+the shared rules of :func:`semdisc.lexicon.record_lines` except that a
+``#`` line is not skipped (it is not JSON), with the fields ``name``,
 ``description``, ``documentation``, ``tags`` and ``categories``.  Absent
 fields stay absent (None) and are distinguished from empty strings.
 
@@ -50,7 +51,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .annotator import DEFAULT_THRESHOLD, Annotation, SemanticVector, annotate
-from .lexicon import Lexicon
+from .lexicon import Lexicon, check_text, check_texts, has_line_break, record_lines
 from .strsim import normalize_string
 
 log = logging.getLogger(__name__)
@@ -70,8 +71,8 @@ class _ServiceRow(NamedTuple):
 class ServiceRecord(_ServiceRow):
     """One registry entry as ingested, field presence preserved: a checked
     tuple whose fields hold strings (description and documentation may be
-    None) or tuples of strings, all encodable as UTF-8; ValueError names
-    the field otherwise."""
+    None) or tuples of strings, all encodable as UTF-8, and whose name is
+    one non-empty line without a tab; ValueError names the field otherwise."""
 
     __slots__ = ()
 
@@ -83,43 +84,19 @@ class ServiceRecord(_ServiceRow):
         tags: tuple[str, ...] = (),
         categories: tuple[str, ...] = (),
     ) -> ServiceRecord:
-        if not isinstance(name, str):
-            raise ValueError("field 'name' must be a string")
-        if description is not None and not isinstance(description, str):
-            raise ValueError("field 'description' must be a string")
-        if documentation is not None and not isinstance(documentation, str):
-            raise ValueError("field 'documentation' must be a string")
-        if not isinstance(tags, tuple):
-            raise ValueError("field 'tags' must be a tuple of strings")
-        for tag in tags:
-            if not isinstance(tag, str):
-                raise ValueError("field 'tags' must be a tuple of strings")
-        if not isinstance(categories, tuple):
-            raise ValueError("field 'categories' must be a tuple of strings")
-        for category in categories:
-            if not isinstance(category, str):
-                raise ValueError("field 'categories' must be a tuple of strings")
-        # JSON escapes can spell lone surrogates, which no output can
-        # encode; ``key`` names the field being encoded.
-        try:
-            key = "name"
-            name.encode("utf-8")
-            key = "description"
-            if description is not None:
-                description.encode("utf-8")
-            key = "documentation"
-            if documentation is not None:
-                documentation.encode("utf-8")
-            key = "tags"
-            for tag in tags:
-                tag.encode("utf-8")
-            key = "categories"
-            for category in categories:
-                category.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise ValueError(f"field {key!r} cannot be encoded as UTF-8: {exc.reason}") from None
+        check_text(name, "name")
+        if description is not None:
+            check_text(description, "description")
+        if documentation is not None:
+            check_text(documentation, "documentation")
+        check_texts(tags, "tags")
+        check_texts(categories, "categories")
         if not name.strip():
             raise ValueError("service name must be non-empty")
+        # Output prints a name as one field of one row, so it could forge
+        # rows; a tab and every line break are unprintable.
+        if not name.isprintable() and ("\t" in name or has_line_break(name)):
+            raise ValueError("field 'name' must be one line without a tab")
         return tuple.__new__(cls, (name, description, documentation, tags, categories))
 
     @classmethod
@@ -151,14 +128,8 @@ def ingest_registry(path: str | Path) -> list[ServiceRecord]:
     documentation are accepted but logged.
     """
     path = Path(path)
-    try:
-        content = path.read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not valid UTF-8: {exc}") from exc
     records: list[ServiceRecord] = []
-    for lineno, line in enumerate(content.split("\n"), start=1):
-        if not line.strip():
-            continue
+    for lineno, line in record_lines(path, path.read_bytes(), comments=False):
         try:
             obj = json.loads(line)
         except (ValueError, RecursionError) as exc:

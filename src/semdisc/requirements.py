@@ -12,8 +12,8 @@ The outline format is line-oriented::
 ``task:`` attaches to the innermost open scope, so a task written after
 a subgoal belongs to it: indentation is cosmetic.  Tasks may carry an
 explicit id in brackets; tasks without one are numbered t1, t2, ... in
-file order.  Only a line feed (U+000A) ends a line; ``#`` lines and
-blanks are skipped.
+file order.  Lines are read by the shared rules of
+:func:`semdisc.lexicon.record_lines`.
 
 The model holds only what this format writes, and its constructors
 check it: names, ids and descriptions are non-empty single lines without
@@ -22,37 +22,26 @@ are unique in a model, and a goal's direct tasks come before its subgoals.
 """
 from __future__ import annotations
 
-import logging
 import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-log = logging.getLogger(__name__)
+from .lexicon import check_text, has_line_break, record_lines
 
 _LINE = re.compile(r"^(goal|subgoal|task)(?:\[(?P<id>[^\]]+)\])?\s*:\s*(?P<text>.*)$")
-
-
-def has_line_break(text: str) -> bool:
-    """Whether ``text`` holds a line boundary by ``str.splitlines``."""
-    return text.splitlines() not in ([], [text])
 
 
 def _check_line(value: object, field: str) -> None:
     """ValueError naming ``field`` unless ``value`` is one non-empty line
     by ``str.splitlines``, without surrounding whitespace, that UTF-8 can
     encode."""
-    if not isinstance(value, str):
-        raise ValueError(f"field {field!r} must be a string")
+    check_text(value, field)
     if not value or has_line_break(value) or value.strip() != value:
         raise ValueError(
             f"field {field!r} must be one non-empty line without surrounding "
             f"whitespace, got {value!r}"
         )
-    try:
-        value.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise ValueError(f"field {field!r} cannot be encoded as UTF-8: {exc.reason}") from None
 
 
 def _check_children(value: object, field: str, kind: type) -> None:
@@ -124,23 +113,16 @@ def parse_requirements(path: str | Path) -> RequirementsModel:
     An unknown directive, an ``[id]`` on a goal or subgoal, a subgoal or
     task outside any goal, or a value the model's constructors reject is
     an error naming the line.  Duplicate task ids are an error naming the
-    ids.  An empty file yields an empty model with a warning.
+    ids.  A file without goals yields an empty model.
     """
     path = Path(path)
-    try:
-        content = path.read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not valid UTF-8: {exc}") from exc
     # Per goal: the Goal, its direct tasks, and (Subgoal, tasks) pairs.
     goals: list[tuple[Goal, list, list]] = []
     open_tasks: list[TaskRequirement] = []  # the innermost open scope's tasks
     auto_counter = 0
-    for lineno, line in enumerate(content.split("\n"), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, line in record_lines(path, path.read_bytes()):
         try:
-            parsed = _LINE.match(stripped)
+            parsed = _LINE.match(line.strip())
             if parsed is None:
                 raise ValueError("expected 'goal:', 'subgoal:' or 'task:'")
             kind, task_id, text = parsed.group(1, "id", "text")
@@ -161,8 +143,6 @@ def parse_requirements(path: str | Path) -> RequirementsModel:
                 open_tasks.append(TaskRequirement(task_id.strip(), text.strip()))
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    if not goals:
-        log.warning("%s: empty requirements file", path)
     try:
         return RequirementsModel(tuple(
             Goal(goal.name, tuple(direct), tuple(Subgoal(s.name, tuple(t)) for s, t in subs))

@@ -1,8 +1,9 @@
 """Category taxonomy and task-to-category matching.
 
-A taxonomy is a flat list of category names.  Matching scores the full
-task text against each category name with the ISub metric, keeps
-categories at or above a minimum score, and returns the best ones first.
+A taxonomy is a flat list of category names, one per line read by
+:func:`semdisc.lexicon.record_lines`.  Matching scores the full task text
+against each category name with the ISub metric, keeps categories at or
+above a minimum score, and returns the best ones first.
 """
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
+from .lexicon import record_lines
 from .strsim import _isub_normalized, clamp_cscore, normalize_string
 
 DEFAULT_MIN_CSCORE = 0.4
@@ -47,18 +49,9 @@ class CategoryTaxonomy:
 
 
 def load_taxonomy(path: str | Path) -> CategoryTaxonomy:
-    """Load one category name per line, where only a line feed (U+000A)
-    ends a line; ``#`` lines and blanks skipped."""
+    """Load one category name per record line."""
     path = Path(path)
-    try:
-        content = path.read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not valid UTF-8: {exc}") from exc
-    names = [
-        line.strip()
-        for line in content.split("\n")
-        if line.strip() and not line.strip().startswith("#")
-    ]
+    names = [line.strip() for _, line in record_lines(path, path.read_bytes())]
     try:
         return CategoryTaxonomy(names)
     except ValueError as exc:

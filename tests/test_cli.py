@@ -1,6 +1,8 @@
 """Command-line behavior: commands, formats, precedence, exit codes."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,11 +10,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import semdisc
 from semdisc import build_index, discover, load_lexicon
 from semdisc.cli import main
-from semdisc.registry import FORMAT_VERSION
+from semdisc.registry import FORMAT_VERSION, ServiceRecord, save_index
 
 from conftest import DATA, replace_index_payload, rewrite_index_payload, write_index_body
 
@@ -217,6 +221,22 @@ class TestIndexBuild:
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: {bad}: line 1: field 'name' cannot be encoded")
+        assert not (tmp_path / "out.idx").exists()
+
+    def test_forged_row_in_registry_name_builds_nothing(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        forged = {"name": "Glob\tPlot\nFAKE\t1\t2\t3", "description": TASK}
+        bad.write_text('{"name": "A", "description": "x"}\n' + json.dumps(forged) + "\n")
+        code, out, err = run(
+            capsys,
+            "index",
+            "build",
+            f"--lexicon={DATA / 'lexicon.tsv'}",
+            f"--registry={bad}",
+            f"--index={tmp_path / 'out.idx'}",
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {bad}: line 2: field 'name' must be one line without a tab\n"
         assert not (tmp_path / "out.idx").exists()
 
 
@@ -1073,6 +1093,42 @@ class TestUsageCheckedBeforeLoading:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.tsv", "existing"]
 
 
+class TestServiceNamesInTable:
+    """A service name prints as one field of one table row, whatever it
+    holds, so no name can forge rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(names=st.lists(st.text(min_size=1, max_size=12), min_size=1, max_size=4))
+    def test_one_row_of_five_fields_per_result(
+        self, tmp_path_factory, demo_lexicon, demo_taxonomy, names
+    ):
+        try:
+            records = [
+                ServiceRecord(name, TASK, None, (), ("Protein Sequence Analysis",))
+                for name in names
+            ]
+            index = build_index(records, demo_lexicon)
+        except ValueError:
+            assume(False)
+        path = tmp_path_factory.getbasetemp() / "names.idx"
+        save_index(index, path)
+        results = discover(TASK, demo_lexicon, demo_taxonomy, index)
+        assert results
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main([
+                "discover",
+                TASK,
+                f"--lexicon={DATA / 'lexicon.tsv'}",
+                f"--taxonomy={DATA / 'taxonomy.txt'}",
+                f"--index={path}",
+            ])
+        assert code == 0
+        lines = stdout.getvalue().splitlines()
+        assert len(lines) == 2 + len(results)
+        assert all(len(line.split("\t")) == 5 for line in lines[2:])
+
+
 class TestEmptyRequirements:
     def test_no_tasks_is_data_error(self, tmp_path, capsys):
         outline = tmp_path / "empty.txt"
@@ -1087,3 +1143,19 @@ class TestEmptyRequirements:
         )
         assert code == 1
         assert "no tasks" in err
+
+    def test_comment_only_outline_reported_once(self, built_index, tmp_path, capsys, caplog):
+        outline = tmp_path / "empty.txt"
+        outline.write_text("# nothing planned yet\n")
+        with caplog.at_level("DEBUG"):
+            code, out, err = run(
+                capsys,
+                "discover",
+                f"--lexicon={DATA / 'lexicon.tsv'}",
+                f"--taxonomy={DATA / 'taxonomy.txt'}",
+                f"--index={built_index}",
+                f"--requirements={outline}",
+            )
+        assert (code, out) == (1, "")
+        assert err == "error: requirements file contains no tasks\n"
+        assert caplog.records == []

@@ -54,6 +54,11 @@ class TestServiceRecord:
             ({"tags": "domains"}, "field 'tags' must be a tuple of strings"),
             ({"tags": ["domains"]}, "field 'tags' must be a tuple of strings"),
             ({"categories": ("Cat A", 1)}, "field 'categories' must be a tuple of strings"),
+            # Output prints a name as one field of one tab-separated row.
+            *(
+                ({"name": f"Glob{char}Plot"}, "field 'name' must be one line without a tab")
+                for char in ("\t", "\n", "\r", "\u2028")
+            ),
         ],
     )
     def test_rejects_wrong_field_types(self, fields, message):
@@ -145,6 +150,24 @@ class TestIngestRegistry:
         with pytest.raises(ValueError) as info:
             ingest_registry(path)
         assert str(info.value).startswith(f"{path}: line 2: invalid JSON: ")
+
+    def test_comment_line_is_invalid_json(self, tmp_path):
+        # Only blank lines are skipped: a '#' line is a record, and no JSON.
+        path = tmp_path / "reg.jsonl"
+        path.write_text('{"name": "A"}\n# note\n{"name": "B"}\n')
+        with pytest.raises(ValueError, match=": line 2: invalid JSON"):
+            ingest_registry(path)
+
+    def test_forged_row_in_name_names_line_and_field(self, tmp_path):
+        path = tmp_path / "reg.jsonl"
+        path.write_text(
+            '{"name": "A"}\n' + json.dumps({"name": "Glob\tPlot\nFAKE\t1\t2\t3"}) + "\n"
+        )
+        with pytest.raises(ValueError) as info:
+            ingest_registry(path)
+        assert str(info.value) == (
+            f"{path}: line 2: field 'name' must be one line without a tab"
+        )
 
     def test_skips_blank_lines(self, tmp_path):
         path = tmp_path / "reg.jsonl"
@@ -289,6 +312,21 @@ class TestPersistence:
         assert hashlib.sha256(first.read_bytes()).hexdigest() == (
             "8cc55f5ab1ad20dc993cf98a5d633373b4962772416037983cdf1ded505e6d0f"
         )
+
+    def test_vector_keeps_a_copy_of_its_provenance(self, tmp_path):
+        a1 = Annotation("C1", "tree", 1.0, 1, 1.5, frozenset({"tree"}))
+        a2 = Annotation("C2", "leaf", 1.0, 1, 2.5, frozenset({"leaf"}))
+        provenance = {"C1": a1}
+        vector = SemanticVector(provenance)
+        provenance["C2"] = a2
+        assert vector == SemanticVector({"C1": a1})
+        assert vector.weights == {"C1": 1.5}
+        assert vector.support() == frozenset({"C1"})
+        index = ServiceIndex((AnnotatedService(ServiceRecord("A"), vector),), "f")
+        save_index(index, tmp_path / "a.idx")
+        loaded = load_index(tmp_path / "a.idx")
+        assert loaded == index
+        assert loaded.concept_postings == index.concept_postings == {"C1": frozenset({0})}
 
     @pytest.mark.parametrize("threshold", [DEFAULT_THRESHOLD, -1.0, 0.25, 1.0])
     def test_threshold_round_trip(self, demo_records, demo_lexicon, tmp_path, threshold):
@@ -640,6 +678,12 @@ class TestMalformedPayload:
             ),
             (_edit_service(_NAME, 7), "field 'name' must be a string"),
             (_edit_service(_NAME, " "), "service name must be non-empty"),
+            pytest.param(
+                _edit_service(_NAME, "A\tB"),
+                ": malformed index payload: service 0: field 'name' must be one line "
+                "without a tab",
+                id="name_with_tab",
+            ),
             # json.dumps writes a lone surrogate as an escape that loads back.
             (
                 _edit_service(_NAME, "Bad\ud800"),
