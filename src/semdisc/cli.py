@@ -115,15 +115,6 @@ def resolve_settings(args: argparse.Namespace) -> argparse.Namespace:
     """Each setting the command has a flag for, from that flag, its
     environment variable, config file entry or default, whichever comes
     first."""
-    text = getattr(args, "text", None) or ""
-    try:
-        # Undecodable argv bytes arrive as lone surrogates.
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        raise CliError("task text cannot be encoded as UTF-8", exit_code=2) from None
-    # Output prints the task on one line, so a break could forge rows.
-    if has_line_break(text):
-        raise CliError("task text must be one line", exit_code=2)
     config_path = getattr(args, "config", None) or os.environ.get(ENV_PREFIX + "CONFIG")
     file_values: dict = {}
     if config_path:
@@ -179,22 +170,44 @@ def _load_inputs(settings: argparse.Namespace, *names: str) -> dict:
 
 def _task_inputs(settings: argparse.Namespace, text: str | None) -> tuple[str, ...]:
     """The inputs the task source needs: the outline, or none for task
-    text.  A usage error unless exactly one source is given."""
+    text.  A usage error unless exactly one source is given, or if the
+    task text is not one line that UTF-8 can encode."""
     if text is not None and settings.requirements:
         raise CliError("give either task text or --requirements, not both", 2)
     if text is None and not settings.requirements:
         raise CliError("task text or --requirements required", exit_code=2)
-    return () if text is not None else ("requirements",)
+    if text is None:
+        return ("requirements",)
+    try:
+        # Undecodable argv bytes arrive as lone surrogates.
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise CliError("task text cannot be encoded as UTF-8", exit_code=2) from None
+    # Output prints the task on one line, so a break could forge rows.
+    if has_line_break(text):
+        raise CliError("task text must be one line", exit_code=2)
+    return ()
 
 
-def _task_list(text: str | None, inputs: dict) -> list[tuple[str, str]]:
-    """(task id, task text) pairs from the positional text or the outline."""
+def _print_tasks(text: str | None, inputs: dict, fmt: str, lines_for: Callable) -> None:
+    """Print ``lines_for(task id, task text)`` for the positional text or each
+    outline task: in table format one block per task under its ``# task``
+    line, blank-line separated; in records format one JSON object a line."""
     if text is not None:
-        return [("query", text)]
-    pairs = [(t.id, t.description) for t in tasks(inputs["requirements"])]
-    if not pairs:
-        raise CliError("requirements file contains no tasks", exit_code=1)
-    return pairs
+        pairs = [("query", text)]
+    else:
+        pairs = [(t.id, t.description) for t in tasks(inputs["requirements"])]
+        if not pairs:
+            raise CliError("requirements file contains no tasks", exit_code=1)
+    blocks: list[str] = []
+    for task_id, task_text in pairs:
+        lines = lines_for(task_id, task_text)
+        if fmt == "table":
+            blocks.append("\n".join([f"# task {task_id}: {task_text}", *lines]))
+        else:
+            blocks.extend(lines)
+    if blocks:
+        print(("\n\n" if fmt == "table" else "\n").join(blocks))
 
 
 def _weights(settings: argparse.Namespace) -> Weights:
@@ -204,8 +217,7 @@ def _weights(settings: argparse.Namespace) -> Weights:
         raise CliError(str(exc), exit_code=2)
 
 
-def cmd_index_build(args: argparse.Namespace) -> int:
-    settings = resolve_settings(args)
+def cmd_index_build(args: argparse.Namespace, settings: argparse.Namespace) -> int:
     index_path = _required(settings, "index")
     directory = Path(index_path).parent
     if not directory.is_dir():
@@ -252,8 +264,7 @@ def _vector_lines(
             ],
         }
         return [json.dumps(record, sort_keys=True)]
-    lines = [f"# task {task_id}: {text}"]
-    lines.append("concept\tweight\ttf\tidf\tsimilarity\tform")
+    lines = ["concept\tweight\ttf\tidf\tsimilarity\tform"]
     order = sorted(vector.weights, key=lambda c: (-vector.weights[c], c))
     for cid in order:
         entry = vector.provenance[cid]
@@ -268,30 +279,20 @@ def _vector_lines(
     return lines
 
 
-def cmd_annotate(args: argparse.Namespace) -> int:
-    settings = resolve_settings(args)
+def cmd_annotate(args: argparse.Namespace, settings: argparse.Namespace) -> int:
     optional = ("taxonomy",) if settings.taxonomy else ()
-    task_inputs = _task_inputs(settings, args.text)
-    inputs = _load_inputs(settings, "lexicon", *optional, *task_inputs)
+    inputs = _load_inputs(settings, "lexicon", *optional, *_task_inputs(settings, args.text))
     lexicon, taxonomy = inputs["lexicon"], inputs.get("taxonomy")
-    blocks: list[str] = []
-    for task_id, text in _task_list(args.text, inputs):
+
+    def lines_for(task_id: str, text: str) -> list[str]:
         vector = annotate(text, lexicon, threshold=settings.threshold)
         categories = None
         if taxonomy is not None:
-            categories = match_categories(
-                text,
-                taxonomy,
-                min_cscore=settings.min_cscore,
-                top_k=settings.top_k_categories,
-            )
-        blocks.append(
-            "\n".join(
-                _vector_lines(task_id, text, vector, categories, settings.format)
-            )
-        )
-    separator = "\n\n" if settings.format == "table" else "\n"
-    print(separator.join(blocks))
+            categories = match_categories(text, taxonomy, min_cscore=settings.min_cscore,
+                                          top_k=settings.top_k_categories)
+        return _vector_lines(task_id, text, vector, categories, settings.format)
+
+    _print_tasks(args.text, inputs, settings.format, lines_for)
     return 0
 
 
@@ -320,8 +321,7 @@ def _result_lines(task_id: str, results: list[RankedResult], fmt: str) -> list[s
     return lines
 
 
-def cmd_discover(args: argparse.Namespace) -> int:
-    settings = resolve_settings(args)
+def cmd_discover(args: argparse.Namespace, settings: argparse.Namespace) -> int:
     weights = _weights(settings)
     task_inputs = _task_inputs(settings, args.text)
     inputs = _load_inputs(settings, "lexicon", "taxonomy", "index", *task_inputs)
@@ -332,8 +332,8 @@ def cmd_discover(args: argparse.Namespace) -> int:
             "(fingerprint mismatch)",
             file=sys.stderr,
         )
-    blocks: list[str] = []
-    for task_id, text in _task_list(args.text, inputs):
+
+    def lines_for(task_id: str, text: str) -> list[str]:
         results = discover(
             text,
             lexicon,
@@ -344,16 +344,9 @@ def cmd_discover(args: argparse.Namespace) -> int:
             top_k=settings.top_k,
             top_k_categories=settings.top_k_categories,
         )
-        lines = _result_lines(task_id, results, settings.format)
-        if settings.format == "table":
-            lines.insert(0, f"# task {task_id}: {text}")
-            blocks.append("\n".join(lines))
-        else:
-            # One JSON object per line: a task without results adds none.
-            blocks.extend(lines)
-    if blocks:
-        separator = "\n\n" if settings.format == "table" else "\n"
-        print(separator.join(blocks))
+        return _result_lines(task_id, results, settings.format)
+
+    _print_tasks(args.text, inputs, settings.format, lines_for)
     return 0
 
 
@@ -425,7 +418,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        return args.handler(args, resolve_settings(args))
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

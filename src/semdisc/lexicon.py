@@ -20,8 +20,9 @@ Instances are immutable after construction and safe to share across
 threads; the only table filled later, each form's idf, is a memo of
 values that do not depend on which thread computes them.
 
-:func:`record_lines`, :func:`check_text`, :func:`check_texts` and
-:func:`has_line_break` own the package's text-input rules.
+:func:`record_lines`, :func:`check_text`, :func:`check_texts`,
+:func:`check_cell` and :func:`has_line_break` own the package's
+text-input rules.
 """
 from __future__ import annotations
 
@@ -30,6 +31,8 @@ import math
 import re
 from collections import Counter
 from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -53,6 +56,14 @@ def record_lines(path: Path, raw: bytes, *, comments: bool = True) -> Iterator[t
 def has_line_break(text: str) -> bool:
     """Whether ``text`` holds a line boundary by ``str.splitlines``."""
     return text.splitlines() not in ([], [text])
+
+
+def check_cell(text: str, field: str) -> None:
+    """ValueError naming ``field`` unless ``text`` prints as one cell of one
+    tab-separated row: no tab and no line break by ``str.splitlines``."""
+    # A tab and every line break are unprintable, so most text skips the scan.
+    if not text.isprintable() and ("\t" in text or has_line_break(text)):
+        raise ValueError(f"field {field!r} must be one line without a tab")
 
 
 def check_text(value: object, field: str) -> None:
@@ -80,6 +91,14 @@ def check_texts(values: object, field: str) -> None:
             raise ValueError(f"field {field!r} cannot be encoded as UTF-8: {exc.reason}") from None
 
 
+def _check_id(concept_id: str) -> None:
+    """ValueError unless ``concept_id`` prints as one table cell without a
+    ``,``, which joins the ids of one cell."""
+    check_cell(concept_id, "id")
+    if "," in concept_id:
+        raise ValueError("field 'id' must not contain ','")
+
+
 def normalize(text: str) -> list[str]:
     """Lowercase, replace punctuation with spaces, and split into words.
 
@@ -96,20 +115,29 @@ class _ConceptRow(NamedTuple):
 
 
 class Concept(_ConceptRow):
-    """One ontology concept, a checked tuple: an identifier, its lexical
-    forms and its source.  The id must be non-empty, and so must the
-    forms, each of which needs at least one :func:`normalize` word."""
+    """One ontology concept, a checked tuple: an identifier, a non-empty
+    frozenset of lexical forms and a source, all strings UTF-8 can encode.
+    The id is non-empty and holds no ``,``, each form has a :func:`normalize`
+    word, and the id and each form print as one table cell
+    (:func:`check_cell`); ValueError names the field otherwise."""
 
     __slots__ = ()
 
     def __new__(
         cls, id: str, lexical_forms: frozenset[str], source: str = "umls"
     ) -> Concept:
+        check_text(id, "id")
+        check_text(source, "source")
+        if not isinstance(lexical_forms, frozenset):
+            raise ValueError("field 'lexical_forms' must be a frozenset of strings")
         if not id:
             raise ValueError("concept id must be non-empty")
+        _check_id(id)
         if not lexical_forms:
             raise ValueError(f"concept {id}: at least one lexical form required")
         for form in lexical_forms:
+            check_text(form, "lexical_forms")
+            check_cell(form, "lexical_forms")
             if not normalize(form):
                 raise ValueError(f"concept {id}: form {form!r} has no words")
         return tuple.__new__(cls, (id, lexical_forms, source))
@@ -143,9 +171,7 @@ class Lexicon:
     #: Splits forms and texts into words: always :func:`normalize`.
     tokenizer = staticmethod(normalize)
 
-    def __init__(
-        self, concepts: Iterable[Concept], *, fingerprint: str | None = None
-    ) -> None:
+    def __init__(self, concepts: Iterable[Concept]) -> None:
         by_id: dict[str, Concept] = {}
         for concept in concepts:
             if concept.id in by_id:
@@ -156,15 +182,14 @@ class Lexicon:
             for concept in by_id.values()
             for form in concept.lexical_forms
         )
-        self.fingerprint = fingerprint or self._content_fingerprint()
+        self.fingerprint = self._content_fingerprint()
 
     def _fill(self, rows: Iterable[tuple[str, str, str, tuple[str, ...]]]) -> None:
         """Build the model from ``(concept_id, source, form, words)`` rows,
         ``words`` being the form's :func:`normalize` words: each concept's
-        forms and source, the word counts, the postings and each form's
+        source, the word counts, the postings and each form's
         words.  A repeated (concept_id, form) row counts once; rows of one
         concept share their source."""
-        forms: dict[str, list[str]] = {}
         sources: dict[str, str] = {}
         form_words: dict[tuple[str, str], tuple[str, ...]] = {}
         postings: dict[str, list[tuple[str, str]]] = {}
@@ -182,14 +207,9 @@ class Lexicon:
                 # A word repeated in this form was just posted under key.
                 elif keys[-1] is not key:
                     keys.append(key)
-            if concept_id in forms:
-                forms[concept_id].append(form)
-            else:
-                forms[concept_id] = [form]
-                sources[concept_id] = source
+            sources.setdefault(concept_id, source)
         if not tokens:
             raise ValueError("empty lexicon: no lexical forms to estimate from")
-        self._forms = forms
         self._sources = sources
         self._form_words = form_words
         self._postings = {word: tuple(keys) for word, keys in postings.items()}
@@ -200,20 +220,18 @@ class Lexicon:
         self._form_idf: dict[tuple[str, str], float] = {}
 
     def _content_fingerprint(self) -> str:
-        """SHA-256 of the concept lines; the probabilities follow from them."""
-        digest = hashlib.sha256()
-        for concept in self.concepts:
-            for form in sorted(concept.lexical_forms):
-                digest.update(f"{concept.id}\t{concept.source}\t{form}\n".encode())
-        return digest.hexdigest()
+        """SHA-256 of the sorted ``id<TAB>source<TAB>form`` lines, one per
+        form; the probabilities follow from them."""
+        lines = sorted(f"{cid}\t{self._sources[cid]}\t{form}\n" for cid, form in self._form_words)
+        return hashlib.sha256("".join(lines).encode()).hexdigest()
 
     @cached_property
     def concepts(self) -> tuple[Concept, ...]:
         """All concepts in ascending id order, built on first use."""
-        # Every row had an id and a form with words, all Concept checks.
+        # Every row passed the Concept checks.
         return tuple(
-            tuple.__new__(Concept, (cid, frozenset(self._forms[cid]), self._sources[cid]))
-            for cid in sorted(self._forms)
+            tuple.__new__(Concept, (cid, frozenset(f for _, f in keys), self._sources[cid]))
+            for cid, keys in groupby(sorted(self._form_words), key=itemgetter(0))
         )
 
     @cached_property
@@ -224,10 +242,10 @@ class Lexicon:
         return self._by_id[concept_id]
 
     def __len__(self) -> int:
-        return len(self._forms)
+        return len(self._sources)
 
     def __contains__(self, concept_id: str) -> bool:
-        return concept_id in self._forms
+        return concept_id in self._sources
 
     @property
     def vocabulary(self) -> frozenset[str]:
@@ -291,6 +309,13 @@ def load_lexicon(path: str | Path) -> Lexicon:
         concept_id, source, form = concept_id.strip(), source.strip(), form.strip()
         if not concept_id or not source or not form:
             raise ValueError(f"{path}: line {lineno}: empty field")
+        # Both checks fail only on unprintable text or a ',': skip the calls.
+        if "," in concept_id or not concept_id.isprintable() or not form.isprintable():
+            try:
+                _check_id(concept_id)
+                check_cell(form, "lexical_forms")
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
         words = tuple(normalize(form))
         if not words:
             raise ValueError(f"{path}: line {lineno}: form {form!r} has no words")

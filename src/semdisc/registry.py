@@ -51,7 +51,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .annotator import DEFAULT_THRESHOLD, Annotation, SemanticVector, annotate
-from .lexicon import Lexicon, check_text, check_texts, has_line_break, record_lines
+from .lexicon import Lexicon, check_cell, check_text, check_texts, record_lines
 from .strsim import normalize_string
 
 log = logging.getLogger(__name__)
@@ -93,10 +93,8 @@ class ServiceRecord(_ServiceRow):
         check_texts(categories, "categories")
         if not name.strip():
             raise ValueError("service name must be non-empty")
-        # Output prints a name as one field of one row, so it could forge
-        # rows; a tab and every line break are unprintable.
-        if not name.isprintable() and ("\t" in name or has_line_break(name)):
-            raise ValueError("field 'name' must be one line without a tab")
+        # Output prints a name as one field of one row, so it could forge rows.
+        check_cell(name, "name")
         return tuple.__new__(cls, (name, description, documentation, tags, categories))
 
     @classmethod
@@ -234,6 +232,12 @@ class ServiceIndex:
         # Services share a few category names; normalize each name once.
         normalized: dict[str, str] = {}
         for pos, service in enumerate(services):
+            if not isinstance(service.record, ServiceRecord) or not isinstance(
+                service.vector, SemanticVector
+            ):
+                raise ValueError(
+                    f"service {pos}: record must be a ServiceRecord, vector a SemanticVector"
+                )
             norms.append(service.vector.norm())
             for concept in service.vector.weights:
                 concept_postings[concept].append(pos)

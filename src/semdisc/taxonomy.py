@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .lexicon import record_lines
+from .lexicon import check_cell, record_lines
 from .strsim import _isub_normalized, clamp_cscore, normalize_string
 
 DEFAULT_MIN_CSCORE = 0.4
@@ -19,11 +19,16 @@ DEFAULT_TOP_K_CATEGORIES = 3
 
 
 class CategoryTaxonomy:
-    """Immutable set of category names, unique after normalization."""
+    """Immutable set of category names, unique after normalization, each
+    printing as one table cell (:func:`semdisc.lexicon.check_cell`)."""
 
     def __init__(self, names: Iterable[str]) -> None:
         display: dict[str, str] = {}
         for name in names:
+            try:
+                check_cell(name, "name")
+            except ValueError as exc:
+                raise ValueError(f"category {name!r}: {exc}") from None
             key = normalize_string(name)
             if not key:
                 raise ValueError(f"category {name!r} has no words")

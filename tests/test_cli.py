@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 import semdisc
 from semdisc import build_index, discover, load_lexicon
 from semdisc.cli import main
+from semdisc.lexicon import Concept
 from semdisc.registry import FORMAT_VERSION, ServiceRecord, save_index
+from semdisc.taxonomy import CategoryTaxonomy
 
 from conftest import DATA, replace_index_payload, rewrite_index_payload, write_index_body
 
@@ -1094,8 +1096,8 @@ class TestUsageCheckedBeforeLoading:
 
 
 class TestServiceNamesInTable:
-    """A service name prints as one field of one table row, whatever it
-    holds, so no name can forge rows."""
+    """A service name, concept id, lexical form or category name prints as
+    one field of one table row, whatever it holds, so none can forge rows."""
 
     @settings(max_examples=60, deadline=None)
     @given(names=st.lists(st.text(min_size=1, max_size=12), min_size=1, max_size=4))
@@ -1127,6 +1129,62 @@ class TestServiceNamesInTable:
         lines = stdout.getvalue().splitlines()
         assert len(lines) == 2 + len(results)
         assert all(len(line.split("\t")) == 5 for line in lines[2:])
+
+    # Text rich in what could break a row: tabs, line breaks of every kind
+    # and the ',' that joins the concept ids of one cell.
+    _piece = st.text(
+        st.sampled_from("\t\n\r\x0b\x1c\x85\u2028\u2029,") | st.characters(), max_size=4
+    )
+
+    @staticmethod
+    def _or_plain(make, value: str, plain: str) -> str:
+        """``value``, or ``plain`` where ``make(value)`` rejects it."""
+        try:
+            make(value)
+        except ValueError:
+            return plain
+        return value
+
+    @settings(max_examples=60, deadline=None)
+    @given(cid=_piece, form=_piece, category=_piece)
+    def test_drawn_concepts_and_categories_print_as_cells(
+        self, tmp_path_factory, cid, form, category
+    ):
+        # A drawn value the API rejects is replaced by a plain one.
+        cid = self._or_plain(lambda v: Concept(v, frozenset({"x"})), f"X{cid}", "X")
+        form = self._or_plain(
+            lambda v: Concept("X", frozenset({v})), f"{form} protein", "protein"
+        )
+        name = self._or_plain(
+            lambda v: CategoryTaxonomy([v]), f"Protein{category}Search", "Protein Search"
+        )
+        base = tmp_path_factory.getbasetemp()
+        lexicon_path, taxonomy_path = base / "cells.tsv", base / "cells.txt"
+        lexicon_path.write_text(
+            f"{cid}\tumls\t{form}\nC1\tumls\tprotein sequences\nC2\tumls\tdomains\n",
+            encoding="utf-8",
+        )
+        taxonomy_path.write_text(f"{name}\nSequence Analysis\n", encoding="utf-8")
+        lexicon = load_lexicon(lexicon_path)
+        index_path = base / "cells.idx"
+        record = ServiceRecord("A", "protein sequences domains", None, (), (name,))
+        save_index(build_index([record], lexicon, threshold=-1.0), index_path)
+        inputs = [f"--lexicon={lexicon_path}", f"--taxonomy={taxonomy_path}"]
+
+        def stdout_lines(*argv: str) -> list[str]:
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                assert main(list(argv)) == 0
+            return stdout.getvalue().splitlines()
+
+        # Every concept shares a task word, so at threshold -1 all three
+        # print, and at min c_score 0 both categories do.
+        lines = stdout_lines("annotate", TASK, *inputs, "--threshold=-1", "--min-cscore=0")
+        assert [len(line.split("\t")) for line in lines[1:]] == [6, 6, 6, 6, 2, 2, 2]
+        lines = stdout_lines("discover", TASK, *inputs, f"--index={index_path}")
+        assert len(lines) == 3
+        assert len(lines[2].split("\t")) == 5
+        assert set(lines[2].split("\t")[1].split(",")) == {c.id for c in lexicon.concepts}
 
 
 class TestEmptyRequirements:

@@ -1,11 +1,12 @@
 """Lexicon loading, normalization, and the smoothed word model."""
 from __future__ import annotations
 
+import gc
 import hashlib
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from semdisc import lexicon as lexicon_module
@@ -41,6 +42,44 @@ class TestConcept:
     def test_rejects_wordless_form(self):
         with pytest.raises(ValueError):
             Concept(id="C1", lexical_forms=frozenset({"!!!"}))
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((5, frozenset({"x"})), "field 'id' must be a string"),
+            (("C\ud800", frozenset({"x"})), "field 'id' cannot be encoded as UTF-8"),
+            (("C1", frozenset({"x"}), None), "field 'source' must be a string"),
+            (("C1", frozenset({"x"}), "u\ud800"), "field 'source' cannot be encoded"),
+            (("C1", "tree"), "field 'lexical_forms' must be a frozenset of strings"),
+            (("C1", {"tree"}), "field 'lexical_forms' must be a frozenset of strings"),
+            (("C1", frozenset({b"tree"})), "field 'lexical_forms' must be a string"),
+            (("C1", frozenset({"tree\ud800"})), "field 'lexical_forms' cannot be encoded"),
+        ],
+        ids=[
+            "int_id", "surrogate_id", "none_source", "surrogate_source",
+            "str_forms", "set_forms", "bytes_form", "surrogate_form",
+        ],
+    )
+    def test_holds_only_what_a_lexicon_row_can(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            Concept(*args)
+
+    @pytest.mark.parametrize(
+        "char", ["\t", "\n", "\r", "\x0b", "\x1c", "\x85", "\u2028", "\u2029"]
+    )
+    def test_id_and_forms_print_as_one_cell(self, char):
+        with pytest.raises(ValueError, match="^field 'id' must be one line without a tab$"):
+            Concept(f"C{char}1", frozenset({"tree"}))
+        with pytest.raises(
+            ValueError, match="^field 'lexical_forms' must be one line without a tab$"
+        ):
+            Concept("C1", frozenset({"tree", f"oak{char}tree"}))
+
+    def test_id_holds_no_comma(self):
+        # discover joins the shared concept ids of one cell with ','.
+        with pytest.raises(ValueError, match="^field 'id' must not contain ','$"):
+            Concept("C1513868,X", frozenset({"tree"}))
+        assert Concept("C1", frozenset({"tree, oak"})).lexical_forms == {"tree, oak"}
 
 
 class TestLaplaceModel:
@@ -88,7 +127,38 @@ class TestLaplaceModel:
         assert Lexicon([one, Concept("C2", frozenset({"tree"}), "mesh")]).fingerprint != (
             fingerprint
         )
-        assert Lexicon([one, two], fingerprint="given").fingerprint == "given"
+
+    @given(
+        st.dictionaries(
+            st.text(st.characters(exclude_characters=","), min_size=1, max_size=4),
+            st.tuples(st.sampled_from(["umls", "mesh", "μ"]), st.frozensets(_form, min_size=1)),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    # U+0001 sorts before the tab, so this id's line comes first.
+    @example({"C": ("umls", frozenset({"b"})), "C\x01": ("umls", frozenset({"a"}))})
+    def test_fingerprint_is_digest_of_sorted_concept_lines(self, concepts):
+        try:
+            built = [Concept(cid, forms, source) for cid, (source, forms) in concepts.items()]
+        except ValueError:
+            assume(False)
+        lines = sorted(
+            f"{concept.id}\t{concept.source}\t{form}\n"
+            for concept in built
+            for form in concept.lexical_forms
+        )
+        digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+        assert Lexicon(built).fingerprint == digest
+
+    def test_concept_values_built_on_first_use(self):
+        lex = Lexicon([Concept("C2", frozenset({"tree"})), Concept("C1", frozenset({"a b"}))])
+        assert "concepts" not in lex.__dict__
+        assert len(lex) == 2 and "C1" in lex and "C3" not in lex
+        assert lex.concepts == (
+            Concept("C1", frozenset({"a b"})),
+            Concept("C2", frozenset({"tree"})),
+        )
 
 
 class TestIdf:
@@ -153,6 +223,33 @@ class TestLoadLexicon:
         with pytest.raises(ValueError, match="line 1"):
             load_lexicon(path)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("C1513868,X\tumls\tbeta", "field 'id' must not contain ','"),
+            ("C\x0b2\tumls\tbeta", "field 'id' must be one line without a tab"),
+        ],
+        ids=["comma_id", "vertical_tab_id"],
+    )
+    def test_rejects_id_that_is_not_one_cell(self, tmp_path, line, message):
+        path = tmp_path / "lex.tsv"
+        path.write_text(f"C1\tumls\talpha\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load_lexicon(path)
+        assert str(info.value) == f"{path}: line 2: {message}"
+
+    def test_loaded_lexicon_holds_few_tracked_objects(self, tmp_path):
+        # No per-concept container is kept, so a loaded lexicon adds almost
+        # nothing for the cyclic collector to scan on every later pass.
+        path = tmp_path / "lex.tsv"
+        path.write_text("".join(f"C{i}\tumls\tword{i} shared\n" for i in range(1000)))
+        gc.collect()
+        before = len(gc.get_objects())
+        lexicon = load_lexicon(path)
+        gc.collect()
+        assert len(gc.get_objects()) - before < 100
+        assert len(lexicon) == 1000
+
     def test_skips_comments_and_blanks(self, tmp_path):
         path = tmp_path / "lex.tsv"
         path.write_text("# header\n\nC1\tumls\talpha\n")
@@ -160,14 +257,15 @@ class TestLoadLexicon:
 
     @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85", "\r"])
     def test_only_line_feed_ends_a_line(self, tmp_path, char):
+        # The form is rejected whole on line 1; a reader splitting at the
+        # character would fail at line 2 on a one-field line instead.
         path = tmp_path / "lex.tsv"
         path.write_bytes(f"C1\tumls\tone{char}two\nC2\tumls\ttree\n".encode())
-        lex = load_lexicon(path)
-        assert lex.concept("C1").lexical_forms == frozenset({f"one{char}two"})
-        assert lex.form_words("C1", f"one{char}two") == frozenset({"one", "two"})
-        path.write_bytes(f"C1\tumls\tone{char}two\nC2\tumls\n".encode())
-        with pytest.raises(ValueError, match=": line 2: expected 3 tab-separated fields"):
+        with pytest.raises(ValueError) as info:
             load_lexicon(path)
+        assert str(info.value) == (
+            f"{path}: line 1: field 'lexical_forms' must be one line without a tab"
+        )
 
     def test_crlf_file(self, tmp_path):
         path = tmp_path / "lex.tsv"

@@ -359,6 +359,23 @@ class TestPersistence:
         assert str(excinfo.value) == message
 
     @pytest.mark.parametrize(
+        "service",
+        [
+            AnnotatedService("A", "B"),
+            AnnotatedService(("A", None, None, (), ()), SemanticVector({})),
+            AnnotatedService(ServiceRecord("A"), {}),
+        ],
+        ids=["strings", "plain_tuple_record", "dict_vector"],
+    )
+    def test_service_of_the_wrong_shape_is_not_built(self, service):
+        good = AnnotatedService(ServiceRecord("B"), SemanticVector({}))
+        with pytest.raises(ValueError) as excinfo:
+            ServiceIndex((good, service), "f")
+        assert str(excinfo.value) == (
+            "service 1: record must be a ServiceRecord, vector a SemanticVector"
+        )
+
+    @pytest.mark.parametrize(
         "fields, message",
         [
             ({"similarity": 1.5}, "similarity 1.5 outside [-1, 1]"),

@@ -37,6 +37,16 @@ class TestCategoryTaxonomy:
         with pytest.raises(ValueError):
             CategoryTaxonomy(["..."])
 
+    @pytest.mark.parametrize("char", ["\t", "\n", "\r", "\x0b", "\x1c", "\x85", "\u2028"])
+    def test_name_prints_as_one_cell(self, char):
+        # annotate prints a category as one field of one row.
+        name = f"Protein{char}Sequence Analysis"
+        with pytest.raises(ValueError) as info:
+            CategoryTaxonomy(["Text Mining", name])
+        assert str(info.value) == (
+            f"category {name!r}: field 'name' must be one line without a tab"
+        )
+
     def test_load_large_fixture(self):
         tax = load_taxonomy(DATA / "taxonomy_large.txt")
         assert len(tax) == 60
@@ -69,12 +79,16 @@ class TestCategoryTaxonomy:
 
     @pytest.mark.parametrize("char", ["\x85", "\u2028", "\r"])
     def test_load_only_line_feed_ends_a_line(self, tmp_path, char):
+        # The whole name is rejected; a reader splitting at the character
+        # would load two names instead.
         path = tmp_path / "tax.txt"
         path.write_bytes(f"Protein{char}Analysis\nSequence Search\n".encode())
-        tax = load_taxonomy(path)
-        assert tax.names == (f"Protein{char}Analysis", "Sequence Search")
-        assert "protein analysis" in tax
-        assert "Protein" not in tax
+        with pytest.raises(ValueError) as info:
+            load_taxonomy(path)
+        assert str(info.value) == (
+            f"{path}: category {f'Protein{char}Analysis'!r}: "
+            "field 'name' must be one line without a tab"
+        )
 
     def test_load_crlf_file(self, tmp_path):
         path = tmp_path / "tax.txt"
