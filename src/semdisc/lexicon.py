@@ -11,10 +11,10 @@ information.
 
 :class:`Concept` is a checked tuple type (a ``typing.NamedTuple``
 subclass whose constructor checks its fields), so it compares equal to a
-plain tuple of its fields.  :func:`load_lexicon` and ``Lexicon(concepts)``
-build the model with one routine from ``(concept_id, source, form,
-words)`` rows, so both give the same probabilities, postings and form
-words.
+plain tuple of its fields, and admits exactly what a lexicon line can
+hold.  :func:`load_lexicon` and ``Lexicon(concepts)`` build the model and
+its fingerprint with one routine from ``(concept_id, source, form,
+words)`` rows, so both give the same lexicon for the same concepts.
 
 Instances are immutable after construction and safe to share across
 threads; the only table filled later, each form's idf, is a memo of
@@ -41,10 +41,11 @@ _NON_WORD = re.compile(r"[\W_]+", re.UNICODE)
 
 def record_lines(path: Path, raw: bytes, *, comments: bool = True) -> Iterator[tuple[int, str]]:
     """``(line number, line)`` for each non-blank line of file ``path``'s
-    bytes ``raw``, UTF-8 (else ValueError) where only a line feed ends a line;
-    lines starting with ``#`` are skipped too unless ``comments`` is false."""
+    bytes ``raw``, UTF-8 (else ValueError) where a leading byte order mark is
+    skipped and only a line feed ends a line; lines starting with ``#`` are
+    skipped too unless ``comments`` is false."""
     try:
-        content = raw.decode("utf-8")
+        content = raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not valid UTF-8: {exc}") from exc
     for lineno, line in enumerate(content.split("\n"), start=1):
@@ -91,12 +92,22 @@ def check_texts(values: object, field: str) -> None:
             raise ValueError(f"field {field!r} cannot be encoded as UTF-8: {exc.reason}") from None
 
 
+def _check_field(text: object, field: str) -> None:
+    """ValueError naming ``field`` unless ``text`` can be a stripped lexicon field."""
+    check_text(text, field)
+    if not text or text.strip() != text:
+        raise ValueError(f"field {field!r} must be non-empty without surrounding whitespace")
+    check_cell(text, field)
+
+
 def _check_id(concept_id: str) -> None:
-    """ValueError unless ``concept_id`` prints as one table cell without a
-    ``,``, which joins the ids of one cell."""
-    check_cell(concept_id, "id")
+    """ValueError unless ``concept_id`` is such a field without a ``,`` (it joins
+    ids in one cell), starting with neither ``#`` (a comment) nor U+FEFF (a BOM)."""
+    _check_field(concept_id, "id")
     if "," in concept_id:
         raise ValueError("field 'id' must not contain ','")
+    if concept_id[0] in "#\ufeff":
+        raise ValueError("field 'id' must not start with '#' or U+FEFF")
 
 
 def normalize(text: str) -> list[str]:
@@ -117,27 +128,24 @@ class _ConceptRow(NamedTuple):
 class Concept(_ConceptRow):
     """One ontology concept, a checked tuple: an identifier, a non-empty
     frozenset of lexical forms and a source, all strings UTF-8 can encode.
-    The id is non-empty and holds no ``,``, each form has a :func:`normalize`
-    word, and the id and each form print as one table cell
-    (:func:`check_cell`); ValueError names the field otherwise."""
+    Each is non-empty without surrounding whitespace and prints as one
+    table cell (:func:`check_cell`); the id holds no ``,`` and starts with
+    neither ``#`` nor U+FEFF; each form has a :func:`normalize` word.
+    ValueError names the field otherwise."""
 
     __slots__ = ()
 
     def __new__(
         cls, id: str, lexical_forms: frozenset[str], source: str = "umls"
     ) -> Concept:
-        check_text(id, "id")
-        check_text(source, "source")
+        _check_id(id)
+        _check_field(source, "source")
         if not isinstance(lexical_forms, frozenset):
             raise ValueError("field 'lexical_forms' must be a frozenset of strings")
-        if not id:
-            raise ValueError("concept id must be non-empty")
-        _check_id(id)
         if not lexical_forms:
             raise ValueError(f"concept {id}: at least one lexical form required")
         for form in lexical_forms:
-            check_text(form, "lexical_forms")
-            check_cell(form, "lexical_forms")
+            _check_field(form, "lexical_forms")
             if not normalize(form):
                 raise ValueError(f"concept {id}: form {form!r} has no words")
         return tuple.__new__(cls, (id, lexical_forms, source))
@@ -149,8 +157,9 @@ class Concept(_ConceptRow):
 
 
 class Lexicon:
-    """Immutable concept collection with the word-probability model its
-    forms estimate.
+    """Immutable collection of :class:`Concept` values (else ValueError)
+    with the word-probability model their forms estimate; ``fingerprint``
+    is the SHA-256 of the sorted ``id<TAB>source<TAB>form<LF>`` lines.
 
     Laplace add-one smoothing: P(w) = (count(w) + 1) / (total + vocab + 1),
     where counts run over every lexical form of every concept, repeated
@@ -171,25 +180,28 @@ class Lexicon:
     #: Splits forms and texts into words: always :func:`normalize`.
     tokenizer = staticmethod(normalize)
 
-    def __init__(self, concepts: Iterable[Concept]) -> None:
+    def __new__(cls, concepts: Iterable[Concept]) -> Lexicon:
         by_id: dict[str, Concept] = {}
         for concept in concepts:
+            if not isinstance(concept, Concept):
+                raise ValueError(f"a lexicon holds Concept values, not {type(concept).__name__}")
             if concept.id in by_id:
                 raise ValueError(f"duplicate concept id {concept.id!r}")
             by_id[concept.id] = concept
-        self._fill(
+        return cls._from_rows(
             (concept.id, concept.source, form, tuple(normalize(form)))
             for concept in by_id.values()
             for form in concept.lexical_forms
         )
-        self.fingerprint = self._content_fingerprint()
 
-    def _fill(self, rows: Iterable[tuple[str, str, str, tuple[str, ...]]]) -> None:
-        """Build the model from ``(concept_id, source, form, words)`` rows,
-        ``words`` being the form's :func:`normalize` words: each concept's
-        source, the word counts, the postings and each form's
-        words.  A repeated (concept_id, form) row counts once; rows of one
-        concept share their source."""
+    def __reduce__(self) -> tuple:
+        return type(self), (self.concepts,)
+
+    @classmethod
+    def _from_rows(cls, rows: Iterable[tuple[str, str, str, tuple[str, ...]]]) -> Lexicon:
+        """The lexicon of ``(concept_id, source, form, words)`` rows, ``words``
+        being the form's :func:`normalize` words.  A repeated (concept_id,
+        form) row counts once; rows of one concept share their source."""
         sources: dict[str, str] = {}
         form_words: dict[tuple[str, str], tuple[str, ...]] = {}
         postings: dict[str, list[tuple[str, str]]] = {}
@@ -210,6 +222,7 @@ class Lexicon:
             sources.setdefault(concept_id, source)
         if not tokens:
             raise ValueError("empty lexicon: no lexical forms to estimate from")
+        self = object.__new__(cls)
         self._sources = sources
         self._form_words = form_words
         self._postings = {word: tuple(keys) for word, keys in postings.items()}
@@ -218,12 +231,10 @@ class Lexicon:
         self._word_prob = {w: (c + 1) / denom for w, c in counts.items()}
         self.unseen_prob = 1.0 / denom
         self._form_idf: dict[tuple[str, str], float] = {}
-
-    def _content_fingerprint(self) -> str:
-        """SHA-256 of the sorted ``id<TAB>source<TAB>form`` lines, one per
-        form; the probabilities follow from them."""
-        lines = sorted(f"{cid}\t{self._sources[cid]}\t{form}\n" for cid, form in self._form_words)
-        return hashlib.sha256("".join(lines).encode()).hexdigest()
+        # The model follows from these lines; no field holds a tab or line break.
+        lines = sorted([f"{cid}\t{sources[cid]}\t{form}\n" for cid, form in form_words])
+        self.fingerprint = hashlib.sha256("".join(lines).encode()).hexdigest()
+        return self
 
     @cached_property
     def concepts(self) -> tuple[Concept, ...]:
@@ -289,16 +300,15 @@ def load_lexicon(path: str | Path) -> Lexicon:
     """Load a tab-separated lexicon file.
 
     Each record line (see :func:`record_lines`) is
-    ``concept_id<TAB>source<TAB>lexical form``.  Repeated concept_id
-    lines accumulate lexical forms; the same id under two different
-    sources is rejected.  The lexicon fingerprint is the SHA-256 of the
-    file bytes.
+    ``concept_id<TAB>source<TAB>lexical form``, fields stripped.  Repeated
+    concept_id lines accumulate lexical forms; the same id under two
+    different sources is rejected.  The fingerprint is that of
+    ``Lexicon(concepts)``, so line order, repeats and comments leave it be.
     """
     path = Path(path)
-    raw = path.read_bytes()
     sources: dict[str, str] = {}
     rows = []
-    for lineno, line in record_lines(path, raw):
+    for lineno, line in record_lines(path, path.read_bytes()):
         fields = line.split("\t")
         if len(fields) != 3:
             raise ValueError(
@@ -309,10 +319,13 @@ def load_lexicon(path: str | Path) -> Lexicon:
         concept_id, source, form = concept_id.strip(), source.strip(), form.strip()
         if not concept_id or not source or not form:
             raise ValueError(f"{path}: line {lineno}: empty field")
-        # Both checks fail only on unprintable text or a ',': skip the calls.
-        if "," in concept_id or not concept_id.isprintable() or not form.isprintable():
+        # On stripped fields the checks fail only on unprintable text or a ','.
+        if "," in concept_id or not (
+            concept_id.isprintable() and source.isprintable() and form.isprintable()
+        ):
             try:
                 _check_id(concept_id)
+                check_cell(source, "source")
                 check_cell(form, "lexical_forms")
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
@@ -328,7 +341,4 @@ def load_lexicon(path: str | Path) -> Lexicon:
         rows.append((concept_id, source, form, words))
     if not rows:
         raise ValueError(f"{path}: empty lexicon")
-    lexicon = Lexicon.__new__(Lexicon)
-    lexicon._fill(rows)
-    lexicon.fingerprint = hashlib.sha256(raw).hexdigest()
-    return lexicon
+    return Lexicon._from_rows(rows)

@@ -10,7 +10,7 @@ An index annotates every service once and keeps the resulting vectors
 with two posting tables (concept -> services, category -> services) so
 queries never rescan raw text.  On disk the index is ``SDIX`` magic, a
 4-byte big-endian format version, a compact JSON payload and the
-SHA-256 of everything before it.  Format version 4's payload holds
+SHA-256 of everything before it.  Format version 5's payload holds
 arrays only, and only what cannot be derived::
 
     [lexicon_fingerprint, threshold, services]
@@ -22,8 +22,9 @@ Services are in canonical (name) order, provenance rows are sorted by
 concept id and matched words are sorted.  A vector derives each weight
 from its annotation as ``tf * idf_value`` and the index derives its
 posting tables from the services, so neither weights nor postings are
-stored, and neither can disagree with the annotations.  Files of any
-other version are rejected with a message to rebuild the index.
+stored, and neither can disagree with the annotations.  Version 4 files,
+with the same payload but a lexicon file's byte digest as fingerprint,
+and files of any other version are rejected with a message to rebuild.
 
 :class:`ServiceRecord` and :class:`AnnotatedService`, like
 :class:`~semdisc.annotator.Annotation`, are checked tuple types
@@ -57,7 +58,7 @@ from .strsim import normalize_string
 log = logging.getLogger(__name__)
 
 MAGIC = b"SDIX"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 class _ServiceRow(NamedTuple):

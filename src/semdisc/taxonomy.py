@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .lexicon import check_cell, record_lines
+from .lexicon import check_cell, check_text, record_lines
 from .strsim import _isub_normalized, clamp_cscore, normalize_string
 
 DEFAULT_MIN_CSCORE = 0.4
@@ -20,12 +20,13 @@ DEFAULT_TOP_K_CATEGORIES = 3
 
 class CategoryTaxonomy:
     """Immutable set of category names, unique after normalization, each
-    printing as one table cell (:func:`semdisc.lexicon.check_cell`)."""
+    text printing as one table cell (:func:`semdisc.lexicon.check_cell`)."""
 
     def __init__(self, names: Iterable[str]) -> None:
         display: dict[str, str] = {}
         for name in names:
             try:
+                check_text(name, "name")
                 check_cell(name, "name")
             except ValueError as exc:
                 raise ValueError(f"category {name!r}: {exc}") from None

@@ -504,6 +504,28 @@ class TestDiscoverCommand:
         assert code == 0
         assert "fingerprint mismatch" in err
 
+    def test_edited_lexicon_file_with_same_lines_does_not_warn(
+        self, built_index, tmp_path, capsys
+    ):
+        # The fingerprint follows the concept lines, not the file bytes.
+        lines = (DATA / "lexicon.tsv").read_text(encoding="utf-8").splitlines()
+        records = [line for line in lines if line and not line.startswith("#")]
+        edited = tmp_path / "edited.tsv"
+        edited.write_text("# edited\n" + "\n".join(records[::-1]) + "\n", encoding="utf-8")
+        outputs = []
+        for lexicon in (DATA / "lexicon.tsv", edited):
+            code, out, err = run(
+                capsys,
+                "discover",
+                TASK,
+                f"--lexicon={lexicon}",
+                f"--taxonomy={DATA / 'taxonomy.txt'}",
+                f"--index={built_index}",
+            )
+            assert (code, err) == (0, "")
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
     def test_tasks_annotated_at_index_threshold(
         self, tmp_path, capsys, demo_lexicon, demo_taxonomy, demo_records
     ):

@@ -1,16 +1,18 @@
 """Lexicon loading, normalization, and the smoothed word model."""
 from __future__ import annotations
 
+import copy
 import gc
 import hashlib
 import math
+import pickle
 
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from semdisc import lexicon as lexicon_module
-from semdisc.lexicon import Concept, Lexicon, load_lexicon, normalize
+from semdisc.lexicon import Concept, Lexicon, _ConceptRow, load_lexicon, normalize
 
 from conftest import DATA
 
@@ -54,10 +56,28 @@ class TestConcept:
             (("C1", {"tree"}), "field 'lexical_forms' must be a frozenset of strings"),
             (("C1", frozenset({b"tree"})), "field 'lexical_forms' must be a string"),
             (("C1", frozenset({"tree\ud800"})), "field 'lexical_forms' cannot be encoded"),
+            # load_lexicon strips each field and skips '#' lines and a
+            # leading BOM, so no file holds these values.
+            ((" C1", frozenset({"oak"})), "field 'id' must be non-empty without surrounding"),
+            (("C1 ", frozenset({"oak"})), "field 'id' must be non-empty without surrounding"),
+            (("", frozenset({"oak"})), "field 'id' must be non-empty without surrounding"),
+            (("#C1", frozenset({"oak"})), "field 'id' must not start with '#' or U\\+FEFF"),
+            (("\ufeffC1", frozenset({"oak"})), "field 'id' must not start with '#' or U\\+FEFF"),
+            (("C1", frozenset({" oak "})), "field 'lexical_forms' must be non-empty without"),
+            (("C1", frozenset({"oak"}), ""), "field 'source' must be non-empty without"),
+            (("C1", frozenset({"oak"}), " umls"), "field 'source' must be non-empty without"),
+            # Else this one-concept lexicon would print the two lines of
+            # Concept("C1", {"oak"}) and Concept("C2", {"oak"}).
+            (
+                ("C1", frozenset({"oak"}), "umls\toak\nC2\tumls"),
+                "field 'source' must be one line without a tab",
+            ),
         ],
         ids=[
             "int_id", "surrogate_id", "none_source", "surrogate_source",
             "str_forms", "set_forms", "bytes_form", "surrogate_form",
+            "leading_space_id", "trailing_space_id", "empty_id", "comment_id", "bom_id",
+            "padded_form", "empty_source", "padded_source", "two_line_source",
         ],
     )
     def test_holds_only_what_a_lexicon_row_can(self, args, message):
@@ -103,6 +123,24 @@ class TestLaplaceModel:
     def test_empty_lexicon_rejected(self):
         with pytest.raises(ValueError):
             Lexicon([])
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            ("C1", frozenset({"oak"}), "umls"),
+            # Has the fields, but skipped every Concept check.
+            _ConceptRow(" C1", frozenset({" oak "}), "a\tb"),
+        ],
+        ids=["tuple", "unchecked_row"],
+    )
+    def test_takes_only_concept_values(self, value):
+        with pytest.raises(ValueError, match="a lexicon holds Concept values"):
+            Lexicon([Concept("C0", frozenset({"tree"})), value])
+
+    def test_copies_and_pickles_keep_the_model(self):
+        lex = Lexicon([Concept("C2", frozenset({"tree"})), Concept("C1", frozenset({"a b"}))])
+        for copied in (copy.copy(lex), copy.deepcopy(lex), pickle.loads(pickle.dumps(lex))):
+            _assert_same_model(copied, lex)
 
     # Forms of up to 60 words from a small pool, so one word can make up
     # nearly the whole corpus.
@@ -189,9 +227,31 @@ class TestLoadLexicon:
         )
         assert "C0000003" in mini_lexicon
 
-    def test_fingerprint_is_file_digest(self, mini_lexicon):
-        digest = hashlib.sha256((DATA / "mini_lexicon.tsv").read_bytes()).hexdigest()
-        assert mini_lexicon.fingerprint == digest
+    @pytest.mark.parametrize("name", ["lexicon.tsv", "mini_lexicon.tsv"])
+    def test_fingerprint_is_that_of_its_concepts(self, name):
+        lexicon = load_lexicon(DATA / name)
+        assert Lexicon(lexicon.concepts).fingerprint == lexicon.fingerprint
+
+    def test_fingerprint_ignores_line_order_comments_and_bom(self, mini_lexicon, tmp_path):
+        # Edits that keep every concept line keep the fingerprint, so an
+        # index built from the original does not warn of a mismatch.
+        lines = (DATA / "mini_lexicon.tsv").read_text(encoding="utf-8").splitlines()
+        records = [line for line in lines if line and not line.startswith("#")]
+        edited = tmp_path / "edited.tsv"
+        edited.write_text("# edited\n\n" + "\n".join(records[::-1]) + "\n", encoding="utf-8")
+        bom = tmp_path / "bom.tsv"
+        bom.write_bytes(b"\xef\xbb\xbf" + (DATA / "mini_lexicon.tsv").read_bytes())
+        for path in (edited, bom):
+            assert load_lexicon(path).fingerprint == mini_lexicon.fingerprint
+        records[2] = records[2].replace("\tumls\t", "\tmesh\t")  # phylogenetic tree
+        edited.write_text("\n".join(records) + "\n", encoding="utf-8")
+        assert load_lexicon(edited).fingerprint != mini_lexicon.fingerprint
+
+    def test_leading_bom_is_not_part_of_the_first_id(self, tmp_path):
+        path = tmp_path / "lex.tsv"
+        path.write_bytes("\ufeffC1\tumls\talpha\nC2\tumls\tbeta\n".encode())
+        lexicon = load_lexicon(path)
+        assert "C1" in lexicon and [c.id for c in lexicon.concepts] == ["C1", "C2"]
 
     def test_accumulates_forms_for_repeated_id(self, tmp_path):
         path = tmp_path / "lex.tsv"
@@ -228,8 +288,10 @@ class TestLoadLexicon:
         [
             ("C1513868,X\tumls\tbeta", "field 'id' must not contain ','"),
             ("C\x0b2\tumls\tbeta", "field 'id' must be one line without a tab"),
+            # Only a file's first U+FEFF is a byte order mark.
+            ("\ufeffC2\tumls\tbeta", "field 'id' must not start with '#' or U+FEFF"),
         ],
-        ids=["comma_id", "vertical_tab_id"],
+        ids=["comma_id", "vertical_tab_id", "bom_id"],
     )
     def test_rejects_id_that_is_not_one_cell(self, tmp_path, line, message):
         path = tmp_path / "lex.tsv"
@@ -249,6 +311,13 @@ class TestLoadLexicon:
         gc.collect()
         assert len(gc.get_objects()) - before < 100
         assert len(lexicon) == 1000
+
+    def test_rejects_source_that_is_not_one_cell(self, tmp_path):
+        path = tmp_path / "lex.tsv"
+        path.write_text("C1\tumls\talpha\nC2\tum\u2028ls\tbeta\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load_lexicon(path)
+        assert str(info.value) == f"{path}: line 2: field 'source' must be one line without a tab"
 
     def test_skips_comments_and_blanks(self, tmp_path):
         path = tmp_path / "lex.tsv"
@@ -322,7 +391,7 @@ class TestLoadLexicon:
 
 
 def _assert_same_model(loaded: Lexicon, built: Lexicon) -> None:
-    """Everything but the fingerprint, which differs by design."""
+    assert loaded.fingerprint == built.fingerprint
     assert loaded.concepts == built.concepts
     assert loaded.vocabulary == built.vocabulary
     assert loaded.unseen_prob == built.unseen_prob
@@ -349,28 +418,47 @@ class TestEntryPointsAgree:
         min_size=1,
         max_size=4,
     ).map(" ".join)
+    # Text rich in what a line could lose or split at: surrounding
+    # whitespace, '#', U+FEFF, ',', tabs and line breaks.
+    _text = st.text(
+        st.sampled_from(" \t\n\r#\ufeff,\u2028") | st.characters(codec="utf-8"),
+        min_size=1,
+        max_size=5,
+    )
 
     @given(
-        concepts=st.dictionaries(
-            st.sampled_from(["C1", "C2", "C3", "D4"]),
-            st.tuples(st.sampled_from(["umls", "mesh"]), st.frozensets(_form, min_size=1)),
-            min_size=1,
+        drawn=st.lists(
+            st.tuples(
+                st.sampled_from(["C1", "C2", "C3", "D4"]) | _text,
+                st.sampled_from(["umls", "mesh"]) | _text,
+                st.frozensets(_form | _text, min_size=1, max_size=3),
+            ),
+            min_size=2,
+            max_size=6,
         ),
         data=st.data(),
     )
-    def test_drawn_lexicons(self, tmp_path_factory, concepts, data):
+    def test_drawn_lexicons(self, tmp_path_factory, drawn, data):
+        # Every lexicon the API builds loads back from its lines, written
+        # in any order, repeated, among comments and blank lines, with LF or
+        # CRLF ends and with or without a byte order mark.
+        concepts: dict[str, Concept] = {}
+        for cid, source, forms in drawn:
+            try:
+                concepts.setdefault(cid, Concept(cid, forms, source))
+            except ValueError:
+                pass
+        assume(concepts)
         lines = [
-            f"{cid}\t{source}\t{form}\n"
-            for cid, (source, forms) in concepts.items()
-            for form in forms
+            f"{c.id}\t{c.source}\t{form}" for c in concepts.values() for form in c.lexical_forms
         ]
-        lines = data.draw(st.permutations(lines + data.draw(st.lists(st.sampled_from(lines)))))
+        noise = st.sampled_from(["", " \t", "# edited", f"#{lines[0]}", f"  #{lines[-1]}"])
+        lines = data.draw(st.permutations(lines + data.draw(st.lists(st.sampled_from(lines) | noise))))
+        end = data.draw(st.sampled_from(["\n", "\r\n"]))
+        bom = data.draw(st.sampled_from(["", "\ufeff"]))
         path = tmp_path_factory.getbasetemp() / "drawn.tsv"
-        path.write_text("".join(lines), encoding="utf-8")
-        built = Lexicon(
-            Concept(cid, forms, source) for cid, (source, forms) in concepts.items()
-        )
-        _assert_same_model(load_lexicon(path), built)
+        path.write_bytes((bom + "".join(line + end for line in lines)).encode())
+        _assert_same_model(load_lexicon(path), Lexicon(concepts.values()))
 
 
 class TestDemoLexicon:

@@ -213,6 +213,11 @@ class TestIngestRegistry:
         path.write_bytes((DATA / "services.jsonl").read_bytes().replace(b"\n", b"\r\n"))
         assert ingest_registry(path) == ingest_registry(DATA / "services.jsonl")
 
+    def test_leading_bom_is_skipped(self, tmp_path):
+        path = tmp_path / "reg.jsonl"
+        path.write_bytes(b"\xef\xbb\xbf" + (DATA / "services.jsonl").read_bytes())
+        assert ingest_registry(path) == ingest_registry(DATA / "services.jsonl")
+
     def test_undecodable_file_names_path(self, tmp_path):
         path = tmp_path / "reg.jsonl"
         path.write_bytes(b'{"name": "A", "description": "\xff"}\n')
@@ -310,7 +315,7 @@ class TestPersistence:
         assert first.read_bytes() == second.read_bytes()
         # Pinned so every supported Python version must write these bytes.
         assert hashlib.sha256(first.read_bytes()).hexdigest() == (
-            "8cc55f5ab1ad20dc993cf98a5d633373b4962772416037983cdf1ded505e6d0f"
+            "2645f0cc492a83794899da1668b5b78e34df8199a8f951bb80965618a0df984b"
         )
 
     def test_vector_keeps_a_copy_of_its_provenance(self, tmp_path):

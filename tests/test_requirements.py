@@ -137,6 +137,11 @@ class TestParseRules:
         path.write_bytes((DATA / "requirements.txt").read_bytes().replace(b"\n", b"\r\n"))
         assert parse_requirements(path) == parse_requirements(DATA / "requirements.txt")
 
+    def test_leading_bom_is_skipped(self, tmp_path):
+        path = tmp_path / "r.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + (DATA / "requirements.txt").read_bytes())
+        assert parse_requirements(path) == parse_requirements(DATA / "requirements.txt")
+
     def test_duplicate_ids_named_together(self, tmp_path):
         path = tmp_path / "r.txt"
         path.write_text("goal: G\ntask[x]: One\ntask[x]: Two\ntask: Three\ntask[t1]: Four\n")

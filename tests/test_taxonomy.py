@@ -47,6 +47,23 @@ class TestCategoryTaxonomy:
             f"category {name!r}: field 'name' must be one line without a tab"
         )
 
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            (5, "category 5: field 'name' must be a string"),
+            (
+                "Protein Sequence Analysis\ud800",
+                "category 'Protein Sequence Analysis\\ud800': "
+                "field 'name' cannot be encoded as UTF-8: surrogates not allowed",
+            ),
+        ],
+        ids=["int", "surrogate"],
+    )
+    def test_name_is_text(self, name, message):
+        with pytest.raises(ValueError) as info:
+            CategoryTaxonomy(["Text Mining", name])
+        assert str(info.value) == message
+
     def test_load_large_fixture(self):
         tax = load_taxonomy(DATA / "taxonomy_large.txt")
         assert len(tax) == 60
@@ -94,6 +111,11 @@ class TestCategoryTaxonomy:
         path = tmp_path / "tax.txt"
         path.write_bytes((DATA / "taxonomy.txt").read_bytes().replace(b"\n", b"\r\n"))
         assert load_taxonomy(path).names == load_taxonomy(DATA / "taxonomy.txt").names
+
+    def test_load_skips_leading_bom(self, tmp_path):
+        path = tmp_path / "tax.txt"
+        path.write_text("\ufeffProtein analysis\nSequence search\n", encoding="utf-8")
+        assert load_taxonomy(path).names == ("Protein analysis", "Sequence search")
 
     def test_load_undecodable_file_names_path(self, tmp_path):
         path = tmp_path / "tax.txt"
