@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 from .annotator import DEFAULT_THRESHOLD, SemanticVector, annotate
-from .lexicon import has_line_break, load_lexicon
+from .lexicon import gc_paused, has_line_break, load_lexicon
 from .ranker import (
     DEFAULT_TOP_K,
     DEFAULT_W1,
@@ -418,7 +418,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args, resolve_settings(args))
+        # The loaded inputs hold no reference cycles for GC to free.
+        with gc_paused():
+            return args.handler(args, resolve_settings(args))
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -23,9 +23,14 @@ values that do not depend on which thread computes them.
 :func:`record_lines`, :func:`check_text`, :func:`check_texts`,
 :func:`check_cell` and :func:`has_line_break` own the package's
 text-input rules.
+
+:func:`gc_paused` pauses cyclic GC while a loader or CLI command builds
+its object graph.
 """
 from __future__ import annotations
 
+import contextlib
+import gc
 import hashlib
 import math
 import re
@@ -36,7 +41,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-_NON_WORD = re.compile(r"[\W_]+", re.UNICODE)
+_WORD = re.compile(r"[^\W_]+")
 
 
 def record_lines(path: Path, raw: bytes, *, comments: bool = True) -> Iterator[tuple[int, str]]:
@@ -52,6 +57,28 @@ def record_lines(path: Path, raw: bytes, *, comments: bool = True) -> Iterator[t
         stripped = line.strip()
         if stripped and not (comments and stripped[0] == "#"):
             yield lineno, line
+
+
+@contextlib.contextmanager
+def gc_paused() -> Iterator[None]:
+    """Cyclic GC disabled for the ``with`` block or decorated call, then
+    enabled again, also on an exception; nothing at all if it was already
+    disabled, so nested uses leave the caller's state alone.
+
+    Loaders build large trees of tuples, frozensets and dicts without
+    reference cycles, so no collection during the build can free any of
+    them, and each one would walk them all.  Caveat: GC state is global to
+    the process, so a thread that calls ``gc.disable()`` while a load is
+    running has GC enabled again when that load ends.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 def has_line_break(text: str) -> bool:
@@ -111,12 +138,14 @@ def _check_id(concept_id: str) -> None:
 
 
 def normalize(text: str) -> list[str]:
-    """Lowercase, replace punctuation with spaces, and split into words.
+    """Lowercase and split into words: the maximal runs of letters and
+    digits (word characters other than ``_``), so punctuation, ``_`` and
+    whitespace all separate words.
 
     Word order and multiplicity are preserved; no stopword removal and no
     stemming.  The function is idempotent on its own space-joined output.
     """
-    return _NON_WORD.sub(" ", text.lower()).split()
+    return _WORD.findall(text.lower())
 
 
 class _ConceptRow(NamedTuple):
@@ -296,6 +325,7 @@ class Lexicon:
         return frozenset(cid for cid, _ in self.forms_with_word(word))
 
 
+@gc_paused()
 def load_lexicon(path: str | Path) -> Lexicon:
     """Load a tab-separated lexicon file.
 

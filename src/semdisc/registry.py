@@ -32,9 +32,12 @@ and files of any other version are rejected with a message to rebuild.
 tuple of its fields.  The constructors of :class:`ServiceRecord`,
 :class:`ServiceIndex` and :class:`~semdisc.annotator.Annotation` admit
 only values the format holds, so every index the library builds loads
-back equal.  The loader hands each row's items straight to them and
-checks only that each row is a JSON list of the right length and that
-each array it converts to a tuple or frozenset is a list.
+back equal; an index holds each service name once.  The loader hands
+each row's items straight to them and checks only that each row is a
+JSON list of the right length and that each array it converts to a
+tuple or frozenset is a list.  :func:`ingest_registry` and
+:func:`load_index` build with cyclic GC paused
+(:func:`semdisc.lexicon.gc_paused`).
 
 Index instances are immutable after construction; build, save and load
 are pure functions of their inputs, so concurrent readers need no
@@ -52,7 +55,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .annotator import DEFAULT_THRESHOLD, Annotation, SemanticVector, annotate
-from .lexicon import Lexicon, check_cell, check_text, check_texts, record_lines
+from .lexicon import Lexicon, check_cell, check_text, check_texts, gc_paused, record_lines
 from .strsim import normalize_string
 
 log = logging.getLogger(__name__)
@@ -118,6 +121,7 @@ def annotation_text(record: ServiceRecord) -> str:
     return " ".join(p for p in parts if p).strip()
 
 
+@gc_paused()
 def ingest_registry(path: str | Path) -> list[ServiceRecord]:
     """Parse a JSON-lines registry dump.
 
@@ -189,7 +193,9 @@ class AnnotatedService(NamedTuple):
 
 
 class ServiceIndex:
-    """Annotated services in canonical (name) order plus posting tables.
+    """Annotated services, each name held once (else ValueError), plus
+    posting tables.  :func:`build_index` puts them in canonical (name)
+    order; the constructor does not require it.
 
     :attr:`threshold` is the annotation threshold the services were
     annotated with, in [-1, 1].  Postings map concept ids and normalized
@@ -246,6 +252,9 @@ class ServiceIndex:
                 if category not in normalized:
                     normalized[category] = normalize_string(category)
                 category_postings[normalized[category]].append(pos)
+        duplicates = _duplicate_names(service.record for service in services)
+        if duplicates:
+            raise ValueError(f"duplicate service names: {', '.join(duplicates)}")
         fields = {
             "services": services,
             "lexicon_fingerprint": lexicon_fingerprint,
@@ -295,12 +304,10 @@ def build_index(
     """Annotate every record into an index.
 
     Records are sorted by name before positions are assigned, so the
-    result does not depend on input order.
+    result does not depend on input order; repeated names are rejected
+    by :class:`ServiceIndex`.
     """
     ordered = sorted(records, key=lambda r: r.name)
-    duplicates = _duplicate_names(ordered)
-    if duplicates:
-        raise ValueError(f"duplicate service names: {', '.join(duplicates)}")
     services = tuple(
         AnnotatedService(
             record=r, vector=annotate(annotation_text(r), lexicon, threshold=threshold)
@@ -352,6 +359,7 @@ def _write_atomic(path: Path, data: bytes) -> None:
         raise
 
 
+@gc_paused()
 def load_index(path: str | Path) -> ServiceIndex:
     """Read an index file, verifying magic, checksum, version and payload.
 

@@ -20,7 +20,9 @@ DEFAULT_TOP_K_CATEGORIES = 3
 
 class CategoryTaxonomy:
     """Immutable set of category names, unique after normalization, each
-    text printing as one table cell (:func:`semdisc.lexicon.check_cell`)."""
+    text printing as one table cell (:func:`semdisc.lexicon.check_cell`)
+    and not starting with U+FEFF, which :func:`load_taxonomy` would drop
+    as a byte order mark from a file's first line."""
 
     def __init__(self, names: Iterable[str]) -> None:
         display: dict[str, str] = {}
@@ -28,6 +30,8 @@ class CategoryTaxonomy:
             try:
                 check_text(name, "name")
                 check_cell(name, "name")
+                if name.strip().startswith("\ufeff"):
+                    raise ValueError("field 'name' must not start with U+FEFF")
             except ValueError as exc:
                 raise ValueError(f"category {name!r}: {exc}") from None
             key = normalize_string(name)

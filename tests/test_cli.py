@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -1239,3 +1240,55 @@ class TestEmptyRequirements:
         assert (code, out) == (1, "")
         assert err == "error: requirements file contains no tasks\n"
         assert caplog.records == []
+
+
+class TestGcStateRestored:
+    """The loaders and ``main`` pause cyclic GC while they build, and leave
+    it as they found it, whether they return or raise."""
+
+    @pytest.fixture()
+    def inputs(self, tmp_path, built_index):
+        bad_lexicon = tmp_path / "bad.tsv"
+        bad_lexicon.write_text("C1\tumls\n")
+        bad_registry = tmp_path / "bad.jsonl"
+        bad_registry.write_text('{"name": 5}\n')
+        repeated = tmp_path / "repeated.idx"
+        repeated.write_bytes(built_index.read_bytes())
+        rewrite_index_payload(
+            repeated, lambda payload: [*payload[:2], [*payload[2], payload[2][0]]]
+        )
+        return {
+            "load_lexicon": (DATA / "lexicon.tsv", bad_lexicon),
+            "ingest_registry": (DATA / "services.jsonl", bad_registry),
+            "load_index": (built_index, repeated),
+        }
+
+    @pytest.fixture(params=[True, False], ids=["gc_on", "gc_off"])
+    def gc_enabled(self, request):
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        gc.enable()
+
+    @pytest.mark.parametrize("malformed", [False, True], ids=["valid", "malformed"])
+    @pytest.mark.parametrize("loader", ["load_lexicon", "ingest_registry", "load_index"])
+    def test_loader(self, inputs, gc_enabled, loader, malformed):
+        with pytest.raises(ValueError) if malformed else contextlib.nullcontext():
+            getattr(semdisc, loader)(inputs[loader][malformed])
+        assert gc.isenabled() is gc_enabled
+
+    @pytest.mark.parametrize("malformed", [False, True], ids=["valid", "malformed"])
+    def test_main(self, inputs, gc_enabled, capsys, malformed):
+        code, out, err = run(
+            capsys,
+            "discover",
+            TASK,
+            f"--lexicon={DATA / 'lexicon.tsv'}",
+            f"--taxonomy={DATA / 'taxonomy.txt'}",
+            f"--index={inputs['load_index'][malformed]}",
+        )
+        assert gc.isenabled() is gc_enabled
+        if malformed:
+            assert (code, out) == (1, "")
+            assert "malformed index payload: duplicate service names: " in err
+        else:
+            assert code == 0 and "GlobPlot" in out

@@ -6,13 +6,15 @@ import gc
 import hashlib
 import math
 import pickle
+import re
+import sys
 
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from semdisc import lexicon as lexicon_module
-from semdisc.lexicon import Concept, Lexicon, _ConceptRow, load_lexicon, normalize
+from semdisc.lexicon import Concept, Lexicon, _ConceptRow, gc_paused, load_lexicon, normalize
 
 from conftest import DATA
 
@@ -34,6 +36,42 @@ class TestNormalize:
 
     def test_collapses_runs_of_separators(self):
         assert normalize("a,,b  --  c") == ["a", "b", "c"]
+
+    @staticmethod
+    def reference(text: str) -> list[str]:
+        """The substitute-and-split rule that finding words replaced."""
+        return re.sub(r"[\W_]+", " ", text.lower()).split()
+
+    @given(st.text())
+    @example("\u2028x_y\x1c\u0130\u03a3 \u1680z\u00a0")
+    def test_equals_substitute_and_split(self, text):
+        assert normalize(text) == self.reference(text)
+
+    def test_equals_substitute_and_split_for_every_code_point(self):
+        # Each non-surrogate code point between two letters, one text per
+        # Unicode plane.
+        for plane in range(0, sys.maxunicode + 1, 0x10000):
+            points = (i for i in range(plane, plane + 0x10000) if not 0xD800 <= i <= 0xDFFF)
+            text = "a" + "a".join(map(chr, points)) + "a"
+            assert normalize(text) == self.reference(text)
+
+
+class TestGcPaused:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_paused_inside_and_restored_after(self, enabled):
+        inside: list[bool] = []
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with pytest.raises(KeyError):
+                with gc_paused():
+                    with gc_paused():
+                        inside.append(gc.isenabled())
+                    inside.append(gc.isenabled())
+                    raise KeyError
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        assert inside == [False, False]
 
 
 class TestConcept:
@@ -312,6 +350,31 @@ class TestLoadLexicon:
         assert len(gc.get_objects()) - before < 100
         assert len(lexicon) == 1000
 
+    def test_load_triggers_no_collection(self, tmp_path):
+        # The rows hold no reference cycles, so a collection during the
+        # build could free nothing.  Once GC is enabled again, the next
+        # allocation may start one pass over the new objects: that pass
+        # runs after the loader's body and is not counted.
+        path = tmp_path / "lex.tsv"
+        path.write_text("".join(f"C{i}\tumls\tform {i} word{i % 97}\n" for i in range(3000)))
+        body = getattr(load_lexicon, "__wrapped__", load_lexicon).__code__
+        collections: list[int] = []
+
+        def record(phase, info):
+            frame = sys._getframe()
+            while frame is not None and frame.f_code is not body:
+                frame = frame.f_back
+            if phase == "start" and frame is not None:
+                collections.append(info["generation"])
+
+        gc.callbacks.append(record)
+        try:
+            lexicon = load_lexicon(path)
+        finally:
+            gc.callbacks.remove(record)
+        assert collections == []
+        assert len(lexicon) == 3000
+
     def test_rejects_source_that_is_not_one_cell(self, tmp_path):
         path = tmp_path / "lex.tsv"
         path.write_text("C1\tumls\talpha\nC2\tum\u2028ls\tbeta\n", encoding="utf-8")
@@ -358,17 +421,17 @@ class TestLoadLexicon:
             load_lexicon(tmp_path / "absent.tsv")
 
     def test_tokenizes_each_form_line_once(self, tmp_path, monkeypatch):
-        # Counted at normalize's word split, so a pass that reaches the
+        # Counted at normalize's word search, so a pass that reaches the
         # tokenizer through any name or default argument counts too.
-        pattern = lexicon_module._NON_WORD
+        pattern = lexicon_module._WORD
         split: list[str] = []
 
         class CountingPattern:
-            def sub(self, repl, text):
+            def findall(self, text):
                 split.append(text)
-                return pattern.sub(repl, text)
+                return pattern.findall(text)
 
-        monkeypatch.setattr(lexicon_module, "_NON_WORD", CountingPattern())
+        monkeypatch.setattr(lexicon_module, "_WORD", CountingPattern())
         path = tmp_path / "lex.tsv"
         path.write_text(
             "C1\tumls\talpha\nC1\tumls\tBeta gamma\n"

@@ -356,6 +356,11 @@ class TestPersistence:
                 {"services": [AnnotatedService(ServiceRecord(name="A"), SemanticVector({}))]},
                 "services must be a tuple of AnnotatedService",
             ),
+            # discover would print the one name twice.
+            (
+                {"services": (AnnotatedService(ServiceRecord(name="A"), SemanticVector({})),) * 2},
+                "duplicate service names: A",
+            ),
         ],
     )
     def test_index_the_format_cannot_hold_is_not_built(self, fields, message):
@@ -699,6 +704,13 @@ class TestMalformedPayload:
                 "service 0: expected a list of 6 items, got 7",
             ),
             (_edit_service(_NAME, 7), "field 'name' must be a string"),
+            pytest.param(
+                lambda payload: [
+                    *payload[:_SERVICES], [*payload[_SERVICES], payload[_SERVICES][0]]
+                ],
+                ": malformed index payload: duplicate service names: ELMdb",
+                id="service_row_repeated",
+            ),
             (_edit_service(_NAME, " "), "service name must be non-empty"),
             pytest.param(
                 _edit_service(_NAME, "A\tB"),
@@ -784,6 +796,12 @@ class TestMalformedPayload:
     def test_unchanged_payload_still_loads(self, index_path, demo_index):
         rewrite_index_payload(index_path, lambda payload: payload)
         assert load_index(index_path) == demo_index
+
+    def test_services_out_of_name_order_load(self, index_path, demo_index):
+        rewrite_index_payload(
+            index_path, lambda payload: [*payload[:_SERVICES], payload[_SERVICES][::-1]]
+        )
+        assert load_index(index_path).services == demo_index.services[::-1]
 
 
 class TestValueTypes:

@@ -117,6 +117,20 @@ class TestCategoryTaxonomy:
         path.write_text("\ufeffProtein analysis\nSequence search\n", encoding="utf-8")
         assert load_taxonomy(path).names == ("Protein analysis", "Sequence search")
 
+    def test_name_starting_with_bom_rejected(self, tmp_path):
+        # Only a file's first U+FEFF is a byte order mark; on a later line
+        # it would be kept as an invisible part of the printed name.
+        name = "\ufeffProtein analysis"
+        message = f"category {name!r}: field 'name' must not start with U+FEFF"
+        with pytest.raises(ValueError) as info:
+            CategoryTaxonomy([name])
+        assert str(info.value) == message
+        path = tmp_path / "tax.txt"
+        path.write_text(f"Sequence search\n{name}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load_taxonomy(path)
+        assert str(info.value) == f"{path}: {message}"
+
     def test_load_undecodable_file_names_path(self, tmp_path):
         path = tmp_path / "tax.txt"
         path.write_bytes(b"Sequence Analysis\nCaf\xe9 Search\n")
