@@ -34,7 +34,7 @@ import math
 from collections import Counter
 from typing import AbstractSet, Iterable, Mapping, NamedTuple
 
-from .lexicon import Concept, Lexicon, normalize
+from .lexicon import Checked, Concept, Lexicon, normalize
 
 DEFAULT_THRESHOLD = 0.8
 # The range of annotation weights: their squares and pairwise products
@@ -119,7 +119,7 @@ class _AnnotationRow(NamedTuple):
     matched_words: frozenset[str]
 
 
-class Annotation(_AnnotationRow):
+class Annotation(Checked, _AnnotationRow):
     """One vector entry, a checked tuple of the fields an index file holds
     for it; its weight is tf * idf_value and lies in [2**-255, 2**255].
     ValueError names the field a value does not fit."""
@@ -167,11 +167,6 @@ class Annotation(_AnnotationRow):
         return tuple.__new__(
             cls, (concept_id, lexical_form, similarity, tf, idf_value, matched_words)
         )
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> Annotation:
-        """Through the checks, as ``_replace`` is too."""
-        return cls(*iterable)
 
     @property
     def weight(self) -> float:

@@ -9,12 +9,11 @@ its lexical forms; words never seen in any form fall back to a shared
 floor probability.  Every probability is below 1, so every form carries
 information.
 
-:class:`Concept` is a checked tuple type (a ``typing.NamedTuple``
-subclass whose constructor checks its fields), so it compares equal to a
-plain tuple of its fields, and admits exactly what a lexicon line can
-hold.  :func:`load_lexicon` and ``Lexicon(concepts)`` build the model and
-its fingerprint with one routine from ``(concept_id, source, form,
-words)`` rows, so both give the same lexicon for the same concepts.
+:class:`Concept` is a checked tuple type (:class:`Checked`) admitting
+exactly what a lexicon line can hold.  :func:`load_lexicon` and
+``Lexicon(concepts)`` build the model and its fingerprint with one
+routine from ``(concept_id, source, form, words)`` rows, so both give
+the same lexicon for the same concepts.
 
 Instances are immutable after construction and safe to share across
 threads; the only table filled later, each form's idf, is a memo of
@@ -119,6 +118,19 @@ def check_texts(values: object, field: str) -> None:
             raise ValueError(f"field {field!r} cannot be encoded as UTF-8: {exc.reason}") from None
 
 
+class Checked:
+    """Base of the checked tuple types: ``typing.NamedTuple`` subclasses
+    whose ``__new__`` checks the fields, so construction, copies, unpickling
+    and (through this ``_make``) ``_replace`` all run the checks.  Like any
+    tuple, a value compares equal to a plain tuple of its fields."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> tuple:
+        return cls(*iterable)
+
+
 def _check_field(text: object, field: str) -> None:
     """ValueError naming ``field`` unless ``text`` can be a stripped lexicon field."""
     check_text(text, field)
@@ -154,7 +166,7 @@ class _ConceptRow(NamedTuple):
     source: str
 
 
-class Concept(_ConceptRow):
+class Concept(Checked, _ConceptRow):
     """One ontology concept, a checked tuple: an identifier, a non-empty
     frozenset of lexical forms and a source, all strings UTF-8 can encode.
     Each is non-empty without surrounding whitespace and prints as one
@@ -178,11 +190,6 @@ class Concept(_ConceptRow):
             if not normalize(form):
                 raise ValueError(f"concept {id}: form {form!r} has no words")
         return tuple.__new__(cls, (id, lexical_forms, source))
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> Concept:
-        """Through the checks, as ``_replace`` is too."""
-        return cls(*iterable)
 
 
 class Lexicon:

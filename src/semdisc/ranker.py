@@ -16,16 +16,19 @@ norm the index keeps.  ``fsum`` is correctly rounded whatever the order,
 so every score equals ``cosine(task_vector, service.vector)`` bit for
 bit.  :func:`rank` then keeps only the ``top_k`` best with a heap and
 builds results for those alone.
+
+:class:`Weights` is a checked tuple type
+(:class:`semdisc.lexicon.Checked`) and :class:`RankedResult` a plain
+``typing.NamedTuple``, so each compares equal to a tuple of its fields.
 """
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .annotator import SemanticVector, annotate
-from .lexicon import Lexicon
+from .lexicon import Checked, Lexicon
 from .registry import ServiceIndex
 from .taxonomy import (
     DEFAULT_MIN_CSCORE,
@@ -40,20 +43,28 @@ DEFAULT_W2 = 0.8
 DEFAULT_TOP_K = 10
 
 
-@dataclass(frozen=True)
-class Weights:
-    """Combination weights; must be finite, non-negative and sum to 1."""
+class _WeightsRow(NamedTuple):
+    w1: float
+    w2: float
 
-    w1: float = DEFAULT_W1
-    w2: float = DEFAULT_W2
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.w1) and math.isfinite(self.w2)):
-            raise ValueError(f"weights must be finite, got {self.w1}, {self.w2}")
-        if self.w1 < 0.0 or self.w2 < 0.0:
-            raise ValueError(f"weights must be non-negative, got {self.w1}, {self.w2}")
-        if abs(self.w1 + self.w2 - 1.0) > 1e-9:
-            raise ValueError(f"weights must sum to 1, got {self.w1} + {self.w2}")
+class Weights(Checked, _WeightsRow):
+    """Combination weights, a checked tuple: each exactly an int or float
+    (so not a bool), finite and non-negative, the two summing to 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, w1: float = DEFAULT_W1, w2: float = DEFAULT_W2) -> Weights:
+        for field, value in (("w1", w1), ("w2", w2)):
+            if type(value) is not float and type(value) is not int:
+                raise ValueError(f"field {field!r} has type {type(value).__name__}")
+        if not (math.isfinite(w1) and math.isfinite(w2)):
+            raise ValueError(f"weights must be finite, got {w1}, {w2}")
+        if w1 < 0.0 or w2 < 0.0:
+            raise ValueError(f"weights must be non-negative, got {w1}, {w2}")
+        if abs(w1 + w2 - 1.0) > 1e-9:
+            raise ValueError(f"weights must sum to 1, got {w1} + {w2}")
+        return tuple.__new__(cls, (w1, w2))
 
 
 def cosine(a: SemanticVector, b: SemanticVector) -> float:
@@ -116,8 +127,7 @@ def combine(c_score: float, s_score: float, weights: Weights) -> float:
     return c_score * weights.w1 + s_score * weights.w2
 
 
-@dataclass(frozen=True)
-class RankedResult:
+class RankedResult(NamedTuple):
     """One discovered service with both route scores."""
 
     service: str

@@ -55,7 +55,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .annotator import DEFAULT_THRESHOLD, Annotation, SemanticVector, annotate
-from .lexicon import Lexicon, check_cell, check_text, check_texts, gc_paused, record_lines
+from .lexicon import Checked, Lexicon, check_cell, check_text, check_texts, gc_paused, record_lines
 from .strsim import normalize_string
 
 log = logging.getLogger(__name__)
@@ -72,7 +72,7 @@ class _ServiceRow(NamedTuple):
     categories: tuple[str, ...]
 
 
-class ServiceRecord(_ServiceRow):
+class ServiceRecord(Checked, _ServiceRow):
     """One registry entry as ingested, field presence preserved: a checked
     tuple whose fields hold strings (description and documentation may be
     None) or tuples of strings, all encodable as UTF-8, and whose name is
@@ -100,11 +100,6 @@ class ServiceRecord(_ServiceRow):
         # Output prints a name as one field of one row, so it could forge rows.
         check_cell(name, "name")
         return tuple.__new__(cls, (name, description, documentation, tags, categories))
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> ServiceRecord:
-        """Through the checks, as ``_replace`` is too."""
-        return cls(*iterable)
 
 
 def annotation_text(record: ServiceRecord) -> str:

@@ -15,8 +15,9 @@ explicit id in brackets; tasks without one are numbered t1, t2, ... in
 file order.  Lines are read by the shared rules of
 :func:`semdisc.lexicon.record_lines`.
 
-The model holds only what this format writes, and its constructors
-check it: names, ids and descriptions are non-empty single lines without
+The model's four types are checked tuple types
+(:class:`semdisc.lexicon.Checked`) holding only what this format writes:
+names, ids and descriptions are non-empty single lines without
 surrounding whitespace that UTF-8 can encode, ids hold no ``]``, task ids
 are unique in a model, and a goal's direct tasks come before its subgoals.
 """
@@ -24,10 +25,10 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
-from .lexicon import check_text, has_line_break, record_lines
+from .lexicon import Checked, check_text, has_line_break, record_lines
 
 _LINE = re.compile(r"^(goal|subgoal|task)(?:\[(?P<id>[^\]]+)\])?\s*:\s*(?P<text>.*)$")
 
@@ -49,62 +50,75 @@ def _check_children(value: object, field: str, kind: type) -> None:
         raise ValueError(f"field {field!r} must be a tuple of {kind.__name__}")
 
 
-@dataclass(frozen=True)
-class TaskRequirement:
+class _TaskRow(NamedTuple):
     id: str
     description: str
 
-    def __post_init__(self) -> None:
-        _check_line(self.id, "id")
-        _check_line(self.description, "description")
-        if "]" in self.id:
-            raise ValueError(f"field 'id' must not contain ']', got {self.id!r}")
+
+class TaskRequirement(Checked, _TaskRow):
+    __slots__ = ()
+
+    def __new__(cls, id: str, description: str) -> TaskRequirement:
+        _check_line(id, "id")
+        _check_line(description, "description")
+        if "]" in id:
+            raise ValueError(f"field 'id' must not contain ']', got {id!r}")
+        return tuple.__new__(cls, (id, description))
 
 
-@dataclass(frozen=True)
-class Subgoal:
+class _SubgoalRow(NamedTuple):
     name: str
-    tasks: tuple[TaskRequirement, ...] = ()
-
-    def __post_init__(self) -> None:
-        _check_line(self.name, "name")
-        _check_children(self.tasks, "tasks", TaskRequirement)
+    tasks: tuple[TaskRequirement, ...]
 
 
-@dataclass(frozen=True)
-class Goal:
+class Subgoal(Checked, _SubgoalRow):
+    __slots__ = ()
+
+    def __new__(cls, name: str, tasks: tuple[TaskRequirement, ...] = ()) -> Subgoal:
+        _check_line(name, "name")
+        _check_children(tasks, "tasks", TaskRequirement)
+        return tuple.__new__(cls, (name, tasks))
+
+
+class _GoalRow(NamedTuple):
+    name: str
+    tasks: tuple[TaskRequirement, ...]
+    subgoals: tuple[Subgoal, ...]
+
+
+class Goal(Checked, _GoalRow):
     """A goal's direct tasks, then its subgoals, in file order."""
 
-    name: str
-    tasks: tuple[TaskRequirement, ...] = ()
-    subgoals: tuple[Subgoal, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_line(self.name, "name")
-        _check_children(self.tasks, "tasks", TaskRequirement)
-        _check_children(self.subgoals, "subgoals", Subgoal)
+    def __new__(
+        cls, name: str, tasks: tuple[TaskRequirement, ...] = (), subgoals: tuple[Subgoal, ...] = ()
+    ) -> Goal:
+        _check_line(name, "name")
+        _check_children(tasks, "tasks", TaskRequirement)
+        _check_children(subgoals, "subgoals", Subgoal)
+        return tuple.__new__(cls, (name, tasks, subgoals))
 
 
-@dataclass(frozen=True)
-class RequirementsModel:
-    goals: tuple[Goal, ...] = ()
+class _ModelRow(NamedTuple):
+    goals: tuple[Goal, ...]
 
-    def __post_init__(self) -> None:
-        _check_children(self.goals, "goals", Goal)
-        counts = Counter(task.id for task in tasks(self))
-        repeated = [task_id for task_id, n in counts.items() if n > 1]
+
+class RequirementsModel(Checked, _ModelRow):
+    __slots__ = ()
+
+    def __new__(cls, goals: tuple[Goal, ...] = ()) -> RequirementsModel:
+        _check_children(goals, "goals", Goal)
+        self = tuple.__new__(cls, (goals,))
+        repeated = [i for i, n in Counter(t.id for t in tasks(self)).items() if n > 1]
         if repeated:
             raise ValueError(f"duplicate task id {', '.join(map(repr, repeated))}")
+        return self
 
 
 def tasks(model: RequirementsModel) -> list[TaskRequirement]:
     """All tasks of the model, depth-first in file order."""
-    found: list[TaskRequirement] = []
-    for goal in model.goals:
-        found.extend(goal.tasks)
-        for subgoal in goal.subgoals:
-            found.extend(subgoal.tasks)
-    return found
+    return [t for goal in model.goals for scope in (goal, *goal.subgoals) for t in scope.tasks]
 
 
 def parse_requirements(path: str | Path) -> RequirementsModel:

@@ -1,15 +1,15 @@
 """Category taxonomy and task-to-category matching.
 
 A taxonomy is a flat list of category names, one per line read by
-:func:`semdisc.lexicon.record_lines`.  Matching scores the full task text
-against each category name with the ISub metric, keeps categories at or
-above a minimum score, and returns the best ones first.
+:func:`semdisc.lexicon.record_lines`, so no name starts with ``#``.
+Matching scores the full task text against each category name with the
+ISub metric, keeps categories at or above a minimum score, and returns
+the best ones first, each a :class:`CategoryMatch` (a ``NamedTuple``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .lexicon import check_cell, check_text, record_lines
 from .strsim import _isub_normalized, clamp_cscore, normalize_string
@@ -21,8 +21,8 @@ DEFAULT_TOP_K_CATEGORIES = 3
 class CategoryTaxonomy:
     """Immutable set of category names, unique after normalization, each
     text printing as one table cell (:func:`semdisc.lexicon.check_cell`)
-    and not starting with U+FEFF, which :func:`load_taxonomy` would drop
-    as a byte order mark from a file's first line."""
+    and starting with neither ``#`` (a comment) nor U+FEFF (a byte order
+    mark), which :func:`load_taxonomy` would skip or drop."""
 
     def __init__(self, names: Iterable[str]) -> None:
         display: dict[str, str] = {}
@@ -30,8 +30,9 @@ class CategoryTaxonomy:
             try:
                 check_text(name, "name")
                 check_cell(name, "name")
-                if name.strip().startswith("\ufeff"):
-                    raise ValueError("field 'name' must not start with U+FEFF")
+                mark = {"#": "'#'", "\ufeff": "U+FEFF"}.get(name.strip()[:1])
+                if mark:
+                    raise ValueError(f"field 'name' must not start with {mark}")
             except ValueError as exc:
                 raise ValueError(f"category {name!r}: {exc}") from None
             key = normalize_string(name)
@@ -68,8 +69,7 @@ def load_taxonomy(path: str | Path) -> CategoryTaxonomy:
         raise ValueError(f"{path}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class CategoryMatch:
+class CategoryMatch(NamedTuple):
     """One matched category; c_score is the clamped ISub similarity."""
 
     category: str

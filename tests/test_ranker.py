@@ -135,6 +135,23 @@ class TestWeights:
         assert Weights(0.0, 1.0).w1 == 0.0
         assert Weights(1.0, 0.0).w2 == 0.0
 
+    @pytest.mark.parametrize(
+        "w1, w2, detail",
+        [
+            ("a", 0.8, "field 'w1' has type str"),
+            (True, False, "field 'w1' has type bool"),
+            (0.2, None, "field 'w2' has type NoneType"),
+            (1, False, "field 'w2' has type bool"),
+        ],
+    )
+    def test_only_int_or_float(self, w1, w2, detail):
+        with pytest.raises(ValueError) as info:
+            Weights(w1, w2)
+        assert str(info.value) == detail
+
+    def test_ints_allowed(self):
+        assert Weights(1, 0) == (1, 0)
+
 
 class TestCosine:
     def test_partial_overlap_oracle(self):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from semdisc import cli, registry
 from semdisc.annotator import DEFAULT_THRESHOLD, Annotation, SemanticVector
 from semdisc.lexicon import Concept, Lexicon
+from semdisc.ranker import Weights
 from semdisc.registry import (
     AnnotatedService,
     ServiceIndex,
@@ -28,6 +29,14 @@ from semdisc.registry import (
     save_index,
 )
 from semdisc.registry import FORMAT_VERSION, MAGIC, _index_payload
+from semdisc.requirements import (
+    Goal,
+    RequirementsModel,
+    Subgoal,
+    TaskRequirement,
+    parse_requirements,
+    tasks,
+)
 
 from conftest import (
     DATA,
@@ -805,7 +814,8 @@ class TestMalformedPayload:
 
 
 class TestValueTypes:
-    """Records, annotations and concepts are checked tuple types."""
+    """Records, annotations, concepts, weights and the outline model are
+    checked tuple types."""
 
     def test_replace_and_make_run_the_checks(self):
         with pytest.raises(ValueError, match="non-positive weight"):
@@ -814,14 +824,44 @@ class TestValueTypes:
             ServiceRecord._make([" "])
         with pytest.raises(ValueError, match="at least one lexical form required"):
             Concept("C1", frozenset({"x"}))._replace(lexical_forms=frozenset())
+        with pytest.raises(ValueError, match="weights must sum to 1"):
+            Weights()._replace(w1=0.5)
+        with pytest.raises(ValueError, match="field 'w2' has type bool"):
+            Weights._make([1, False])
+        task = TaskRequirement("t1", "x")
+        with pytest.raises(ValueError, match="field 'id' must not contain"):
+            task._replace(id="a]b")
+        with pytest.raises(ValueError, match="field 'description' must be one"):
+            TaskRequirement._make(["t1", " x"])
+        with pytest.raises(ValueError, match="field 'tasks' must be a tuple"):
+            Subgoal("S")._replace(tasks=[task])
+        with pytest.raises(ValueError, match="field 'name' must be a string"):
+            Subgoal._make([None, ()])
+        with pytest.raises(ValueError, match="field 'subgoals' must be a tuple of Subgoal"):
+            Goal("G")._replace(subgoals=(Goal("H"),))
+        with pytest.raises(ValueError, match="field 'name' must be one"):
+            Goal._make(["", (), ()])
+        with pytest.raises(ValueError, match="duplicate task id 't1'"):
+            RequirementsModel()._replace(goals=(Goal("G", (task, task)),))
+        with pytest.raises(ValueError, match="field 'goals' must be a tuple"):
+            RequirementsModel._make([[Goal("G")]])
 
     def test_equal_to_a_plain_tuple_of_fields(self):
         assert ServiceRecord("A") == ("A", None, None, (), ())
         assert Annotation(**_VALID_ANNOTATION) == tuple(_VALID_ANNOTATION.values())
+        assert Weights() == (0.2, 0.8)
+        task = TaskRequirement("t1", "x")
+        assert task == ("t1", "x")
+        assert Subgoal("S", (task,)) == ("S", (("t1", "x"),))
+        assert Goal("G", (task,)) == ("G", (("t1", "x"),), ())
+        assert RequirementsModel((Goal("G"),)) == ((("G", (), ()),),)
 
     def test_copies_and_pickles_equal_the_original(self, demo_index):
         service = demo_index.services[0]
-        for value in (demo_index, service, service.vector):
+        model = parse_requirements(DATA / "requirements.txt")
+        goal = next(goal for goal in model.goals if goal.tasks and goal.subgoals)
+        values = (demo_index, service, service.vector, Weights(0.5, 0.5))
+        for value in (*values, model, goal, goal.subgoals[0], tasks(model)[0]):
             assert copy.deepcopy(value) == value
             assert pickle.loads(pickle.dumps(value)) == value
 

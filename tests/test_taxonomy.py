@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semdisc.taxonomy import (
     CategoryMatch,
@@ -131,12 +133,44 @@ class TestCategoryTaxonomy:
             load_taxonomy(path)
         assert str(info.value) == f"{path}: {message}"
 
+    def test_name_starting_with_hash_rejected(self, tmp_path):
+        # Written one name per line, it would be skipped as a comment.
+        name = " #Protein analysis"
+        with pytest.raises(ValueError) as info:
+            CategoryTaxonomy(["Sequence search", name])
+        assert str(info.value) == f"category {name!r}: field 'name' must not start with '#'"
+        path = tmp_path / "tax.txt"
+        path.write_text(f"Sequence search\n{name}\n", encoding="utf-8")
+        assert load_taxonomy(path).names == ("Sequence search",)
+
     def test_load_undecodable_file_names_path(self, tmp_path):
         path = tmp_path / "tax.txt"
         path.write_bytes(b"Sequence Analysis\nCaf\xe9 Search\n")
         with pytest.raises(ValueError) as info:
             load_taxonomy(path)
         assert str(info.value).startswith(f"{path}: not valid UTF-8: ")
+
+
+# Names that often start with a character a file would read differently.
+_NAME = st.builds(
+    str.__add__,
+    st.sampled_from(["", "", "#", " #", "\ufeff", " ", "\r"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(names=st.lists(_NAME, max_size=5))
+def test_built_taxonomy_round_trips(tmp_path_factory, names):
+    """Every taxonomy the constructor admits, written one name per line,
+    loads back with equal names."""
+    try:
+        taxonomy = CategoryTaxonomy(names)
+    except ValueError:
+        return
+    path = tmp_path_factory.getbasetemp() / "taxonomy_property.txt"
+    path.write_text("".join(f"{name}\n" for name in taxonomy.names), "utf-8")
+    assert load_taxonomy(path).names == taxonomy.names
 
 
 class TestCategoryMatch:
