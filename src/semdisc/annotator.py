@@ -25,8 +25,9 @@ or form directly and serve as the reference for that pass.
 
 :class:`Annotation` is a checked tuple type (a ``typing.NamedTuple``
 subclass whose constructor checks every field), so it compares equal to
-a plain tuple of its fields; :class:`SemanticVector` is an immutable
-class with ``__slots__``, equal to another vector with equal provenance.
+a plain tuple of its fields; :class:`SemanticVector` is a slotted
+:class:`~semdisc.lexicon.Frozen` value, equal to another vector with
+equal provenance.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ import math
 from collections import Counter
 from typing import AbstractSet, Iterable, Mapping, NamedTuple
 
-from .lexicon import Checked, Concept, Lexicon, normalize
+from .lexicon import Checked, Concept, Frozen, Lexicon, normalize
 
 DEFAULT_THRESHOLD = 0.8
 # The range of annotation weights: their squares and pairwise products
@@ -173,13 +174,13 @@ class Annotation(Checked, _AnnotationRow):
         return self.tf * self.idf_value
 
 
-class SemanticVector:
+class SemanticVector(Frozen):
     """Sparse concept vector: one :class:`Annotation` per concept, keyed by
     its concept id.  ``weights`` maps each concept to its annotation's
     weight, tf * idf_value, which lies in [2**-255, 2**255], so no norm or
-    cosine underflows or overflows.  Immutable: a vector keeps its own copy
-    of the mapping it is given.  Two vectors are equal when their
-    provenance is."""
+    cosine underflows or overflows.  A :class:`~semdisc.lexicon.Frozen`
+    value whose ``_args()`` are its provenance: it keeps its own copy of
+    the mapping it is given."""
 
     __slots__ = ("provenance", "weights")
     provenance: Mapping[str, Annotation]
@@ -197,25 +198,11 @@ class SemanticVector:
         object.__setattr__(self, "provenance", provenance)
         object.__setattr__(self, "weights", weights)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not SemanticVector:
-            return NotImplemented
-        return self.provenance == other.provenance
-
-    __hash__ = None  # type: ignore[assignment]
+    def _args(self) -> tuple:
+        return (self.provenance,)
 
     def __repr__(self) -> str:
         return f"SemanticVector({self.provenance!r})"
-
-    def __reduce__(self) -> tuple:
-        # Copies and unpickling go through the checks.
-        return SemanticVector, (self.provenance,)
 
     def support(self) -> frozenset[str]:
         return frozenset(self.weights)

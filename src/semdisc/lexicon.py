@@ -15,13 +15,14 @@ exactly what a lexicon line can hold.  :func:`load_lexicon` and
 routine from ``(concept_id, source, form, words)`` rows, so both give
 the same lexicon for the same concepts.
 
-Instances are immutable after construction and safe to share across
-threads; the only table filled later, each form's idf, is a memo of
-values that do not depend on which thread computes them.
+A :class:`Lexicon` is a :class:`Frozen` value, equal to a lexicon of the
+same concepts, and safe to share across threads: the only table filled
+later, each form's idf, is a memo of values that do not depend on which
+thread computes them.
 
 :func:`record_lines`, :func:`check_text`, :func:`check_texts`,
 :func:`check_cell` and :func:`has_line_break` own the package's
-text-input rules.
+text-input rules, and :func:`duplicates` its rule for repeated names.
 
 :func:`gc_paused` pauses cyclic GC while a loader or CLI command builds
 its object graph.
@@ -131,6 +132,36 @@ class Checked:
         return cls(*iterable)
 
 
+class Frozen:
+    """Base of the immutable types that are not tuples: a value refuses
+    assignment, is unhashable, equals a value of its type with equal
+    ``_args()`` (the arguments its constructor takes) and is copied and
+    unpickled through that constructor, so its checks run again."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._args() == other._args()
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._args()
+
+
+def duplicates(values: Iterable[str]) -> list[str]:
+    """Each value occurring more than once, in order of first occurrence."""
+    return [value for value, n in Counter(values).items() if n > 1]
+
+
 def _check_field(text: object, field: str) -> None:
     """ValueError naming ``field`` unless ``text`` can be a stripped lexicon field."""
     check_text(text, field)
@@ -192,10 +223,11 @@ class Concept(Checked, _ConceptRow):
         return tuple.__new__(cls, (id, lexical_forms, source))
 
 
-class Lexicon:
+class Lexicon(Frozen):
     """Immutable collection of :class:`Concept` values (else ValueError)
     with the word-probability model their forms estimate; ``fingerprint``
     is the SHA-256 of the sorted ``id<TAB>source<TAB>form<LF>`` lines.
+    A :class:`Frozen` value whose ``_args()`` are its :attr:`concepts`.
 
     Laplace add-one smoothing: P(w) = (count(w) + 1) / (total + vocab + 1),
     where counts run over every lexical form of every concept, repeated
@@ -230,8 +262,8 @@ class Lexicon:
             for form in concept.lexical_forms
         )
 
-    def __reduce__(self) -> tuple:
-        return type(self), (self.concepts,)
+    def _args(self) -> tuple:
+        return (self.concepts,)
 
     @classmethod
     def _from_rows(cls, rows: Iterable[tuple[str, str, str, tuple[str, ...]]]) -> Lexicon:
@@ -258,18 +290,20 @@ class Lexicon:
             sources.setdefault(concept_id, source)
         if not tokens:
             raise ValueError("empty lexicon: no lexical forms to estimate from")
-        self = object.__new__(cls)
-        self._sources = sources
-        self._form_words = form_words
-        self._postings = {word: tuple(keys) for word, keys in postings.items()}
         counts = Counter(tokens)
         denom = len(tokens) + len(counts) + 1
-        self._word_prob = {w: (c + 1) / denom for w, c in counts.items()}
-        self.unseen_prob = 1.0 / denom
-        self._form_idf: dict[tuple[str, str], float] = {}
         # The model follows from these lines; no field holds a tab or line break.
         lines = sorted([f"{cid}\t{sources[cid]}\t{form}\n" for cid, form in form_words])
-        self.fingerprint = hashlib.sha256("".join(lines).encode()).hexdigest()
+        self = object.__new__(cls)
+        # Not vars(self).update: a materialized dict slows every method call (CPython 3.11).
+        for name, value in {
+            "_sources": sources, "_form_words": form_words, "_form_idf": {},
+            "_postings": {word: tuple(keys) for word, keys in postings.items()},
+            "_word_prob": {w: (c + 1) / denom for w, c in counts.items()},
+            "unseen_prob": 1.0 / denom,
+            "fingerprint": hashlib.sha256("".join(lines).encode()).hexdigest(),
+        }.items():
+            object.__setattr__(self, name, value)
         return self
 
     @cached_property

@@ -58,6 +58,10 @@ class Weights(Checked, _WeightsRow):
         for field, value in (("w1", w1), ("w2", w2)):
             if type(value) is not float and type(value) is not int:
                 raise ValueError(f"field {field!r} has type {type(value).__name__}")
+            try:
+                float(value)
+            except OverflowError as exc:
+                raise ValueError(f"field {field!r}: {exc}") from None
         if not (math.isfinite(w1) and math.isfinite(w2)):
             raise ValueError(f"weights must be finite, got {w1}, {w2}")
         if w1 < 0.0 or w2 < 0.0:

@@ -39,9 +39,9 @@ tuple or frozenset is a list.  :func:`ingest_registry` and
 :func:`load_index` build with cyclic GC paused
 (:func:`semdisc.lexicon.gc_paused`).
 
-Index instances are immutable after construction; build, save and load
-are pure functions of their inputs, so concurrent readers need no
-locking.
+:class:`ServiceIndex` is a :class:`semdisc.lexicon.Frozen` value; build,
+save and load are pure functions of their inputs, so concurrent readers
+need no locking.
 """
 from __future__ import annotations
 
@@ -55,7 +55,8 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .annotator import DEFAULT_THRESHOLD, Annotation, SemanticVector, annotate
-from .lexicon import Checked, Lexicon, check_cell, check_text, check_texts, gc_paused, record_lines
+from .lexicon import Checked, Frozen, Lexicon, check_cell, check_text, check_texts, duplicates
+from .lexicon import gc_paused, record_lines
 from .strsim import normalize_string
 
 log = logging.getLogger(__name__)
@@ -145,9 +146,9 @@ def ingest_registry(path: str | Path) -> list[ServiceRecord]:
                 path, lineno, record.name,
             )
         records.append(record)
-    duplicates = _duplicate_names(records)
-    if duplicates:
-        raise ValueError(f"{path}: duplicate service names: {', '.join(duplicates)}")
+    repeated = duplicates(record.name for record in records)
+    if repeated:
+        raise ValueError(f"{path}: duplicate service names: {', '.join(repeated)}")
     return records
 
 
@@ -161,16 +162,6 @@ def _record_from_object(obj: dict) -> ServiceRecord:
         lists.append(tuple(value or ()))
     texts = (obj.get(key) for key in ("name", "description", "documentation"))
     return ServiceRecord(*texts, *lists)
-
-
-def _duplicate_names(records: Iterable[ServiceRecord]) -> list[str]:
-    seen: set[str] = set()
-    duplicates: list[str] = []
-    for record in records:
-        if record.name in seen and record.name not in duplicates:
-            duplicates.append(record.name)
-        seen.add(record.name)
-    return duplicates
 
 
 class AnnotatedService(NamedTuple):
@@ -187,7 +178,7 @@ class AnnotatedService(NamedTuple):
         return tuple(normalize_string(c) for c in self.record.categories)
 
 
-class ServiceIndex:
+class ServiceIndex(Frozen):
     """Annotated services, each name held once (else ValueError), plus
     posting tables.  :func:`build_index` puts them in canonical (name)
     order; the constructor does not require it.
@@ -198,8 +189,8 @@ class ServiceIndex:
     holds each service vector's ``norm()`` at the same position, so
     ranking never recomputes a service norm per query.  All three are
     derived from the services on construction and never stored in the
-    index file.  Immutable; two indexes are equal when their services,
-    fingerprint and threshold are.
+    index file.  A :class:`~semdisc.lexicon.Frozen` value whose
+    ``_args()`` are its services, fingerprint and threshold.
     """
 
     __slots__ = (
@@ -247,44 +238,27 @@ class ServiceIndex:
                 if category not in normalized:
                     normalized[category] = normalize_string(category)
                 category_postings[normalized[category]].append(pos)
-        duplicates = _duplicate_names(service.record for service in services)
-        if duplicates:
-            raise ValueError(f"duplicate service names: {', '.join(duplicates)}")
-        fields = {
+        repeated = duplicates(service.record.name for service in services)
+        if repeated:
+            raise ValueError(f"duplicate service names: {', '.join(repeated)}")
+        for name, value in {
             "services": services,
             "lexicon_fingerprint": lexicon_fingerprint,
             "threshold": threshold,
             "concept_postings": {c: frozenset(p) for c, p in concept_postings.items()},
             "category_postings": {c: frozenset(p) for c, p in category_postings.items()},
             "norms": tuple(norms),
-        }
-        for name, value in fields.items():
+        }.items():
             object.__setattr__(self, name, value)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not ServiceIndex:
-            return NotImplemented
-        return (self.services, self.lexicon_fingerprint, self.threshold) == (
-            other.services, other.lexicon_fingerprint, other.threshold
-        )
-
-    __hash__ = None  # type: ignore[assignment]
+    def _args(self) -> tuple:
+        return self.services, self.lexicon_fingerprint, self.threshold
 
     def __repr__(self) -> str:
         return (
             f"ServiceIndex(<{len(self.services)} services>, "
             f"lexicon_fingerprint={self.lexicon_fingerprint!r}, threshold={self.threshold!r})"
         )
-
-    def __reduce__(self) -> tuple:
-        # Copies and unpickling go through the checks.
-        return ServiceIndex, (self.services, self.lexicon_fingerprint, self.threshold)
 
     def __len__(self) -> int:
         return len(self.services)

@@ -24,11 +24,10 @@ are unique in a model, and a goal's direct tasks come before its subgoals.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from pathlib import Path
 from typing import NamedTuple
 
-from .lexicon import Checked, check_text, has_line_break, record_lines
+from .lexicon import Checked, check_text, duplicates, has_line_break, record_lines
 
 _LINE = re.compile(r"^(goal|subgoal|task)(?:\[(?P<id>[^\]]+)\])?\s*:\s*(?P<text>.*)$")
 
@@ -110,7 +109,7 @@ class RequirementsModel(Checked, _ModelRow):
     def __new__(cls, goals: tuple[Goal, ...] = ()) -> RequirementsModel:
         _check_children(goals, "goals", Goal)
         self = tuple.__new__(cls, (goals,))
-        repeated = [i for i, n in Counter(t.id for t in tasks(self)).items() if n > 1]
+        repeated = duplicates(t.id for t in tasks(self))
         if repeated:
             raise ValueError(f"duplicate task id {', '.join(map(repr, repeated))}")
         return self

@@ -11,18 +11,20 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .lexicon import check_cell, check_text, record_lines
+from .lexicon import Frozen, check_cell, check_text, record_lines
 from .strsim import _isub_normalized, clamp_cscore, normalize_string
 
 DEFAULT_MIN_CSCORE = 0.4
 DEFAULT_TOP_K_CATEGORIES = 3
 
 
-class CategoryTaxonomy:
+class CategoryTaxonomy(Frozen):
     """Immutable set of category names, unique after normalization, each
     text printing as one table cell (:func:`semdisc.lexicon.check_cell`)
     and starting with neither ``#`` (a comment) nor U+FEFF (a byte order
-    mark), which :func:`load_taxonomy` would skip or drop."""
+    mark), which :func:`load_taxonomy` would skip or drop.  :attr:`names`
+    holds the display names in sorted order and is the ``_args()`` of this
+    :class:`~semdisc.lexicon.Frozen` value."""
 
     def __init__(self, names: Iterable[str]) -> None:
         display: dict[str, str] = {}
@@ -43,17 +45,16 @@ class CategoryTaxonomy:
             display.setdefault(key, name.strip())
         if not display:
             raise ValueError("empty taxonomy")
-        self._display = display
         # Normalized keys are kept in names order, so queries need not redo them.
-        self._names, self._keys = zip(*sorted((n, k) for k, n in display.items()))
+        sorted_names, keys = zip(*sorted((n, k) for k, n in display.items()))
+        for field, value in (("_display", display), ("names", sorted_names), ("_keys", keys)):
+            object.__setattr__(self, field, value)
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        """Display names in sorted order."""
-        return self._names
+    def _args(self) -> tuple:
+        return (self.names,)
 
     def __len__(self) -> int:
-        return len(self._names)
+        return len(self.names)
 
     def __contains__(self, name: str) -> bool:
         return normalize_string(name) in self._display

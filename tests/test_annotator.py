@@ -150,6 +150,13 @@ class TestSemanticVector:
         assert not SemanticVector({})
         assert vector_of({"a": 1.0})
 
+    def test_repr_rebuilds_the_vector(self):
+        entry = Annotation("C1", "tree", 1.0, 3, 1.25, frozenset({"tree"}))
+        vec = SemanticVector({"C1": entry})
+        assert repr(vec) == f"SemanticVector({{'C1': {entry!r}}})"
+        namespace = {"SemanticVector": SemanticVector, "Annotation": Annotation}
+        assert eval(repr(vec), namespace) == vec
+
     def test_weight_property(self):
         entry = Annotation(
             concept_id="C1",

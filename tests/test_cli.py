@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import gc
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -1292,3 +1294,106 @@ class TestGcStateRestored:
             assert "malformed index payload: duplicate service names: " in err
         else:
             assert code == 0 and "GlobPlot" in out
+
+
+class TestReadFailure:
+    def test_os_error_is_one_error_line(self, capsys, monkeypatch):
+        path = DATA / "lexicon.tsv"
+
+        def failing(lexicon_path):
+            raise OSError(errno.EIO, os.strerror(errno.EIO), str(lexicon_path))
+
+        monkeypatch.setattr("semdisc.cli.load_lexicon", failing)
+        code, out, err = run(
+            capsys, "annotate", TASK, f"--lexicon={path}", f"--taxonomy={DATA / 'taxonomy.txt'}"
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: [Errno {errno.EIO}] {os.strerror(errno.EIO)}: {str(path)!r}\n"
+
+
+# Bytes that matter to some input format, including broken UTF-8, a byte
+# order mark and U+2028.
+_PIECES = [
+    b"\x00", b"\t", b"\n", b"\r", b" ", b"#", b",", b'"', b"\\", b"[", b"]", b"{", b"}",
+    b":", b"-", b"0", b"9", b"e", b"\xc3", b"\xff", b"\xef\xbb\xbf", b"\xe2\x80\xa8",
+]
+
+
+def _mutate(rng: random.Random, blob: bytes) -> bytes:
+    """``blob`` with one to three spans deleted, inserted, overwritten or repeated."""
+    for _ in range(rng.randint(1, 3)):
+        pos = rng.randrange(len(blob) + 1)
+        end = min(len(blob), pos + rng.randint(1, 8))
+        kind = rng.choice(["delete", "insert", "overwrite", "repeat"])
+        if kind == "delete":
+            blob = blob[:pos] + blob[end:]
+        elif kind == "insert":
+            blob = blob[:pos] + rng.choice(_PIECES) + blob[pos:]
+        elif kind == "overwrite":
+            blob = blob[:pos] + rng.choice(_PIECES) + blob[pos + 1:]
+        else:
+            blob = blob[:end] + blob[pos:end] + blob[end:]
+    return blob
+
+
+class TestMutatedInputs:
+    """A seeded byte-mutation fuzz of ``main``: one input mutated at a time,
+    then ``index build``, ``annotate`` and ``discover`` run on it."""
+
+    MUTATIONS = 66  # three calls each
+
+    def test_every_call_exits_with_a_code_and_one_error_line(self, tmp_path, built_index, capsys):
+        config = {"threshold": 0.8, "min_cscore": 0.4, "top_k": 3, "top_k_categories": 2,
+                  "w1": 0.2, "w2": 0.8, "format": "table"}
+        raw = built_index.read_bytes()
+        originals = {
+            "lexicon": (DATA / "lexicon.tsv").read_bytes(),
+            "taxonomy": (DATA / "taxonomy.txt").read_bytes(),
+            "requirements": (DATA / "requirements.txt").read_bytes(),
+            "registry": (DATA / "services.jsonl").read_bytes(),
+            "config": json.dumps(config).encode(),
+            "index": raw[8:-32],  # the payload; the checksum is recomputed
+        }
+        paths = {name: tmp_path / name for name in originals}
+        flags = {name: f"--{name}={path}" for name, path in paths.items()}
+        commands = [
+            ["index", "build", flags["lexicon"], flags["registry"],
+             f"--index={tmp_path / 'built.idx'}"],
+            ["annotate", flags["requirements"], flags["lexicon"], flags["taxonomy"]],
+            ["discover", flags["requirements"], flags["lexicon"], flags["taxonomy"],
+             flags["index"]],
+        ]
+        rng = random.Random(22)
+        for trial in range(self.MUTATIONS):
+            target = rng.choice(sorted(originals))
+            for name, blob in originals.items():
+                if name == target:
+                    blob = _mutate(rng, blob)
+                if name == "index":
+                    write_index_body(paths[name], raw[:8] + blob)
+                else:
+                    paths[name].write_bytes(blob)
+            for argv in commands:
+                where = f"trial {trial}, {target} mutated, {argv[0]}"
+                try:
+                    code, _, err = run(capsys, *argv, flags["config"])
+                except (Exception, SystemExit) as exc:
+                    pytest.fail(f"{where}: raised {exc!r}")
+                errors = [line for line in err.splitlines() if line.startswith("error:")]
+                assert code in (0, 1, 2), where
+                if code:
+                    assert err.endswith("\n") and errors == err.splitlines()[-1:], where
+                else:
+                    assert errors == [], where
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    src = str(Path(semdisc.__file__).resolve().parent.parent)
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import semdisc.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, src], capture_output=True, text=True, timeout=120
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

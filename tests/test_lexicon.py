@@ -162,6 +162,11 @@ class TestLaplaceModel:
         with pytest.raises(ValueError):
             Lexicon([])
 
+    def test_repeated_concept_id_rejected(self):
+        concept = Concept("C1", frozenset({"tree"}))
+        with pytest.raises(ValueError, match="^duplicate concept id 'C1'$"):
+            Lexicon([concept, concept])
+
     @pytest.mark.parametrize(
         "value",
         [
@@ -313,6 +318,12 @@ class TestLoadLexicon:
         path = tmp_path / "lex.tsv"
         path.write_text("C1\t\talpha\n")
         with pytest.raises(ValueError, match="line 1"):
+            load_lexicon(path)
+
+    def test_rejects_comment_only_file(self, tmp_path):
+        path = tmp_path / "lex.tsv"
+        path.write_text("# no concepts\n\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: empty lexicon$"):
             load_lexicon(path)
 
     def test_rejects_wordless_form(self, tmp_path):

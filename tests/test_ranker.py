@@ -152,6 +152,14 @@ class TestWeights:
     def test_ints_allowed(self):
         assert Weights(1, 0) == (1, 0)
 
+    @pytest.mark.parametrize(
+        "w1, w2, field", [(10**400, 0, "w1"), (0, 10**400, "w2")], ids=["w1", "w2"]
+    )
+    def test_int_too_large_for_a_float(self, w1, w2, field):
+        with pytest.raises(ValueError) as info:
+            Weights(w1, w2)
+        assert str(info.value) == f"field {field!r}: int too large to convert to float"
+
 
 class TestCosine:
     def test_partial_overlap_oracle(self):

@@ -95,6 +95,28 @@ class TestAnnotationText:
         assert annotation_text(record) == "t"
 
 
+# Text UTF-8 can encode.
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+
+
+def _admitted_name(name: str) -> bool:
+    try:
+        ServiceRecord(name)
+    except ValueError:
+        return False
+    return True
+
+
+_ADMITTED_RECORD = st.builds(
+    ServiceRecord,
+    _TEXT.filter(_admitted_name),
+    st.none() | _TEXT,
+    st.none() | _TEXT,
+    st.lists(_TEXT, max_size=3).map(tuple),
+    st.lists(_TEXT, max_size=3).map(tuple),
+)
+
+
 class TestIngestRegistry:
     def test_misc_fixture(self, caplog):
         with caplog.at_level("WARNING"):
@@ -152,6 +174,35 @@ class TestIngestRegistry:
         path.write_text('{"name": "A"}\n{"name": "B"}\n{"name": "A"}\n')
         with pytest.raises(ValueError, match="A"):
             ingest_registry(path)
+
+    def test_duplicate_names_in_first_occurrence_order(self, tmp_path):
+        path = tmp_path / "reg.jsonl"
+        path.write_text('{"name": "A"}\n{"name": "B"}\n{"name": "B"}\n{"name": "A"}\n')
+        with pytest.raises(ValueError, match="duplicate service names: A, B$"):
+            ingest_registry(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_ADMITTED_RECORD, max_size=4, unique_by=lambda r: r.name), st.data())
+    def test_admitted_records_load_back_equal(self, tmp_path_factory, records, data):
+        """Each record written as one ``json.dumps`` line, ASCII-escaped or
+        not, its keys in any order, a None field written as null or left
+        out and an empty list written as [] or null or left out."""
+        lines = []
+        for record in records:
+            obj = {}
+            for key, value in record._asdict().items():
+                if value is None or value == ():
+                    spellings = ["absent", None, *([[]] if value == () else [])]
+                    value = data.draw(st.sampled_from(spellings))
+                    if value == "absent":
+                        continue
+                obj[key] = list(value) if isinstance(value, tuple) else value
+            keys = data.draw(st.permutations(list(obj)))
+            ascii_only = data.draw(st.booleans())
+            lines.append(json.dumps({k: obj[k] for k in keys}, ensure_ascii=ascii_only))
+        path = tmp_path_factory.getbasetemp() / "drawn.jsonl"
+        path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
+        assert ingest_registry(path) == records
 
     def test_rejects_integer_too_long_to_read(self, tmp_path):
         path = tmp_path / "reg.jsonl"
@@ -864,6 +915,52 @@ class TestValueTypes:
         for value in (*values, model, goal, goal.subgoals[0], tasks(model)[0]):
             assert copy.deepcopy(value) == value
             assert pickle.loads(pickle.dumps(value)) == value
+
+
+class TestFrozenTypes:
+    """The four value types that are not tuples share ``lexicon.Frozen``."""
+
+    @pytest.mark.parametrize(
+        "kind, field",
+        [("vector", "provenance"), ("index", "services"), ("lexicon", "fingerprint"),
+         ("taxonomy", "names")],
+    )
+    def test_immutable_unhashable_and_copied_through_the_constructor(
+        self, demo_index, demo_lexicon, demo_taxonomy, monkeypatch, kind, field
+    ):
+        values = {
+            "vector": demo_index.services[0].vector,
+            "index": demo_index,
+            "lexicon": demo_lexicon,
+            "taxonomy": demo_taxonomy,
+        }
+        value = values.pop(kind)
+        before = getattr(value, field)
+        for name in (field, "extra"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(value, name, before)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+            delattr(value, field)
+        assert getattr(value, field) is before
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
+        for other in (None, field, (before,), *values.values()):
+            assert (value == other) is False and (value != other) is True
+        # Every copy is built by one call of the constructor.
+        cls = type(value)
+        constructor = "__new__" if "__new__" in vars(cls) else "__init__"
+        original, calls = getattr(cls, constructor), []
+
+        def counted(*args, **kwargs):
+            calls.append(constructor)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, constructor, counted)
+        for copy_of in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+            copied = copy_of(value)
+            assert type(copied) is cls and copied is not value and copied == value
+            assert calls == [constructor]
+            calls.clear()
 
 
 # JSON values of every kind a payload item can hold.
