@@ -259,15 +259,11 @@ def annotate(
                 shared[key] = [information]
             else:
                 infos.append(information)
-    if threshold > -1.0:
-        # Only forms sharing a word can score above -1.
-        candidates: Iterable[tuple[tuple[str, str], list[float]]] = shared.items()
-    else:
-        candidates = (
-            ((c.id, form), shared.get((c.id, form), []))
-            for c in lexicon.concepts
-            for form in c.lexical_forms
-        )
+    # Only forms sharing a word can score above -1.
+    candidates: Iterable[tuple[tuple[str, str], Iterable[float]]] = (
+        shared.items() if threshold > -1.0
+        else ((key, shared.get(key, ())) for key in lexicon.forms())
+    )
     # Per concept, the winning (similarity, form): highest similarity,
     # then the form with more words, then the lexicographically smaller.
     best: dict[str, tuple[float, str]] = {}

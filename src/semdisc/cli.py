@@ -300,14 +300,7 @@ def _result_lines(task_id: str, results: list[RankedResult], fmt: str) -> list[s
     if fmt == "records":
         return [
             json.dumps(
-                {
-                    "task": task_id,
-                    "service": r.service,
-                    "shared_annotations": sorted(r.shared_annotations),
-                    "c_score": r.c_score,
-                    "s_score": r.s_score,
-                    "score": r.score,
-                },
+                {**r._asdict(), "task": task_id, "shared_annotations": sorted(r.shared_annotations)},
                 sort_keys=True,
             )
             for r in results

@@ -20,9 +20,12 @@ same concepts, and safe to share across threads: the only table filled
 later, each form's idf, is a memo of values that do not depend on which
 thread computes them.
 
-:func:`record_lines`, :func:`check_text`, :func:`check_texts`,
+:func:`read_rows`, :func:`check_text`, :func:`check_texts`,
 :func:`check_cell` and :func:`has_line_break` own the package's
 text-input rules, and :func:`duplicates` its rule for repeated names.
+:func:`loader` owns the loaders' error rule: a ValueError starts with
+the file's path, then ``line N:`` (from :func:`read_rows`) when one line
+is at fault.
 
 :func:`gc_paused` pauses cyclic GC while a loader or CLI command builds
 its object graph.
@@ -35,28 +38,35 @@ import hashlib
 import math
 import re
 from collections import Counter
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, KeysView, NamedTuple, TypeVar
 
 _WORD = re.compile(r"[^\W_]+")
+T = TypeVar("T")
 
 
-def record_lines(path: Path, raw: bytes, *, comments: bool = True) -> Iterator[tuple[int, str]]:
-    """``(line number, line)`` for each non-blank line of file ``path``'s
-    bytes ``raw``, UTF-8 (else ValueError) where a leading byte order mark is
-    skipped and only a line feed ends a line; lines starting with ``#`` are
-    skipped too unless ``comments`` is false."""
+def read_rows(path: Path, row: Callable[[str], T], *, comments: bool = True) -> list[T]:
+    """``row(line)`` for each non-blank line of file ``path``, UTF-8 (else
+    ValueError) where a leading byte order mark is skipped and only a line
+    feed ends a line; lines starting with ``#`` are skipped too unless
+    ``comments`` is false.  A ValueError from ``row`` gains the prefix
+    ``line N: ``."""
     try:
-        content = raw.decode("utf-8-sig")
+        content = path.read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not valid UTF-8: {exc}") from exc
+        raise ValueError(f"not valid UTF-8: {exc}") from exc
+    rows = []
     for lineno, line in enumerate(content.split("\n"), start=1):
         stripped = line.strip()
         if stripped and not (comments and stripped[0] == "#"):
-            yield lineno, line
+            try:
+                rows.append(row(line))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from exc
+    return rows
 
 
 @contextlib.contextmanager
@@ -79,6 +89,23 @@ def gc_paused() -> Iterator[None]:
         yield
     finally:
         gc.enable()
+
+
+def loader(load: Callable[[Path], T]) -> Callable[[str | Path], T]:
+    """The file loader ``load`` taking its path as a string too, run with
+    cyclic GC paused (:func:`gc_paused`); a ValueError it raises gains the
+    prefix ``"{path}: "``.  ``__wrapped__`` is ``load``."""
+
+    @wraps(load)
+    def load_path(path: str | Path) -> T:
+        path = Path(path)
+        try:
+            with gc_paused():
+                return load(path)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+
+    return load_path
 
 
 def has_line_break(text: str) -> bool:
@@ -357,6 +384,10 @@ class Lexicon(Frozen):
             value = self._form_idf[key] = self.idf(self.form_words(concept_id, form))
         return value
 
+    def forms(self) -> KeysView[tuple[str, str]]:
+        """``(concept_id, form)`` of every lexical form."""
+        return self._form_words.keys()
+
     def forms_with_word(self, word: str) -> tuple[tuple[str, str], ...]:
         """``(concept_id, form)`` of every form having ``word``."""
         return self._postings.get(word, ())
@@ -366,50 +397,44 @@ class Lexicon(Frozen):
         return frozenset(cid for cid, _ in self.forms_with_word(word))
 
 
-@gc_paused()
-def load_lexicon(path: str | Path) -> Lexicon:
+@loader
+def load_lexicon(path: Path) -> Lexicon:
     """Load a tab-separated lexicon file.
 
-    Each record line (see :func:`record_lines`) is
+    Each record line (see :func:`read_rows`) is
     ``concept_id<TAB>source<TAB>lexical form``, fields stripped.  Repeated
     concept_id lines accumulate lexical forms; the same id under two
     different sources is rejected.  The fingerprint is that of
     ``Lexicon(concepts)``, so line order, repeats and comments leave it be.
     """
-    path = Path(path)
     sources: dict[str, str] = {}
-    rows = []
-    for lineno, line in record_lines(path, path.read_bytes()):
+
+    def row(line: str) -> tuple[str, str, str, tuple[str, ...]]:
         fields = line.split("\t")
         if len(fields) != 3:
-            raise ValueError(
-                f"{path}: line {lineno}: expected 3 tab-separated fields, "
-                f"got {len(fields)}"
-            )
+            raise ValueError(f"expected 3 tab-separated fields, got {len(fields)}")
         concept_id, source, form = fields
         concept_id, source, form = concept_id.strip(), source.strip(), form.strip()
         if not concept_id or not source or not form:
-            raise ValueError(f"{path}: line {lineno}: empty field")
+            raise ValueError("empty field")
         # On stripped fields the checks fail only on unprintable text or a ','.
         if "," in concept_id or not (
             concept_id.isprintable() and source.isprintable() and form.isprintable()
         ):
-            try:
-                _check_id(concept_id)
-                check_cell(source, "source")
-                check_cell(form, "lexical_forms")
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            _check_id(concept_id)
+            check_cell(source, "source")
+            check_cell(form, "lexical_forms")
         words = tuple(normalize(form))
         if not words:
-            raise ValueError(f"{path}: line {lineno}: form {form!r} has no words")
+            raise ValueError(f"form {form!r} has no words")
         known = sources.setdefault(concept_id, source)
         if known != source:
             raise ValueError(
-                f"{path}: line {lineno}: concept {concept_id} already declared "
-                f"with source {known!r}, got {source!r}"
+                f"concept {concept_id} already declared with source {known!r}, got {source!r}"
             )
-        rows.append((concept_id, source, form, words))
+        return concept_id, source, form, words
+
+    rows = read_rows(path, row)
     if not rows:
-        raise ValueError(f"{path}: empty lexicon")
+        raise ValueError("empty lexicon")
     return Lexicon._from_rows(rows)

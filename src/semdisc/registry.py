@@ -1,7 +1,7 @@
 """Service registry ingestion and the annotated service index.
 
 Registry dumps are JSON-lines files: one JSON object per line, read by
-the shared rules of :func:`semdisc.lexicon.record_lines` except that a
+the shared rules of :func:`semdisc.lexicon.read_rows` except that a
 ``#`` line is not skipped (it is not JSON), with the fields ``name``,
 ``description``, ``documentation``, ``tags`` and ``categories``.  Absent
 fields stay absent (None) and are distinguished from empty strings.
@@ -36,8 +36,8 @@ back equal; an index holds each service name once.  The loader hands
 each row's items straight to them and checks only that each row is a
 JSON list of the right length and that each array it converts to a
 tuple or frozenset is a list.  :func:`ingest_registry` and
-:func:`load_index` build with cyclic GC paused
-(:func:`semdisc.lexicon.gc_paused`).
+:func:`load_index` are :func:`semdisc.lexicon.loader` functions: they
+build with cyclic GC paused, and a ValueError names the file.
 
 :class:`ServiceIndex` is a :class:`semdisc.lexicon.Frozen` value; build,
 save and load are pure functions of their inputs, so concurrent readers
@@ -56,7 +56,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .annotator import DEFAULT_THRESHOLD, Annotation, SemanticVector, annotate
 from .lexicon import Checked, Frozen, Lexicon, check_cell, check_text, check_texts, duplicates
-from .lexicon import gc_paused, record_lines
+from .lexicon import loader, read_rows
 from .strsim import normalize_string
 
 log = logging.getLogger(__name__)
@@ -117,43 +117,34 @@ def annotation_text(record: ServiceRecord) -> str:
     return " ".join(p for p in parts if p).strip()
 
 
-@gc_paused()
-def ingest_registry(path: str | Path) -> list[ServiceRecord]:
+@loader
+def ingest_registry(path: Path) -> list[ServiceRecord]:
     """Parse a JSON-lines registry dump.
 
     Raises on malformed JSON, wrong field types or strings that cannot be
     encoded as UTF-8 (naming the line) and on duplicate service names
     (naming every duplicate).  Records missing both description and
-    documentation are accepted but logged.
+    documentation are accepted but logged, once the whole file parses.
     """
-    path = Path(path)
-    records: list[ServiceRecord] = []
-    for lineno, line in record_lines(path, path.read_bytes(), comments=False):
-        try:
-            obj = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            # ValueError covers JSONDecodeError and integers too long to read.
-            raise ValueError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise ValueError(f"{path}: line {lineno}: record must be an object")
-        try:
-            record = _record_from_object(obj)
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-        if record.description is None and record.documentation is None:
-            log.warning(
-                "%s: line %d: service %r has no description or documentation",
-                path, lineno, record.name,
-            )
-        records.append(record)
+    records = read_rows(path, _record_from_line, comments=False)
     repeated = duplicates(record.name for record in records)
     if repeated:
-        raise ValueError(f"{path}: duplicate service names: {', '.join(repeated)}")
+        raise ValueError(f"duplicate service names: {', '.join(repeated)}")
+    for record in records:
+        if record.description is None and record.documentation is None:
+            log.warning("%s: service %r has no description or documentation", path, record.name)
     return records
 
 
-def _record_from_object(obj: dict) -> ServiceRecord:
+def _record_from_line(line: str) -> ServiceRecord:
     """The record a registry line spells; absent or null lists are empty."""
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integers too long to read.
+        raise ValueError(f"invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValueError("record must be an object")
     lists = []
     for key in ("tags", "categories"):
         value = obj.get(key)
@@ -328,8 +319,8 @@ def _write_atomic(path: Path, data: bytes) -> None:
         raise
 
 
-@gc_paused()
-def load_index(path: str | Path) -> ServiceIndex:
+@loader
+def load_index(path: Path) -> ServiceIndex:
     """Read an index file, verifying magic, checksum, version and payload.
 
     A file too short to hold magic, version and checksum fails the
@@ -338,17 +329,16 @@ def load_index(path: str | Path) -> ServiceIndex:
     a value the index constructors reject raises ValueError naming the
     file.  So does a file of another version, with a message to rebuild.
     """
-    path = Path(path)
     raw = path.read_bytes()
     if raw[:4] != MAGIC:
-        raise ValueError(f"{path}: not a service index file")
+        raise ValueError("not a service index file")
     body = raw[:-32]
     if len(raw) < 40 or hashlib.sha256(body).digest() != raw[-32:]:
-        raise ValueError(f"{path}: checksum mismatch, file corrupt or truncated")
+        raise ValueError("checksum mismatch, file corrupt or truncated")
     version = int.from_bytes(body[4:8], "big")
     if version != FORMAT_VERSION:
         raise ValueError(
-            f"{path}: index format version {version} is not supported (expected "
+            f"index format version {version} is not supported (expected "
             f"{FORMAT_VERSION}); rebuild the index with 'semdisc index build'"
         )
     try:
@@ -357,7 +347,7 @@ def load_index(path: str | Path) -> ServiceIndex:
         )
         return ServiceIndex(tuple(_services(services)), fingerprint, threshold)
     except (ValueError, RecursionError) as exc:
-        raise ValueError(f"{path}: malformed index payload: {exc}") from exc
+        raise ValueError(f"malformed index payload: {exc}") from exc
 
 
 def _reject_constant(name: str) -> float:

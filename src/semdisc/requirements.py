@@ -13,7 +13,7 @@ The outline format is line-oriented::
 a subgoal belongs to it: indentation is cosmetic.  Tasks may carry an
 explicit id in brackets; tasks without one are numbered t1, t2, ... in
 file order.  Lines are read by the shared rules of
-:func:`semdisc.lexicon.record_lines`.
+:func:`semdisc.lexicon.read_rows`.
 
 The model's four types are checked tuple types
 (:class:`semdisc.lexicon.Checked`) holding only what this format writes:
@@ -23,11 +23,12 @@ are unique in a model, and a goal's direct tasks come before its subgoals.
 """
 from __future__ import annotations
 
+import itertools
 import re
 from pathlib import Path
 from typing import NamedTuple
 
-from .lexicon import Checked, check_text, duplicates, has_line_break, record_lines
+from .lexicon import Checked, check_text, duplicates, has_line_break, loader, read_rows
 
 _LINE = re.compile(r"^(goal|subgoal|task)(?:\[(?P<id>[^\]]+)\])?\s*:\s*(?P<text>.*)$")
 
@@ -120,7 +121,8 @@ def tasks(model: RequirementsModel) -> list[TaskRequirement]:
     return [t for goal in model.goals for scope in (goal, *goal.subgoals) for t in scope.tasks]
 
 
-def parse_requirements(path: str | Path) -> RequirementsModel:
+@loader
+def parse_requirements(path: Path) -> RequirementsModel:
     """Parse an outline file into a requirements model.
 
     An unknown directive, an ``[id]`` on a goal or subgoal, a subgoal or
@@ -128,41 +130,34 @@ def parse_requirements(path: str | Path) -> RequirementsModel:
     an error naming the line.  Duplicate task ids are an error naming the
     ids.  A file without goals yields an empty model.
     """
-    path = Path(path)
     # Per goal: the Goal, its direct tasks, and (Subgoal, tasks) pairs.
     goals: list[tuple[Goal, list, list]] = []
-    open_tasks: list[TaskRequirement] = []  # the innermost open scope's tasks
-    auto_counter = 0
-    for lineno, line in record_lines(path, path.read_bytes()):
-        try:
-            parsed = _LINE.match(line.strip())
-            if parsed is None:
-                raise ValueError("expected 'goal:', 'subgoal:' or 'task:'")
-            kind, task_id, text = parsed.group(1, "id", "text")
-            if task_id is not None and kind != "task":
-                raise ValueError("only tasks take an [id]")
-            if kind == "goal":
-                open_tasks = []
-                goals.append((Goal(text.strip()), open_tasks, []))
-            elif not goals:
-                raise ValueError(f"{kind} outside any goal")
-            elif kind == "subgoal":
-                open_tasks = []
-                goals[-1][2].append((Subgoal(text.strip()), open_tasks))
-            else:
-                if task_id is None:
-                    auto_counter += 1
-                    task_id = f"t{auto_counter}"
-                open_tasks.append(TaskRequirement(task_id.strip(), text.strip()))
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    try:
-        return RequirementsModel(tuple(
-            Goal(goal.name, tuple(direct), tuple(Subgoal(s.name, tuple(t)) for s, t in subs))
-            for goal, direct, subs in goals
-        ))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    auto_ids = itertools.count(1)
+
+    def row(line: str) -> None:
+        parsed = _LINE.match(line.strip())
+        if parsed is None:
+            raise ValueError("expected 'goal:', 'subgoal:' or 'task:'")
+        kind, task_id, text = parsed.group(1, "id", "text")
+        if task_id is not None and kind != "task":
+            raise ValueError("only tasks take an [id]")
+        if kind == "goal":
+            goals.append((Goal(text.strip()), [], []))
+        elif not goals:
+            raise ValueError(f"{kind} outside any goal")
+        elif kind == "subgoal":
+            goals[-1][2].append((Subgoal(text.strip()), []))
+        else:
+            # A task joins the goal's last subgoal, or the goal if it has none.
+            _, direct, subs = goals[-1]
+            task_id = f"t{next(auto_ids)}" if task_id is None else task_id.strip()
+            (subs[-1][1] if subs else direct).append(TaskRequirement(task_id, text.strip()))
+
+    read_rows(path, row)
+    return RequirementsModel(tuple(
+        Goal(goal.name, tuple(direct), tuple(Subgoal(s.name, tuple(t)) for s, t in subs))
+        for goal, direct, subs in goals
+    ))
 
 
 def serialize_requirements(model: RequirementsModel) -> str:

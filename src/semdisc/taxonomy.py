@@ -1,7 +1,7 @@
 """Category taxonomy and task-to-category matching.
 
 A taxonomy is a flat list of category names, one per line read by
-:func:`semdisc.lexicon.record_lines`, so no name starts with ``#``.
+:func:`semdisc.lexicon.read_rows`, so no name starts with ``#``.
 Matching scores the full task text against each category name with the
 ISub metric, keeps categories at or above a minimum score, and returns
 the best ones first, each a :class:`CategoryMatch` (a ``NamedTuple``).
@@ -11,7 +11,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .lexicon import Frozen, check_cell, check_text, record_lines
+from .lexicon import Frozen, check_cell, check_text, loader, read_rows
 from .strsim import _isub_normalized, clamp_cscore, normalize_string
 
 DEFAULT_MIN_CSCORE = 0.4
@@ -60,14 +60,10 @@ class CategoryTaxonomy(Frozen):
         return normalize_string(name) in self._display
 
 
-def load_taxonomy(path: str | Path) -> CategoryTaxonomy:
+@loader
+def load_taxonomy(path: Path) -> CategoryTaxonomy:
     """Load one category name per record line."""
-    path = Path(path)
-    names = [line.strip() for _, line in record_lines(path, path.read_bytes())]
-    try:
-        return CategoryTaxonomy(names)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return CategoryTaxonomy(read_rows(path, str.strip))
 
 
 class CategoryMatch(NamedTuple):

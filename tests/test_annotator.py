@@ -19,7 +19,7 @@ from semdisc.annotator import (
     sim,
     term_frequency,
 )
-from semdisc.lexicon import Concept, Lexicon
+from semdisc.lexicon import Concept, Lexicon, load_lexicon
 from semdisc.registry import annotation_text
 from semdisc.requirements import parse_requirements, tasks
 
@@ -217,6 +217,12 @@ class TestAnnotate:
         assert vec.support() == frozenset({"C0000001", "C0000002", "C0000003"})
         assert all(a.similarity == -1.0 for a in vec.provenance.values())
         assert all(a.tf == 1 for a in vec.provenance.values())
+
+    def test_floor_threshold_leaves_concept_view_unbuilt(self):
+        lexicon = load_lexicon(DATA / "lexicon.tsv")
+        vec = annotate("nothing shared here", lexicon, threshold=-1.0)
+        assert len(vec.support()) == len(lexicon)
+        assert "concepts" not in vars(lexicon)
 
     def test_provenance_records_winning_form(self, mini_lexicon):
         vec = annotate("sequence alignment data", mini_lexicon)

@@ -21,7 +21,7 @@ from semdisc import build_index, discover, load_lexicon
 from semdisc.cli import main
 from semdisc.lexicon import Concept
 from semdisc.registry import FORMAT_VERSION, ServiceRecord, save_index
-from semdisc.taxonomy import CategoryTaxonomy
+from semdisc.taxonomy import CategoryTaxonomy, match_categories
 
 from conftest import DATA, replace_index_payload, rewrite_index_payload, write_index_body
 
@@ -284,6 +284,26 @@ class TestAnnotateCommand:
         assert record["vector"]["C1513868"] == pytest.approx(8.0, abs=0.01)
         assert record["provenance"]["D9000419"]["form"] == "protein sequences"
         assert record["categories"] == []
+
+    def test_records_categories_at_full_precision(self, demo_taxonomy, capsys):
+        code, out, _ = run(
+            capsys,
+            "annotate",
+            TASK,
+            "--lexicon",
+            str(DATA / "lexicon.tsv"),
+            "--taxonomy",
+            str(DATA / "taxonomy.txt"),
+            "--format",
+            "records",
+        )
+        assert code == 0
+        expected = [
+            {"category": m.category, "c_score": m.c_score}
+            for m in match_categories(TASK, demo_taxonomy)
+        ]
+        assert expected
+        assert json.loads(out)["categories"] == expected
 
     def test_requirements_batch(self, capsys):
         code, out, _ = run(

@@ -8,6 +8,7 @@ import math
 import pickle
 import re
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given
@@ -15,6 +16,9 @@ from hypothesis import strategies as st
 
 from semdisc import lexicon as lexicon_module
 from semdisc.lexicon import Concept, Lexicon, _ConceptRow, gc_paused, load_lexicon, normalize
+from semdisc.registry import ingest_registry, load_index
+from semdisc.requirements import parse_requirements
+from semdisc.taxonomy import load_taxonomy
 
 from conftest import DATA
 
@@ -477,6 +481,33 @@ def _assert_same_model(loaded: Lexicon, built: Lexicon) -> None:
             key = (concept.id, form)
             assert loaded.form_words(*key) == built.form_words(*key)
             assert loaded.form_idf(*key) == built.form_idf(*key)
+
+
+class TestLoaders:
+    @pytest.mark.parametrize("load, message", [
+        (load_lexicon, "not valid UTF-8"),
+        (load_taxonomy, "not valid UTF-8"),
+        (ingest_registry, "not valid UTF-8"),
+        (parse_requirements, "not valid UTF-8"),
+        (load_index, "not a service index file"),
+    ])
+    def test_named_by_path_with_gc_paused(self, load, message, tmp_path, monkeypatch):
+        read_bytes = Path.read_bytes
+        enabled: list[bool] = []
+
+        def spy(self):
+            enabled.append(gc.isenabled())
+            return read_bytes(self)
+
+        monkeypatch.setattr(Path, "read_bytes", spy)
+        path = tmp_path / "input"
+        path.write_bytes(b"\xff\n")
+        before = gc.isenabled()
+        with pytest.raises(ValueError) as info:
+            load(str(path))
+        assert enabled == [False]
+        assert gc.isenabled() is before
+        assert str(info.value).startswith(f"{path}: {message}")
 
 
 class TestEntryPointsAgree:

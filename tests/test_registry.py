@@ -131,6 +131,18 @@ class TestIngestRegistry:
         assert by_name["SignalCheck"].documentation is None
         assert by_name["TreeBuilder"].tags == ()
 
+    def test_missing_text_warned_once_the_file_parses(self, tmp_path, caplog):
+        path = tmp_path / "reg.jsonl"
+        path.write_text('{"name": "A"}\n{"name": "B", "description": "x"}\n')
+        with caplog.at_level("WARNING"):
+            ingest_registry(str(path))
+        assert caplog.messages == [f"{path}: service 'A' has no description or documentation"]
+        caplog.clear()
+        path.write_text('{"name": "A"}\n{"name": "A"}\n')
+        with caplog.at_level("WARNING"), pytest.raises(ValueError, match="duplicate"):
+            ingest_registry(path)
+        assert caplog.messages == []
+
     def test_field_presence_recount(self):
         # Recount straight from the file, independent of the parser.
         raw = [
@@ -298,6 +310,12 @@ class TestBuildIndex:
         )
         assert demo_index.category_postings["protein sequences analysis db"] == (
             frozenset(names.index(n) for n in ["ELMdb", "Emboss tmap", "Genesilico", "Uniprot"])
+        )
+
+    def test_repr_shows_count_fingerprint_and_threshold(self, demo_index):
+        assert repr(demo_index) == (
+            f"ServiceIndex(<5 services>, lexicon_fingerprint="
+            f"{demo_index.lexicon_fingerprint!r}, threshold={DEFAULT_THRESHOLD!r})"
         )
 
     def test_input_order_does_not_matter(self, demo_records, demo_lexicon):
