@@ -16,12 +16,28 @@ Scoring works on distinct words: a form and a text are compared as word
 sets, and a form's information content here is the idf of its distinct
 words.
 
-:func:`annotate` scores every candidate from one pass over the postings
-of the text's words (ScanCount; Li, Lu & Lu, ICDE 2008): each form that
-shares a word collects that word's -log P(w), and ``math.fsum`` of the
-collected values is exactly the idf of the shared words that
-:func:`ratio` computes.  :func:`sim` and :func:`ratio` score one concept
-or form directly and serve as the reference for that pass.
+:func:`annotate` finds its candidates by prefix filtering, the
+candidate step of set-similarity joins (Chaudhuri, Ganti & Kaushik, ICDE
+2006; Bayardo, Ma & Srikant, WWW 2007), here weighted by -log P(w).  As
+ratio = 1 - 2 * missing / idf(S), a form reaches threshold t only if its
+missing information is at most (1 - t) / 2 * idf(S).  The form's prefix
+at t is its distinct words by -log P(w), largest first (ties by word),
+taken until their sum exceeds that budget times (1 + 1e-9).  A text
+holding no prefix word misses all of them, more than the budget, so
+only forms sharing a prefix word with the text
+(:meth:`~semdisc.lexicon.Lexicon.prefix_forms_with_word`) are scored.
+At t = 0.8 the budget is a tenth of idf(S), so a form of fewer than ten
+distinct words has one prefix word: its rarest.
+
+The filter is exact.  Rounding moves a computed ratio by under 1e-15,
+and the margin makes rounding widen a prefix, never shrink it: where
+the budget is at least 5e-7 of idf(S), the margin exceeds that error;
+where it is smaller, the first prefix word alone carries at least 1/n
+of the information of an n-word form, far beyond the budget.  Each
+candidate is then scored as :func:`ratio` scores it, ``math.fsum`` over
+all its shared words, so :func:`sim` and :func:`ratio`, which score one
+concept or form directly, remain the reference for :func:`annotate`.
+At t = -1 every form reaches the threshold and every form is scored.
 
 :class:`Annotation` is a checked tuple type (a ``typing.NamedTuple``
 subclass whose constructor checks every field), so it compares equal to
@@ -229,6 +245,13 @@ def _contained(form_words: AbstractSet[str], counts: Mapping[str, int]) -> int:
     return max(1, min((counts.get(w, 0) for w in form_words), default=0))
 
 
+def check_threshold(threshold: float) -> None:
+    """ValueError unless ``threshold`` is an ``int`` or ``float`` (not a
+    bool) in [-1, 1]."""
+    if type(threshold) not in (int, float) or not -1.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold {threshold!r} outside [-1, 1]")
+
+
 def annotate(
     text: str,
     lexicon: Lexicon,
@@ -242,53 +265,44 @@ def annotate(
     reordering of the text.  An empty or fully-unknown text yields an
     empty vector.
     """
-    if not -1.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold {threshold} outside [-1, 1]")
+    check_threshold(threshold)
     words = normalize(text)
     text_set = frozenset(words)
-    # Per form, the -log P(w) of each shared word.
-    shared: dict[tuple[str, str], list[float]] = {}
-    for word in text_set:
-        postings = lexicon.forms_with_word(word)
-        if not postings:
-            continue
-        information = -math.log(lexicon.probability(word))
-        for key in postings:
-            infos = shared.get(key)
-            if infos is None:
-                shared[key] = [information]
-            else:
-                infos.append(information)
-    # Only forms sharing a word can score above -1.
-    candidates: Iterable[tuple[tuple[str, str], Iterable[float]]] = (
-        shared.items() if threshold > -1.0
-        else ((key, shared.get(key, ())) for key in lexicon.forms())
+    # -log P(w) of each text word: a form's shared words sum to idf(cw).
+    information = {w: -math.log(lexicon.probability(w)) for w in text_set}
+    # Above -1 only a form sharing a prefix word can reach the threshold;
+    # at -1 every form does.
+    candidates: Iterable[tuple[str, str]] = (
+        {key for word in text_set for key in lexicon.prefix_forms_with_word(word, threshold)}
+        if threshold > -1.0 else lexicon.forms()
     )
-    # Per concept, the winning (similarity, form): highest similarity,
-    # then the form with more words, then the lexicographically smaller.
-    best: dict[str, tuple[float, str]] = {}
-    for (cid, form), infos in candidates:
+    # Per concept, the winning (similarity, form, shared words): highest
+    # similarity, then the form with more words, then the lexicographically
+    # smaller.
+    best: dict[str, tuple[float, str, frozenset[str]]] = {}
+    for cid, form in candidates:
+        shared = lexicon.form_words(cid, form) & text_set
         form_idf = lexicon.form_idf(cid, form)
-        value = min(1.0, max(-1.0, (2.0 * math.fsum(infos) - form_idf) / form_idf))
+        shared_idf = math.fsum(map(information.__getitem__, shared))
+        value = min(1.0, max(-1.0, (2.0 * shared_idf - form_idf) / form_idf))
         current = best.get(cid)
         if current is None or value > current[0] or (
             value == current[0] and _wins_tie(lexicon, cid, form, current[1])
         ):
-            best[cid] = (value, form)
+            best[cid] = (value, form, shared)
     counts = Counter(words)
     provenance: dict[str, Annotation] = {}
     for cid in sorted(best):
-        value, form = best[cid]
+        value, form, shared = best[cid]
         if value < threshold:
             continue
-        form_words = lexicon.form_words(cid, form)
         provenance[cid] = Annotation(
             concept_id=cid,
             lexical_form=form,
             similarity=value,
-            tf=_contained(form_words, counts),
+            tf=_contained(lexicon.form_words(cid, form), counts),
             idf_value=lexicon.form_idf(cid, form),
-            matched_words=cw(form_words, text_set),
+            matched_words=shared,
         )
     return SemanticVector(provenance)
 

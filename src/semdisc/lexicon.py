@@ -16,9 +16,9 @@ routine from ``(concept_id, source, form, words)`` rows, so both give
 the same lexicon for the same concepts.
 
 A :class:`Lexicon` is a :class:`Frozen` value, equal to a lexicon of the
-same concepts, and safe to share across threads: the only table filled
-later, each form's idf, is a memo of values that do not depend on which
-thread computes them.
+same concepts, and safe to share across threads: the only tables filled
+later, each form's idf and each word's prefix postings at a threshold,
+are memos of values that do not depend on which thread computes them.
 
 :func:`read_rows`, :func:`check_text`, :func:`check_texts`,
 :func:`check_cell` and :func:`has_line_break` own the package's
@@ -263,13 +263,16 @@ class Lexicon(Frozen):
     exceeds every numerator, so every probability is below 1 (as floats,
     while total < 2**52) and every form carries information: idf > 0.
 
-    Each form's idf is memoised the first time :meth:`form_idf` asks for
-    it, not at load time, so loading pays nothing for forms no text ever
-    touches; :attr:`concepts` is likewise built on first use, since
+    Two memos are filled on first use, not at load time, so loading pays
+    nothing for what no text ever touches: each form's idf, the first time
+    :meth:`form_idf` asks for it, and each word's prefix postings at a
+    threshold, the first time :meth:`prefix_forms_with_word` asks for
+    them; :attr:`concepts` is likewise built on first use, since
     annotation reads only the postings and form words.  A memoised value
-    is a pure function of the lexicon's rows, so two threads filling the
-    same entry store equal values and sharing an instance across threads
-    stays safe.
+    is a pure function of the lexicon's rows (and the threshold), so two
+    threads filling the same entry store equal values and sharing an
+    instance across threads stays safe.  Neither memo is part of the
+    value: equality, copies and pickles see only the concepts.
     """
 
     #: Splits forms and texts into words: always :func:`normalize`.
@@ -324,7 +327,7 @@ class Lexicon(Frozen):
         self = object.__new__(cls)
         # Not vars(self).update: a materialized dict slows every method call (CPython 3.11).
         for name, value in {
-            "_sources": sources, "_form_words": form_words, "_form_idf": {},
+            "_sources": sources, "_form_words": form_words, "_form_idf": {}, "_prefix": {},
             "_postings": {word: tuple(keys) for word, keys in postings.items()},
             "_word_prob": {w: (c + 1) / denom for w, c in counts.items()},
             "unseen_prob": 1.0 / denom,
@@ -391,6 +394,34 @@ class Lexicon(Frozen):
     def forms_with_word(self, word: str) -> tuple[tuple[str, str], ...]:
         """``(concept_id, form)`` of every form having ``word``."""
         return self._postings.get(word, ())
+
+    def prefix_forms_with_word(self, word: str, threshold: float) -> tuple[tuple[str, str], ...]:
+        """``(concept_id, form)`` of every form having ``word`` in its prefix
+        at ``threshold``, memoised: the form's distinct words by -log P(w),
+        largest first (ties by word), taken until their sum exceeds
+        ``(1 - threshold) / 2 * form_idf * (1 + 1e-9)``, or all of them.
+        Above -1, a text sharing no prefix word with a form has ratio below
+        ``threshold`` against it (see :mod:`semdisc.annotator`)."""
+        key = (threshold, word)
+        keys = self._prefix.get(key)
+        if keys is None:
+            postings = self.forms_with_word(word)
+            # Not memoised: a word outside the vocabulary is in no form.
+            if not postings:
+                return postings
+            share = (1.0 - threshold) / 2.0 * (1.0 + 1e-9)
+            keys = self._prefix[key] = tuple(
+                form for form in postings if self._in_prefix(word, form, share)
+            )
+        return keys
+
+    def _in_prefix(self, word: str, form: tuple[str, str], share: float) -> bool:
+        """Whether the words of ``form`` ranked before ``word`` hold at most
+        ``share`` of its information."""
+        infos = {w: -math.log(self.probability(w)) for w in self._form_words[form]}
+        mine = infos[word]
+        before = math.fsum(v for w, v in infos.items() if v > mine or (v == mine and w < word))
+        return before <= share * math.fsum(infos.values())
 
     def concepts_with_word(self, word: str) -> frozenset[str]:
         """Ids of concepts having ``word`` in at least one form."""

@@ -54,7 +54,7 @@ from collections import defaultdict
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .annotator import DEFAULT_THRESHOLD, Annotation, SemanticVector, annotate
+from .annotator import DEFAULT_THRESHOLD, Annotation, SemanticVector, annotate, check_threshold
 from .lexicon import Checked, Frozen, Lexicon, check_cell, check_text, check_texts, duplicates
 from .lexicon import loader, read_rows
 from .strsim import normalize_string
@@ -208,8 +208,7 @@ class ServiceIndex(Frozen):
             raise ValueError("services must be a tuple of AnnotatedService")
         if not isinstance(lexicon_fingerprint, str):
             raise ValueError("lexicon_fingerprint must be a string")
-        if type(threshold) not in (int, float) or not -1.0 <= threshold <= 1.0:
-            raise ValueError(f"threshold {threshold!r} outside [-1, 1]")
+        check_threshold(threshold)
         concept_postings: defaultdict[str, list[int]] = defaultdict(list)
         category_postings: defaultdict[str, list[int]] = defaultdict(list)
         norms: list[float] = []

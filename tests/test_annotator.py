@@ -1,7 +1,12 @@
 """Annotation scoring: coverage ratio, form selection, semantic vectors."""
 from __future__ import annotations
 
+import copy
 import math
+import pickle
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,7 +24,7 @@ from semdisc.annotator import (
     sim,
     term_frequency,
 )
-from semdisc.lexicon import Concept, Lexicon, load_lexicon
+from semdisc.lexicon import Concept, Lexicon, load_lexicon, normalize
 from semdisc.registry import annotation_text
 from semdisc.requirements import parse_requirements, tasks
 
@@ -201,6 +206,12 @@ class TestAnnotate:
         with pytest.raises(ValueError):
             annotate("tree", mini_lexicon, threshold=1.5)
 
+    @pytest.mark.parametrize("value", [True, "0.5", None])
+    def test_threshold_must_be_a_number(self, mini_lexicon, value):
+        with pytest.raises(ValueError) as excinfo:
+            annotate("tree", mini_lexicon, threshold=value)
+        assert str(excinfo.value) == f"threshold {value!r} outside [-1, 1]"
+
     def test_threshold_boundary_inclusive(self, toy_lexicon):
         # X's only form scores exactly TOY_HALF_COVERAGE against this
         # text, and Y's form scores -1.
@@ -330,3 +341,76 @@ class TestAnnotateMatchesSim:
         assert _provenance_fields(text, lexicon, threshold) == (
             _reference_provenance(text, lexicon, threshold)
         )
+
+    # Skewed draws (the smaller of two uniform indices), so some words are
+    # common and others rare, and forms of up to 14 distinct words: at
+    # most thresholds some prefixes hold more than one word, so a wrong
+    # budget drops forms that reach the threshold.
+    _skewed = st.builds(min, st.integers(0, 13), st.integers(0, 13)).map(lambda i: f"w{i}")
+    _long_form = st.lists(_skewed, min_size=1, max_size=18).map(" ".join)
+
+    @given(
+        form_sets=st.lists(st.frozensets(_long_form, min_size=1, max_size=3), min_size=1, max_size=5),
+        text=st.lists(_skewed | st.just("other"), max_size=12).map(" ".join),
+        drawn=st.floats(-1.0, 1.0),
+    )
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_prefix_filter_at_every_boundary(self, form_sets, text, drawn):
+        lexicon = Lexicon(Concept(f"C{i}", forms) for i, forms in enumerate(form_sets))
+        text_set = frozenset(normalize(text))
+        # Each form's exact ratio and its float neighbours are the
+        # thresholds where admitting the form flips.
+        thresholds = {drawn}
+        for key in lexicon.forms():
+            value = ratio(lexicon.form_words(*key), text_set, lexicon)
+            thresholds |= {math.nextafter(value, -2.0), value, math.nextafter(value, 2.0)}
+        for threshold in sorted(t for t in thresholds if -1.0 <= t <= 1.0):
+            assert _provenance_fields(text, lexicon, threshold) == (
+                _reference_provenance(text, lexicon, threshold)
+            ), threshold
+
+
+class TestPrefixMemo:
+    """The lexicon's per-threshold prefix postings change no vector."""
+
+    def test_thresholds_in_turn_match_fresh_lexicons(self, demo_records):
+        texts = _demo_texts(demo_records)
+        lexicon = load_lexicon(DATA / "lexicon.tsv")
+        for threshold in (0.9, 0.3, 1.0, 0.8, -1.0):
+            for text in texts:
+                fresh = load_lexicon(DATA / "lexicon.tsv")
+                assert annotate(text, lexicon, threshold=threshold) == (
+                    annotate(text, fresh, threshold=threshold)
+                ), (threshold, text)
+
+    def test_threads_over_a_cold_lexicon_match_serial(self, demo_records):
+        texts = _demo_texts(demo_records)
+        thresholds = (0.8, 0.3)
+        reference = load_lexicon(DATA / "lexicon.tsv")
+        serial = [annotate(text, reference, threshold=t) for t in thresholds for text in texts]
+        lexicon = load_lexicon(DATA / "lexicon.tsv")
+        start = threading.Barrier(4, timeout=60)
+
+        def run(_):
+            start.wait()
+            return [annotate(text, lexicon, threshold=t) for t in thresholds for text in texts]
+
+        # Threads switch often, so their memo fills interleave.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(run, range(4), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [serial] * 4
+
+    def test_memo_is_not_part_of_the_value(self, demo_records):
+        fresh = load_lexicon(DATA / "lexicon.tsv")
+        used = load_lexicon(DATA / "lexicon.tsv")
+        for text in _demo_texts(demo_records):
+            for threshold in (0.8, 0.3):
+                annotate(text, used, threshold=threshold)
+        assert used == fresh
+        assert pickle.dumps(used) == pickle.dumps(fresh)
+        assert copy.copy(used) == copy.copy(fresh) == fresh

@@ -246,6 +246,48 @@ class TestLaplaceModel:
         )
 
 
+class TestPrefixPostings:
+    # X's twelve words and Y's one each occur once, so all are equally
+    # informative and ties go by word.
+    _WORDS = "a b c d e f g h i j k l"
+
+    @pytest.fixture()
+    def lexicon(self):
+        return Lexicon([Concept("X", frozenset({self._WORDS})), Concept("Y", frozenset({"m"}))])
+
+    @pytest.mark.parametrize(
+        "threshold, prefix",
+        [
+            # The budget is a tenth of the form's information, 1.2 words:
+            # a and b are taken, and b's sum exceeds it.
+            (0.8, "a b"),
+            (1.0, "a"),
+            (0.0, "a b c d e f g"),
+            # No sum exceeds the whole form's information and the margin.
+            (-1.0, "a b c d e f g h i j k l"),
+        ],
+    )
+    def test_words_taken_until_the_budget_is_exceeded(self, lexicon, threshold, prefix):
+        form = ("X", self._WORDS)
+        assert {
+            word for word in normalize(self._WORDS)
+            if form in lexicon.prefix_forms_with_word(word, threshold)
+        } == set(prefix.split())
+
+    def test_one_word_form_is_its_own_prefix(self, lexicon):
+        assert lexicon.prefix_forms_with_word("m", 1.0) == (("Y", "m"),)
+
+    def test_unknown_word_is_in_no_form(self, lexicon):
+        assert lexicon.prefix_forms_with_word("zzz", 0.8) == ()
+
+    def test_filled_on_use_for_seen_words_only(self, lexicon):
+        assert vars(lexicon)["_prefix"] == {}
+        lexicon.prefix_forms_with_word("a", 0.8)
+        lexicon.prefix_forms_with_word("zzz", 0.8)
+        lexicon.prefix_forms_with_word("a", 0.3)
+        assert set(vars(lexicon)["_prefix"]) == {(0.8, "a"), (0.3, "a")}
+
+
 class TestIdf:
     def test_unseen_word(self, mini_lexicon):
         assert mini_lexicon.idf(["zzz"]) == pytest.approx(math.log(14), rel=1e-15)

@@ -318,6 +318,15 @@ class TestBuildIndex:
             f"{demo_index.lexicon_fingerprint!r}, threshold={DEFAULT_THRESHOLD!r})"
         )
 
+    @pytest.mark.parametrize("value", [True, "0.5", None])
+    @pytest.mark.parametrize("count", [0, 5])
+    def test_threshold_must_be_a_number(self, demo_records, demo_lexicon, value, count):
+        # With records, the first annotate call rejects the value; without,
+        # ServiceIndex does, by the same rule.
+        with pytest.raises(ValueError) as excinfo:
+            build_index(demo_records[:count], demo_lexicon, threshold=value)
+        assert str(excinfo.value) == f"threshold {value!r} outside [-1, 1]"
+
     def test_input_order_does_not_matter(self, demo_records, demo_lexicon):
         forward = build_index(demo_records, demo_lexicon)
         backward = build_index(list(reversed(demo_records)), demo_lexicon)
