@@ -16,7 +16,9 @@ function reads a value from any of these sources, so a flag is read
 exactly like an environment value; a flag given twice is a usage error.
 Output is deterministic for identical inputs; table mode prints scores
 to 4 decimal places, records mode prints one JSON object per line at
-full precision.
+full precision.  The library writes nothing: ``index build`` prints a
+warning per registry record with no :func:`~semdisc.registry.primary_text`
+and ``discover`` one for an index built from another lexicon.
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ from .ranker import (
     Weights,
     discover,
 )
-from .registry import build_index, ingest_registry, load_index, save_index
+from .registry import build_index, ingest_registry, load_index, primary_text, save_index
 from .requirements import parse_requirements, tasks
 from .taxonomy import (
     DEFAULT_MIN_CSCORE,
@@ -58,7 +60,6 @@ class Setting(NamedTuple):
     help: str
     valid: Callable[[object], bool] = lambda value: True
     expected: str = ""
-    invalid: str = "invalid value for {name}: {value!r}"
 
 
 # Ranges are checked before any input is loaded.  NaN compares false, so
@@ -80,7 +81,7 @@ SETTINGS = {
     "top_k_categories": Setting(int, DEFAULT_TOP_K_CATEGORIES, "maximum matched categories",
                                 lambda v: v >= 1, "an integer >= 1"),
     "format": Setting(str, "table", "output format", lambda v: v in ("table", "records"),
-                      "'table' or 'records'", "invalid format {value!r}"),
+                      "'table' or 'records'"),
 }
 
 
@@ -106,7 +107,7 @@ def _read_setting(name: str, value: object) -> object:
     except (TypeError, ValueError, OverflowError):
         raise CliError(f"invalid value for {name}: {value!r}", exit_code=2) from None
     if not setting.valid(converted):
-        message = setting.invalid.format(name=name, value=converted)
+        message = f"invalid value for {name}: {converted!r}"
         raise CliError(f"{message} (expected {setting.expected})", exit_code=2)
     return converted
 
@@ -210,13 +211,6 @@ def _print_tasks(text: str | None, inputs: dict, fmt: str, lines_for: Callable) 
         print(("\n\n" if fmt == "table" else "\n").join(blocks))
 
 
-def _weights(settings: argparse.Namespace) -> Weights:
-    try:
-        return Weights(settings.w1, settings.w2)
-    except ValueError as exc:
-        raise CliError(str(exc), exit_code=2)
-
-
 def cmd_index_build(args: argparse.Namespace, settings: argparse.Namespace) -> int:
     index_path = _required(settings, "index")
     directory = Path(index_path).parent
@@ -225,6 +219,10 @@ def cmd_index_build(args: argparse.Namespace, settings: argparse.Namespace) -> i
     if Path(index_path).is_dir():
         raise CliError(f"index is a directory: {index_path}", exit_code=2)
     inputs = _load_inputs(settings, "lexicon", "registry")
+    for record in inputs["registry"]:
+        if not primary_text(record):
+            print(f"{Path(settings.registry)}: service {record.name!r} has no description "
+                  "or documentation", file=sys.stderr)
     index = build_index(inputs["registry"], inputs["lexicon"], threshold=settings.threshold)
     save_index(index, index_path)
     empty = sum(1 for s in index.services if not s.vector)
@@ -315,7 +313,10 @@ def _result_lines(task_id: str, results: list[RankedResult], fmt: str) -> list[s
 
 
 def cmd_discover(args: argparse.Namespace, settings: argparse.Namespace) -> int:
-    weights = _weights(settings)
+    try:
+        weights = Weights(settings.w1, settings.w2)
+    except ValueError as exc:
+        raise CliError(str(exc), exit_code=2)
     task_inputs = _task_inputs(settings, args.text)
     inputs = _load_inputs(settings, "lexicon", "taxonomy", "index", *task_inputs)
     lexicon, index = inputs["lexicon"], inputs["index"]

@@ -35,6 +35,7 @@ from .taxonomy import (
     DEFAULT_TOP_K_CATEGORIES,
     CategoryMatch,
     CategoryTaxonomy,
+    check_top_k,
     match_categories,
 )
 
@@ -152,10 +153,9 @@ def rank(
     """Rank every service reached by either route, best first.
 
     Ties break on s_score (descending), then service name.  At most
-    ``top_k`` results are returned.
+    ``top_k``, an int >= 1 (else ValueError), results are returned.
     """
-    if top_k < 1:
-        raise ValueError("top_k must be >= 1")
+    check_top_k(top_k)
     c_scores = search_by_category(category_matches, index)
     s_scores = search_by_concepts(task_vector, index)
     services = index.services

@@ -4,7 +4,8 @@ Registry dumps are JSON-lines files: one JSON object per line, read by
 the shared rules of :func:`semdisc.lexicon.read_rows` except that a
 ``#`` line is not skipped (it is not JSON), with the fields ``name``,
 ``description``, ``documentation``, ``tags`` and ``categories``.  Absent
-fields stay absent (None) and are distinguished from empty strings.
+fields stay absent (None), distinct from empty strings.  Ingestion
+writes and logs nothing, and keeps a record with no :func:`primary_text`.
 
 An index annotates every service once and keeps the resulting vectors
 with two posting tables (concept -> services, category -> services) so
@@ -48,7 +49,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import logging
 import os
 from collections import defaultdict
 from pathlib import Path
@@ -58,8 +58,6 @@ from .annotator import DEFAULT_THRESHOLD, Annotation, SemanticVector, annotate, 
 from .lexicon import Checked, Frozen, Lexicon, check_cell, check_text, check_texts, duplicates
 from .lexicon import loader, read_rows
 from .strsim import normalize_string
-
-log = logging.getLogger(__name__)
 
 MAGIC = b"SDIX"
 FORMAT_VERSION = 5
@@ -103,17 +101,16 @@ class ServiceRecord(Checked, _ServiceRow):
         return tuple.__new__(cls, (name, description, documentation, tags, categories))
 
 
-def annotation_text(record: ServiceRecord) -> str:
-    """Text a service is annotated from.
+def primary_text(record: ServiceRecord) -> str:
+    """The description, or the documentation when the description is None
+    or blank, stripped; empty when neither holds text."""
+    return (record.description or "").strip() or (record.documentation or "").strip()
 
-    The description when available, otherwise the documentation, followed
-    by the tags and the category names.  A present-but-blank description
-    counts as unavailable.  Empty result means nothing to annotate.
-    """
-    primary = (record.description or "").strip()
-    if not primary:
-        primary = (record.documentation or "").strip()
-    parts = [primary, *record.tags, *record.categories]
+
+def annotation_text(record: ServiceRecord) -> str:
+    """Text a service is annotated from: its :func:`primary_text`, then its
+    tags and category names.  Empty result means nothing to annotate."""
+    parts = [primary_text(record), *record.tags, *record.categories]
     return " ".join(p for p in parts if p).strip()
 
 
@@ -123,16 +120,12 @@ def ingest_registry(path: Path) -> list[ServiceRecord]:
 
     Raises on malformed JSON, wrong field types or strings that cannot be
     encoded as UTF-8 (naming the line) and on duplicate service names
-    (naming every duplicate).  Records missing both description and
-    documentation are accepted but logged, once the whole file parses.
+    (naming every duplicate).  Writes and logs nothing.
     """
     records = read_rows(path, _record_from_line, comments=False)
     repeated = duplicates(record.name for record in records)
     if repeated:
         raise ValueError(f"duplicate service names: {', '.join(repeated)}")
-    for record in records:
-        if record.description is None and record.documentation is None:
-            log.warning("%s: service %r has no description or documentation", path, record.name)
     return records
 
 

@@ -77,6 +77,12 @@ class CategoryMatch(NamedTuple):
         return normalize_string(self.category)
 
 
+def check_top_k(top_k: int) -> None:
+    """ValueError unless ``top_k`` is an ``int`` (not a bool) >= 1."""
+    if type(top_k) is not int or top_k < 1:
+        raise ValueError(f"top_k {top_k!r} is not an integer >= 1")
+
+
 def match_categories(
     task_text: str,
     taxonomy: CategoryTaxonomy,
@@ -86,13 +92,12 @@ def match_categories(
 ) -> list[CategoryMatch]:
     """Best-matching categories for a task, highest score first.
 
-    Scores below ``min_cscore`` are dropped; at most ``top_k`` results are
-    returned.  Ties break on category name.
+    Scores below ``min_cscore`` (an int or float in [0, 1]) are dropped; at
+    most ``top_k`` (:func:`check_top_k`) are returned.  Ties break on name.
     """
-    if not 0.0 <= min_cscore <= 1.0:
-        raise ValueError(f"min_cscore {min_cscore} outside [0, 1]")
-    if top_k < 1:
-        raise ValueError("top_k must be >= 1")
+    if type(min_cscore) not in (int, float) or not 0.0 <= min_cscore <= 1.0:
+        raise ValueError(f"min_cscore {min_cscore!r} outside [0, 1]")
+    check_top_k(top_k)
     text = normalize_string(task_text)
     matches = [
         CategoryMatch(name, clamp_cscore(_isub_normalized(text, key)))

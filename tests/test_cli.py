@@ -77,6 +77,26 @@ class TestIndexBuild:
         lexicon = load_lexicon(DATA / "lexicon.tsv")
         assert lines["lexicon_fingerprint"] == lexicon.fingerprint
 
+    def test_registry_without_text_warns_on_stderr(self, tmp_path, capsys):
+        registry = DATA / "registry_misc.jsonl"
+        argv = ["index", "build", f"--lexicon={DATA / 'lexicon.tsv'}", f"--registry={registry}"]
+        code, out, err = run(capsys, *argv, f"--index={tmp_path / 'misc.idx'}")
+        assert code == 0
+        assert out.startswith("services\t20\n")
+        assert err == f"{registry}: service 'LegacyPing' has no description or documentation\n"
+        # Blank text counts as none, as it does for annotation.
+        blank = tmp_path / "blank.jsonl"
+        blank.write_text(
+            '{"name": "A", "description": "  "}\n{"name": "B", "documentation": ""}\n'
+            '{"name": "C", "description": " ", "documentation": "Docs."}\n'
+        )
+        argv[-1] = f"--registry={blank}"
+        code, _, err = run(capsys, *argv, f"--index={tmp_path / 'blank.idx'}")
+        assert code == 0
+        assert err == "".join(
+            f"{blank}: service {name!r} has no description or documentation\n" for name in "AB"
+        )
+
     def test_missing_index_flag(self, capsys):
         code, _, err = run(
             capsys,
@@ -857,7 +877,9 @@ class TestSettingsPrecedence:
         monkeypatch.setenv("SEMDISC_FORMAT", "yaml")
         code, _, err = run(capsys, *self.base_argv(built_index))
         assert code == 2
-        assert "invalid format" in err
+        assert err == (
+            "error: invalid value for format: 'yaml' (expected 'table' or 'records')\n"
+        )
 
 
 class TestSettingRanges:
@@ -1407,11 +1429,11 @@ class TestMutatedInputs:
                     assert errors == [], where
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
+def test_cli_import_loads_neither_dataclasses_nor_inspect_nor_logging():
     src = str(Path(semdisc.__file__).resolve().parent.parent)
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import semdisc.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'logging'} & set(sys.modules)))"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code, src], capture_output=True, text=True, timeout=120

@@ -328,9 +328,24 @@ class TestRank:
             got = rank(task_vector, matches, tie_index, weights, top_k=top_k)
             assert got == expected, top_k
 
-    def test_top_k_validation(self, route_index):
+    def test_top_k_validation(self, route_index, demo_lexicon, demo_taxonomy, demo_index):
         with pytest.raises(ValueError):
             rank(vector_of({}), [], route_index, top_k=0)
+        for value in (True, 2.5, 2.0, "2", None, -1):
+            with pytest.raises(ValueError, match=rf"^top_k {value!r} is not an integer >= 1$"):
+                rank(vector_of({}), [], route_index, top_k=value)
+        # discover passes each option to the stage that checks it.
+        inputs = ("Analyze domains in protein sequences", demo_lexicon, demo_taxonomy, demo_index)
+        for option, value, message in [
+            ("top_k", 2.5, r"^top_k 2\.5 is not an integer >= 1$"),
+            ("top_k", True, r"^top_k True is not an integer >= 1$"),
+            ("top_k_categories", 2.5, r"^top_k 2\.5 is not an integer >= 1$"),
+            ("top_k_categories", True, r"^top_k True is not an integer >= 1$"),
+            ("min_cscore", "0.4", r"^min_cscore '0\.4' outside \[0, 1\]$"),
+            ("min_cscore", True, r"^min_cscore True outside \[0, 1\]$"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                discover(*inputs, **{option: value})
 
     def test_shared_annotations(self, route_lexicon, route_index):
         from semdisc import annotate

@@ -26,6 +26,7 @@ from semdisc.registry import (
     build_index,
     ingest_registry,
     load_index,
+    primary_text,
     save_index,
 )
 from semdisc.registry import FORMAT_VERSION, MAGIC, _index_payload
@@ -94,6 +95,24 @@ class TestAnnotationText:
         record = ServiceRecord(name="X", tags=("t",))
         assert annotation_text(record) == "t"
 
+    @pytest.mark.parametrize(
+        "description, documentation, primary",
+        [
+            (None, None, ""),
+            ("  ", None, ""),
+            (None, "", ""),
+            (" \t", "\n", ""),
+            ("", " Docs. ", "Docs."),
+            (" Text. ", "Docs.", "Text."),
+        ],
+    )
+    def test_primary_text_leads_the_annotation_text(self, description, documentation, primary):
+        """The one rule for "no text": a blank field counts as absent, for
+        annotation and for the warning ``index build`` prints."""
+        record = ServiceRecord("X", description, documentation, ("t",))
+        assert primary_text(record) == primary
+        assert annotation_text(record) == " ".join(filter(None, [primary, "t"]))
+
 
 # Text UTF-8 can encode.
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
@@ -118,12 +137,17 @@ _ADMITTED_RECORD = st.builds(
 
 
 class TestIngestRegistry:
-    def test_misc_fixture(self, caplog):
-        with caplog.at_level("WARNING"):
+    def test_misc_fixture(self, caplog, capsys):
+        with caplog.at_level("DEBUG"):
             records = ingest_registry(DATA / "registry_misc.jsonl")
+        # LegacyPing has no description or documentation: it is kept, and
+        # reported by nothing but its fields.
+        assert caplog.records == []
+        assert capsys.readouterr() == ("", "")
         assert len(records) == 20
-        assert "LegacyPing" in caplog.text  # no description or documentation
         by_name = {r.name: r for r in records}
+        legacy = by_name["LegacyPing"]
+        assert (legacy.description, legacy.documentation, primary_text(legacy)) == (None, None, "")
         assert by_name["BlastSearch"].categories == (
             "Sequence Similarity Search",
             "Database Search",
@@ -131,17 +155,20 @@ class TestIngestRegistry:
         assert by_name["SignalCheck"].documentation is None
         assert by_name["TreeBuilder"].tags == ()
 
-    def test_missing_text_warned_once_the_file_parses(self, tmp_path, caplog):
+    def test_missing_text_neither_logged_nor_printed(self, tmp_path, caplog, capsys):
         path = tmp_path / "reg.jsonl"
-        path.write_text('{"name": "A"}\n{"name": "B", "description": "x"}\n')
-        with caplog.at_level("WARNING"):
-            ingest_registry(str(path))
-        assert caplog.messages == [f"{path}: service 'A' has no description or documentation"]
-        caplog.clear()
+        path.write_text(
+            '{"name": "A"}\n{"name": "B", "description": "x"}\n'
+            '{"name": "C", "description": "  "}\n{"name": "D", "documentation": ""}\n'
+        )
+        with caplog.at_level("DEBUG"):
+            records = ingest_registry(str(path))
+        assert [primary_text(r) for r in records] == ["", "x", "", ""]
         path.write_text('{"name": "A"}\n{"name": "A"}\n')
-        with caplog.at_level("WARNING"), pytest.raises(ValueError, match="duplicate"):
+        with caplog.at_level("DEBUG"), pytest.raises(ValueError, match="duplicate"):
             ingest_registry(path)
-        assert caplog.messages == []
+        assert caplog.records == []
+        assert capsys.readouterr() == ("", "")
 
     def test_field_presence_recount(self):
         # Recount straight from the file, independent of the parser.

@@ -219,3 +219,14 @@ class TestMatchCategories:
             match_categories(TASK, demo_taxonomy, min_cscore=-0.1)
         with pytest.raises(ValueError):
             match_categories(TASK, demo_taxonomy, top_k=0)
+        # Exact types only, as for the annotation threshold: no bool, no
+        # string, no fractional count; the message names the value.
+        for value in (True, "0.4", None, float("nan"), 1.5):
+            with pytest.raises(ValueError, match=rf"^min_cscore {value!r} outside \[0, 1\]$"):
+                match_categories(TASK, demo_taxonomy, min_cscore=value)
+        for value in (True, 2.5, 2.0, "2", None, 0, -1):
+            with pytest.raises(ValueError, match=rf"^top_k {value!r} is not an integer >= 1$"):
+                match_categories(TASK, demo_taxonomy, top_k=value)
+        assert match_categories(TASK, demo_taxonomy, min_cscore=0, top_k=1) == (
+            match_categories(TASK, demo_taxonomy, min_cscore=0.0, top_k=1)
+        )
