@@ -12,13 +12,13 @@ information.
 :class:`Concept` is a checked tuple type (:class:`Checked`) admitting
 exactly what a lexicon line can hold.  :func:`load_lexicon` and
 ``Lexicon(concepts)`` build the model and its fingerprint with one
-routine from ``(concept_id, source, form, words)`` rows, so both give
-the same lexicon for the same concepts.
+routine from ``(concept_id, form, words)`` rows and an id -> source
+table, so both give the same lexicon for the same concepts.
 
 A :class:`Lexicon` is a :class:`Frozen` value, equal to a lexicon of the
 same concepts, and safe to share across threads: the only tables filled
-later, each form's idf and each word's prefix postings at a threshold,
-are memos of values that do not depend on which thread computes them.
+later (form idfs, prefix postings and concepts by id) are memos of
+values that do not depend on which thread computes them.
 
 :func:`read_rows`, :func:`check_text`, :func:`check_texts`,
 :func:`check_cell` and :func:`has_line_break` own the package's
@@ -38,7 +38,7 @@ import hashlib
 import math
 import re
 from collections import Counter
-from functools import cached_property, wraps
+from functools import wraps
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
@@ -46,6 +46,7 @@ from typing import Callable, Iterable, Iterator, KeysView, NamedTuple, TypeVar
 
 _WORD = re.compile(r"[^\W_]+")
 T = TypeVar("T")
+_Row = tuple[str, str, tuple[str, ...]]  # (concept_id, form, words)
 
 
 def read_rows(path: Path, row: Callable[[str], T], *, comments: bool = True) -> list[T]:
@@ -160,7 +161,8 @@ class Checked:
 
 
 class Frozen:
-    """Base of the immutable types that are not tuples: a value refuses
+    """Base of the immutable types that are not tuples, whose subclasses
+    declare ``__slots__`` (no instance has a ``__dict__``): a value refuses
     assignment, is unhashable, equals a value of its type with equal
     ``_args()`` (the arguments its constructor takes) and is copied and
     unpickled through that constructor, so its checks run again."""
@@ -263,17 +265,22 @@ class Lexicon(Frozen):
     exceeds every numerator, so every probability is below 1 (as floats,
     while total < 2**52) and every form carries information: idf > 0.
 
-    Two memos are filled on first use, not at load time, so loading pays
-    nothing for what no text ever touches: each form's idf, the first time
-    :meth:`form_idf` asks for it, and each word's prefix postings at a
-    threshold, the first time :meth:`prefix_forms_with_word` asks for
-    them; :attr:`concepts` is likewise built on first use, since
+    Three memos are filled on first use, not at load time, so loading pays
+    nothing for what no text ever touches: each form's idf
+    (:meth:`form_idf`), each word's prefix postings at a threshold
+    (:meth:`prefix_forms_with_word`) and the concepts by id
+    (:meth:`concept`).  :attr:`concepts` is built on each call, since
     annotation reads only the postings and form words.  A memoised value
     is a pure function of the lexicon's rows (and the threshold), so two
     threads filling the same entry store equal values and sharing an
-    instance across threads stays safe.  Neither memo is part of the
-    value: equality, copies and pickles see only the concepts.
+    instance across threads stays safe.  No memo is part of the value:
+    equality, copies and pickles see only the concepts.
     """
+
+    __slots__ = (
+        "_sources", "_form_words", "_form_idf", "_prefix", "_by_id",
+        "_postings", "_word_prob", "unseen_prob", "fingerprint",
+    )
 
     #: Splits forms and texts into words: always :func:`normalize`.
     tokenizer = staticmethod(normalize)
@@ -287,24 +294,23 @@ class Lexicon(Frozen):
                 raise ValueError(f"duplicate concept id {concept.id!r}")
             by_id[concept.id] = concept
         return cls._from_rows(
-            (concept.id, concept.source, form, tuple(normalize(form)))
-            for concept in by_id.values()
-            for form in concept.lexical_forms
+            ((concept.id, form, tuple(normalize(form)))
+             for concept in by_id.values() for form in concept.lexical_forms),
+            {cid: concept.source for cid, concept in by_id.items()},
         )
 
     def _args(self) -> tuple:
         return (self.concepts,)
 
     @classmethod
-    def _from_rows(cls, rows: Iterable[tuple[str, str, str, tuple[str, ...]]]) -> Lexicon:
-        """The lexicon of ``(concept_id, source, form, words)`` rows, ``words``
-        being the form's :func:`normalize` words.  A repeated (concept_id,
-        form) row counts once; rows of one concept share their source."""
-        sources: dict[str, str] = {}
+    def _from_rows(cls, rows: Iterable[_Row], sources: dict[str, str]) -> Lexicon:
+        """The lexicon of ``(concept_id, form, words)`` rows, ``words`` being
+        the form's :func:`normalize` words, and ``sources`` mapping each row's
+        concept id, and no other, to its source.  Repeated rows count once."""
         form_words: dict[tuple[str, str], tuple[str, ...]] = {}
         postings: dict[str, list[tuple[str, str]]] = {}
         tokens: list[str] = []
-        for concept_id, source, form, words in rows:
+        for concept_id, form, words in rows:
             key = (concept_id, form)
             if key in form_words:
                 continue
@@ -317,7 +323,6 @@ class Lexicon(Frozen):
                 # A word repeated in this form was just posted under key.
                 elif keys[-1] is not key:
                     keys.append(key)
-            sources.setdefault(concept_id, source)
         if not tokens:
             raise ValueError("empty lexicon: no lexical forms to estimate from")
         counts = Counter(tokens)
@@ -325,9 +330,9 @@ class Lexicon(Frozen):
         # The model follows from these lines; no field holds a tab or line break.
         lines = sorted([f"{cid}\t{sources[cid]}\t{form}\n" for cid, form in form_words])
         self = object.__new__(cls)
-        # Not vars(self).update: a materialized dict slows every method call (CPython 3.11).
         for name, value in {
-            "_sources": sources, "_form_words": form_words, "_form_idf": {}, "_prefix": {},
+            "_sources": sources, "_form_words": form_words,
+            "_form_idf": {}, "_prefix": {}, "_by_id": {},
             "_postings": {word: tuple(keys) for word, keys in postings.items()},
             "_word_prob": {w: (c + 1) / denom for w, c in counts.items()},
             "unseen_prob": 1.0 / denom,
@@ -336,20 +341,18 @@ class Lexicon(Frozen):
             object.__setattr__(self, name, value)
         return self
 
-    @cached_property
+    @property
     def concepts(self) -> tuple[Concept, ...]:
-        """All concepts in ascending id order, built on first use."""
+        """All concepts in ascending id order, built on each call."""
         # Every row passed the Concept checks.
         return tuple(
             tuple.__new__(Concept, (cid, frozenset(f for _, f in keys), self._sources[cid]))
             for cid, keys in groupby(sorted(self._form_words), key=itemgetter(0))
         )
 
-    @cached_property
-    def _by_id(self) -> dict[str, Concept]:
-        return {concept.id: concept for concept in self.concepts}
-
     def concept(self, concept_id: str) -> Concept:
+        if not self._by_id:  # One update fills it whole: no thread sees it half full.
+            self._by_id.update({concept.id: concept for concept in self.concepts})
         return self._by_id[concept_id]
 
     def __len__(self) -> int:
@@ -440,7 +443,7 @@ def load_lexicon(path: Path) -> Lexicon:
     """
     sources: dict[str, str] = {}
 
-    def row(line: str) -> tuple[str, str, str, tuple[str, ...]]:
+    def row(line: str) -> _Row:
         fields = line.split("\t")
         if len(fields) != 3:
             raise ValueError(f"expected 3 tab-separated fields, got {len(fields)}")
@@ -463,9 +466,9 @@ def load_lexicon(path: Path) -> Lexicon:
             raise ValueError(
                 f"concept {concept_id} already declared with source {known!r}, got {source!r}"
             )
-        return concept_id, source, form, words
+        return concept_id, form, words
 
     rows = read_rows(path, row)
     if not rows:
         raise ValueError("empty lexicon")
-    return Lexicon._from_rows(rows)
+    return Lexicon._from_rows(rows, sources)

@@ -189,14 +189,15 @@ def discover(
     top_k: int = DEFAULT_TOP_K,
     top_k_categories: int = DEFAULT_TOP_K_CATEGORIES,
 ) -> list[RankedResult]:
-    """Full pipeline for one task: annotate, match categories, rank.
+    """Full pipeline for one task: check options, match categories, annotate, rank.
 
     The task is annotated at ``index.threshold``, the threshold its
     services were annotated with, so both sides of the cosine admit
     concepts alike.
     """
-    task_vector = annotate(task_text, lexicon, threshold=index.threshold)
+    check_top_k(top_k)
     matches = match_categories(
         task_text, taxonomy, min_cscore=min_cscore, top_k=top_k_categories
     )
+    task_vector = annotate(task_text, lexicon, threshold=index.threshold)
     return rank(task_vector, matches, index, weights, top_k=top_k)

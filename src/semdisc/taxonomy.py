@@ -26,6 +26,8 @@ class CategoryTaxonomy(Frozen):
     holds the display names in sorted order and is the ``_args()`` of this
     :class:`~semdisc.lexicon.Frozen` value."""
 
+    __slots__ = ("names", "_keys")
+
     def __init__(self, names: Iterable[str]) -> None:
         display: dict[str, str] = {}
         for name in names:
@@ -47,8 +49,8 @@ class CategoryTaxonomy(Frozen):
             raise ValueError("empty taxonomy")
         # Normalized keys are kept in names order, so queries need not redo them.
         sorted_names, keys = zip(*sorted((n, k) for k, n in display.items()))
-        for field, value in (("_display", display), ("names", sorted_names), ("_keys", keys)):
-            object.__setattr__(self, field, value)
+        object.__setattr__(self, "names", sorted_names)
+        object.__setattr__(self, "_keys", keys)
 
     def _args(self) -> tuple:
         return (self.names,)
@@ -57,7 +59,7 @@ class CategoryTaxonomy(Frozen):
         return len(self.names)
 
     def __contains__(self, name: str) -> bool:
-        return normalize_string(name) in self._display
+        return normalize_string(name) in self._keys
 
 
 @loader

@@ -233,7 +233,7 @@ class TestAnnotate:
         lexicon = load_lexicon(DATA / "lexicon.tsv")
         vec = annotate("nothing shared here", lexicon, threshold=-1.0)
         assert len(vec.support()) == len(lexicon)
-        assert "concepts" not in vars(lexicon)
+        assert not hasattr(lexicon, "__dict__")
 
     def test_provenance_records_winning_form(self, mini_lexicon):
         vec = annotate("sequence alignment data", mini_lexicon)

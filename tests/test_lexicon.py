@@ -238,7 +238,7 @@ class TestLaplaceModel:
 
     def test_concept_values_built_on_first_use(self):
         lex = Lexicon([Concept("C2", frozenset({"tree"})), Concept("C1", frozenset({"a b"}))])
-        assert "concepts" not in lex.__dict__
+        assert not hasattr(lex, "__dict__")
         assert len(lex) == 2 and "C1" in lex and "C3" not in lex
         assert lex.concepts == (
             Concept("C1", frozenset({"a b"})),
@@ -281,11 +281,11 @@ class TestPrefixPostings:
         assert lexicon.prefix_forms_with_word("zzz", 0.8) == ()
 
     def test_filled_on_use_for_seen_words_only(self, lexicon):
-        assert vars(lexicon)["_prefix"] == {}
+        assert lexicon._prefix == {}
         lexicon.prefix_forms_with_word("a", 0.8)
         lexicon.prefix_forms_with_word("zzz", 0.8)
         lexicon.prefix_forms_with_word("a", 0.3)
-        assert set(vars(lexicon)["_prefix"]) == {(0.8, "a"), (0.3, "a")}
+        assert set(lexicon._prefix) == {(0.8, "a"), (0.3, "a")}
 
 
 class TestIdf:

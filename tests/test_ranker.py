@@ -328,13 +328,19 @@ class TestRank:
             got = rank(task_vector, matches, tie_index, weights, top_k=top_k)
             assert got == expected, top_k
 
-    def test_top_k_validation(self, route_index, demo_lexicon, demo_taxonomy, demo_index):
+    def test_top_k_validation(
+        self, route_index, demo_lexicon, demo_taxonomy, demo_index, monkeypatch
+    ):
         with pytest.raises(ValueError):
             rank(vector_of({}), [], route_index, top_k=0)
         for value in (True, 2.5, 2.0, "2", None, -1):
             with pytest.raises(ValueError, match=rf"^top_k {value!r} is not an integer >= 1$"):
                 rank(vector_of({}), [], route_index, top_k=value)
-        # discover passes each option to the stage that checks it.
+        # discover checks every option before it annotates the task.
+        annotated = []
+        monkeypatch.setattr(
+            "semdisc.ranker.annotate", lambda *args, **kwargs: annotated.append(args)
+        )
         inputs = ("Analyze domains in protein sequences", demo_lexicon, demo_taxonomy, demo_index)
         for option, value, message in [
             ("top_k", 2.5, r"^top_k 2\.5 is not an integer >= 1$"),
@@ -346,6 +352,7 @@ class TestRank:
         ]:
             with pytest.raises(ValueError, match=message):
                 discover(*inputs, **{option: value})
+            assert annotated == [], option
 
     def test_shared_annotations(self, route_lexicon, route_index):
         from semdisc import annotate

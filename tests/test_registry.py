@@ -1010,11 +1010,18 @@ class TestFrozenTypes:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(cls, constructor, counted)
+        copies = []
         for copy_of in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
             copied = copy_of(value)
             assert type(copied) is cls and copied is not value and copied == value
             assert calls == [constructor]
             calls.clear()
+            copies.append(copied)
+        # Slotted: comparing, copying or reading views gives no value a __dict__.
+        if kind == "lexicon":
+            for lexicon in (value, *copies):
+                assert lexicon.concept(lexicon.concepts[0].id) == lexicon.concepts[0]
+        assert not any(hasattr(v, "__dict__") for v in (value, *copies))
 
 
 # JSON values of every kind a payload item can hold.
