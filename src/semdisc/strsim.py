@@ -16,6 +16,13 @@ only has to beat the best length found so far, so every step is one
 ``in`` test on the second string, done in C.  It returns what
 :meth:`difflib.SequenceMatcher.find_longest_match` returns for two
 strings without junk, tie rule included.
+
+The score is computed from the two lengths, the matched total and the
+shared prefix alone (:func:`_isub_score`), and rises with the matched
+total.  The matched total never exceeds the characters the two strings
+share, counted with multiplicity (:func:`char_occurrences`), so scoring
+that count instead bounds the score from above without searching for a
+substring (:func:`_isub_upper_bound`).
 """
 from __future__ import annotations
 
@@ -85,26 +92,61 @@ def _isub_normalized(a: str, b: str) -> float:
         return -1.0
     if (len(a), a) > (len(b), b):
         a, b = b, a
-
     matched = _matched_total(a, b, MIN_SUBSTRING_LEN)
-    commonality = 2.0 * matched / (len(a) + len(b))
+    return _isub_score(len(a), len(b), matched, _prefix_len(a, b))
 
-    unmatched_a = (len(a) - matched) / len(a)
-    unmatched_b = (len(b) - matched) / len(b)
+
+def _isub_score(len_a: int, len_b: int, matched: int, prefix: int) -> float:
+    """ISub of two non-empty strings of these lengths from their matched
+    total and their capped shared prefix (:func:`_prefix_len`).
+
+    Symmetric in the two lengths, bit for bit, and strictly increasing in
+    ``matched``: so a ``matched`` that can only exceed the true one gives
+    a score that can only exceed the true score.
+    """
+    commonality = 2.0 * matched / (len_a + len_b)
+    unmatched_a = (len_a - matched) / len_a
+    unmatched_b = (len_b - matched) / len_b
     product = unmatched_a * unmatched_b
     difference = product / (
         HAMACHER_P + (1.0 - HAMACHER_P) * (unmatched_a + unmatched_b - product)
     )
+    winkler = prefix * WINKLER_SCALE * (1.0 - commonality)
+    return commonality - difference + winkler
 
+
+def _prefix_len(a: str, b: str) -> int:
+    """Length of the shared leading characters, up to the Winkler cap."""
     prefix = 0
-    for ca, cb in zip(a, b):
+    for ca, cb in zip(a[:WINKLER_PREFIX_CAP], b):
         if ca != cb:
             break
         prefix += 1
-    prefix = min(prefix, WINKLER_PREFIX_CAP)
-    winkler = prefix * WINKLER_SCALE * (1.0 - commonality)
+    return prefix
 
-    return commonality - difference + winkler
+
+def _isub_upper_bound(a: str, b: str, chars_a: frozenset[str], chars_b: frozenset[str]) -> float:
+    """A score at least :func:`_isub_normalized` of two non-empty
+    normalized strings, from their :func:`char_occurrences` and without a
+    substring search; equal to it when every shared character is matched."""
+    return _isub_score(len(a), len(b), len(chars_a & chars_b), _prefix_len(a, b))
+
+
+def char_occurrences(text: str) -> frozenset[str]:
+    """The characters of ``text`` as a set, the k-th occurrence of a
+    character c written as c repeated k times.
+
+    The size of the intersection of two such sets is the size of the
+    shared character multiset, sum over c of the smaller count.  Every
+    removed common substring matches character for character, so that
+    size bounds :func:`_matched_total` from above.
+    """
+    occurrences = set()
+    last: dict[str, str] = {}
+    for c in text:
+        last[c] = occurrence = last.get(c, "") + c
+        occurrences.add(occurrence)
+    return frozenset(occurrences)
 
 
 def clamp_cscore(value: float) -> float:

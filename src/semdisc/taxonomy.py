@@ -5,6 +5,9 @@ A taxonomy is a flat list of category names, one per line read by
 Matching scores the full task text against each category name with the
 ISub metric, keeps categories at or above a minimum score, and returns
 the best ones first, each a :class:`CategoryMatch` (a ``NamedTuple``).
+A name whose score cannot reach the minimum, even if every character it
+shares with the text were matched, is dropped without the full ISub
+(:mod:`semdisc.strsim`); the result equals scoring every name.
 """
 from __future__ import annotations
 
@@ -12,7 +15,13 @@ from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from .lexicon import Frozen, check_cell, check_text, loader, read_rows
-from .strsim import _isub_normalized, clamp_cscore, normalize_string
+from .strsim import (
+    _isub_normalized,
+    _isub_upper_bound,
+    char_occurrences,
+    clamp_cscore,
+    normalize_string,
+)
 
 DEFAULT_MIN_CSCORE = 0.4
 DEFAULT_TOP_K_CATEGORIES = 3
@@ -24,9 +33,11 @@ class CategoryTaxonomy(Frozen):
     and starting with neither ``#`` (a comment) nor U+FEFF (a byte order
     mark), which :func:`load_taxonomy` would skip or drop.  :attr:`names`
     holds the display names in sorted order and is the ``_args()`` of this
-    :class:`~semdisc.lexicon.Frozen` value."""
+    :class:`~semdisc.lexicon.Frozen` value.  The normalized keys and their
+    characters (:func:`semdisc.strsim.char_occurrences`), in the same
+    order, are derived from the names once and are not part of the value."""
 
-    __slots__ = ("names", "_keys")
+    __slots__ = ("names", "_keys", "_chars")
 
     def __init__(self, names: Iterable[str]) -> None:
         display: dict[str, str] = {}
@@ -51,6 +62,7 @@ class CategoryTaxonomy(Frozen):
         sorted_names, keys = zip(*sorted((n, k) for k, n in display.items()))
         object.__setattr__(self, "names", sorted_names)
         object.__setattr__(self, "_keys", keys)
+        object.__setattr__(self, "_chars", tuple(map(char_occurrences, keys)))
 
     def _args(self) -> tuple:
         return (self.names,)
@@ -101,10 +113,16 @@ def match_categories(
         raise ValueError(f"min_cscore {min_cscore!r} outside [0, 1]")
     check_top_k(top_k)
     text = normalize_string(task_text)
-    matches = [
-        CategoryMatch(name, clamp_cscore(_isub_normalized(text, key)))
-        for name, key in zip(taxonomy.names, taxonomy._keys)
-    ]
-    matches = [m for m in matches if m.c_score >= min_cscore]
+    # A key whose upper bound is below the floor cannot reach it.  A zero
+    # floor skips nothing; an empty text has no bound.
+    prune = min_cscore > 0 and text
+    chars = char_occurrences(text)
+    matches = []
+    for name, key, key_chars in zip(taxonomy.names, taxonomy._keys, taxonomy._chars):
+        if prune and clamp_cscore(_isub_upper_bound(text, key, chars, key_chars)) < min_cscore:
+            continue
+        c_score = clamp_cscore(_isub_normalized(text, key))
+        if c_score >= min_cscore:
+            matches.append(CategoryMatch(name, c_score))
     matches.sort(key=lambda m: (-m.c_score, m.category))
     return matches[:top_k]

@@ -1,6 +1,7 @@
 """String similarity metric: normalization, commonality, difference, prefix."""
 from __future__ import annotations
 
+from collections import Counter
 from difflib import SequenceMatcher
 
 import pytest
@@ -8,8 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semdisc.strsim import (
+    WINKLER_PREFIX_CAP,
+    _isub_normalized,
+    _isub_score,
+    _isub_upper_bound,
     _longest_common_substring,
     _matched_total,
+    char_occurrences,
     clamp_cscore,
     isub,
     normalize_string,
@@ -110,6 +116,41 @@ class TestMatchedTotal:
     @settings(max_examples=500, deadline=None)
     def test_matches_dynamic_program(self, s1, s2, min_len):
         assert _matched_total(s1, s2, min_len) == _oracle_matched_total(s1, s2, min_len)
+
+
+class TestMatchedBound:
+    """The shared character multiset bounds the matched total, which
+    category matching relies on to skip the full metric."""
+
+    @given(s1=tie_prone_st, s2=tie_prone_st)
+    @settings(max_examples=500, deadline=None)
+    def test_shared_characters_bound_matched_total_and_score(self, s1, s2):
+        chars1, chars2 = char_occurrences(s1), char_occurrences(s2)
+        assert len(chars1 & chars2) == (Counter(s1) & Counter(s2)).total()
+        assert _matched_total(s1, s2, 3) <= len(chars1 & chars2)
+        if s1 and s2:
+            assert _isub_upper_bound(s1, s2, chars1, chars2) >= _isub_normalized(s1, s2)
+
+    def test_matched_block_can_span_a_junction(self):
+        # Removing "QQQ" from both joins a, b and c into the common "abc",
+        # though no 3-gram of the original strings but "QQQ" is shared:
+        # a bound counting shared 3-grams would say 3, under the true 6.
+        assert _matched_total("abQQQc", "aQQQbc", 3) == 6
+        assert len(char_occurrences("abQQQc") & char_occurrences("aQQQbc")) == 6
+
+    def test_score_strictly_increasing_in_matched_and_symmetric(self):
+        for len_a in range(1, 61):
+            for len_b in range(len_a, 61):
+                for prefix in range(WINKLER_PREFIX_CAP + 1):
+                    scores = [
+                        _isub_score(len_a, len_b, matched, prefix)
+                        for matched in range(len_a + 1)
+                    ]
+                    assert all(low < high for low, high in zip(scores, scores[1:]))
+                    assert scores == [
+                        _isub_score(len_b, len_a, matched, prefix)
+                        for matched in range(len_a + 1)
+                    ]
 
 
 class TestIsub:

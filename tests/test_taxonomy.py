@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semdisc.strsim import clamp_cscore, isub
 from semdisc.taxonomy import (
     CategoryMatch,
     CategoryTaxonomy,
@@ -230,3 +231,41 @@ class TestMatchCategories:
         assert match_categories(TASK, demo_taxonomy, min_cscore=0, top_k=1) == (
             match_categories(TASK, demo_taxonomy, min_cscore=0.0, top_k=1)
         )
+
+    def test_empty_text_keeps_every_name_at_zero_in_name_order(self, demo_taxonomy):
+        matches = match_categories("!!!", demo_taxonomy, min_cscore=0, top_k=100)
+        assert matches == [CategoryMatch(name, 0.0) for name in demo_taxonomy.names]
+        assert match_categories("!!!", demo_taxonomy, min_cscore=0.1) == []
+
+    def test_text_equal_to_a_key_scores_one(self, demo_taxonomy):
+        matches = match_categories("protein-SEQUENCE analysis", demo_taxonomy, min_cscore=1.0)
+        assert matches == [CategoryMatch("Protein Sequence Analysis", 1.0)]
+
+
+def _reference_matches(text, taxonomy, min_cscore, top_k):
+    """Every name scored with the full metric, then filtered and cut."""
+    scored = sorted((-clamp_cscore(isub(text, name)), name) for name in taxonomy.names)
+    return [CategoryMatch(name, -neg) for neg, name in scored if -neg >= min_cscore][:top_k]
+
+
+# Words over four letters share many characters and substrings, so scores
+# crowd around any floor.
+_WORDS = st.lists(st.text(alphabet="abcq", min_size=1, max_size=5), min_size=1, max_size=4)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    names=st.lists(_WORDS.map(" ".join), min_size=1, max_size=8),
+    text=_WORDS.map(" ".join),
+    floor=st.sampled_from([0.0, 0.4, None]),
+    pick=st.integers(0, 7),
+)
+def test_match_equals_scoring_every_name(names, text, floor, pick):
+    """Skipping names that cannot reach the floor changes no result, also
+    at a floor (None) equal to the picked name's own score."""
+    taxonomy = CategoryTaxonomy(names)
+    if floor is None:
+        floor = clamp_cscore(isub(text, taxonomy.names[pick % len(taxonomy)]))
+    assert match_categories(text, taxonomy, min_cscore=floor, top_k=10) == (
+        _reference_matches(text, taxonomy, floor, 10)
+    )
