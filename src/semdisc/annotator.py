@@ -51,7 +51,7 @@ import math
 from collections import Counter
 from typing import AbstractSet, Iterable, Mapping, NamedTuple
 
-from .lexicon import Checked, Concept, Frozen, Lexicon, normalize
+from .lexicon import Checked, Concept, Frozen, Lexicon, check_str, normalize
 
 DEFAULT_THRESHOLD = 0.8
 # The range of annotation weights: their squares and pairwise products
@@ -263,9 +263,10 @@ def annotate(
     Every concept whose similarity reaches ``threshold`` contributes one
     entry weighted tf * idf of its winning form.  Invariant under word
     reordering of the text.  An empty or fully-unknown text yields an
-    empty vector.
+    empty vector.  Text that is not a ``str`` raises ValueError.
     """
     check_threshold(threshold)
+    check_str(text, "text")
     words = normalize(text)
     text_set = frozenset(words)
     # -log P(w) of each text word: a form's shared words sum to idf(cw).

@@ -122,6 +122,12 @@ def check_cell(text: str, field: str) -> None:
         raise ValueError(f"field {field!r} must be one line without a tab")
 
 
+def check_str(value: object, name: str) -> None:
+    """ValueError naming ``name`` unless ``value`` is a ``str``."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a str, not {type(value).__name__}")
+
+
 def check_text(value: object, field: str) -> None:
     """ValueError naming ``field`` unless ``value`` is a string that UTF-8
     can encode (JSON escapes can spell lone surrogates, which it cannot)."""

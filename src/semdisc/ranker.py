@@ -10,12 +10,20 @@ a service missed by one route contributes 0 on that side.
 The concept route is one accumulator pass over the concept postings
 (term-at-a-time; ScanCount in Li, Lu & Lu, ICDE 2008): each posting of
 each task concept appends ``task_weight * service_weight`` to that
-service's product list, and a service's score is the ``math.fsum`` of
-its list over the task norm (computed once per query) times the service
-norm the index keeps.  ``fsum`` is correctly rounded whatever the order,
-so every score equals ``cosine(task_vector, service.vector)`` bit for
-bit.  :func:`rank` then keeps only the ``top_k`` best with a heap and
-builds results for those alone.
+service's product list, reading the service weight from the index's
+per-position weight mappings, and a service's score is the
+``math.fsum`` of its list over the task norm (computed once per query)
+times the service norm the index keeps.  ``fsum`` is correctly rounded
+whatever the order, so every score equals
+``cosine(task_vector, service.vector)`` bit for bit.
+
+:func:`rank` selects on bare float scores before it touches anything
+else (as accumulator-based top-k retrieval does; Turtle & Flood, IPM
+1995): it combines each reached service's two scores into a float,
+takes the ``top_k``-th largest as the cut, and builds sort keys, names
+and results only for the services scoring at or above it.  Every
+service tied at the cut is kept, so the tie rules order them exactly as
+sorting every reached service would.
 
 :class:`Weights` is a checked tuple type
 (:class:`semdisc.lexicon.Checked`) and :class:`RankedResult` a plain
@@ -106,13 +114,13 @@ def search_by_concepts(
     scored; every returned score is > 0 and equals
     ``cosine(task_vector, index.services[pos].vector)``.
     """
-    services = index.services
+    weights = index.vector_weights
     # Per reached service, task_weight * service_weight of each shared
     # concept: the terms cosine() sums.
     products: dict[int, list[float]] = {}
     for concept, task_weight in task_vector.weights.items():
         for pos in index.concept_postings.get(concept, ()):
-            product = task_weight * services[pos].vector.weights[concept]
+            product = task_weight * weights[pos][concept]
             terms = products.get(pos)
             if terms is None:
                 products[pos] = [product]
@@ -130,6 +138,13 @@ def search_by_concepts(
 def combine(c_score: float, s_score: float, weights: Weights) -> float:
     """Weighted combination of the two route scores."""
     return c_score * weights.w1 + s_score * weights.w2
+
+
+def check_weights(weights: Weights) -> None:
+    """ValueError unless ``weights`` is a :class:`Weights`, whose constructor
+    checks them; a plain tuple could hold weights that do not sum to 1."""
+    if not isinstance(weights, Weights):
+        raise ValueError(f"weights {weights!r} is not a Weights")
 
 
 class RankedResult(NamedTuple):
@@ -154,17 +169,29 @@ def rank(
 
     Ties break on s_score (descending), then service name.  At most
     ``top_k``, an int >= 1 (else ValueError), results are returned.
+    ``weights`` must be a :class:`Weights` (else ValueError).  Scores are
+    :func:`combine`'s; only services at or above the ``top_k``-th largest
+    score, ties included, are ordered by the full tie rules.
     """
     check_top_k(top_k)
+    check_weights(weights)
     c_scores = search_by_category(category_matches, index)
     s_scores = search_by_concepts(task_vector, index)
+    w1, w2 = weights
+    # Bit for bit combine()'s: for a concept-only service, 0.0 * w1 + x is x.
+    scores = {pos: s_score * w2 for pos, s_score in s_scores.items()}
+    for pos, c_score in c_scores.items():
+        scores[pos] = c_score * w1 + s_scores.get(pos, 0.0) * w2
+    # Only services at or above the top_k-th largest score can rank among
+    # the top_k; keeping every one tied at it keeps the tie rules exact.
+    cut = heapq.nlargest(top_k, scores.values())[-1] if len(scores) > top_k else -math.inf
     services = index.services
     # Names are unique, so the key is a total order and pos never compares.
-    keys = []
-    for pos in c_scores.keys() | s_scores.keys():
-        s_score = s_scores.get(pos, 0.0)
-        score = combine(c_scores.get(pos, 0.0), s_score, weights)
-        keys.append((-score, -s_score, services[pos].name, pos))
+    keys = [
+        (-score, -s_scores.get(pos, 0.0), services[pos].name, pos)
+        for pos, score in scores.items()
+        if score >= cut
+    ]
     task_support = task_vector.support()
     return [
         RankedResult(
@@ -196,6 +223,7 @@ def discover(
     concepts alike.
     """
     check_top_k(top_k)
+    check_weights(weights)
     matches = match_categories(
         task_text, taxonomy, min_cscore=min_cscore, top_k=top_k_categories
     )

@@ -169,17 +169,20 @@ class ServiceIndex(Frozen):
 
     :attr:`threshold` is the annotation threshold the services were
     annotated with, in [-1, 1].  Postings map concept ids and normalized
-    category names to positions in :attr:`services`, and :attr:`norms`
-    holds each service vector's ``norm()`` at the same position, so
-    ranking never recomputes a service norm per query.  All three are
-    derived from the services on construction and never stored in the
-    index file.  A :class:`~semdisc.lexicon.Frozen` value whose
-    ``_args()`` are its services, fingerprint and threshold.
+    category names to positions in :attr:`services`.  At the same
+    positions, :attr:`norms` holds each service vector's ``norm()`` and
+    :attr:`vector_weights` each vector's own ``weights`` mapping (the same
+    object, not a copy), so ranking neither recomputes a service norm nor
+    goes through the service and its vector for each posting.  All four
+    are derived from the services on construction and never stored in
+    the index file.  A :class:`~semdisc.lexicon.Frozen` value whose
+    ``_args()`` are its services, fingerprint and threshold, so none of
+    the four takes part in ``==``, ``repr``, copies or pickles.
     """
 
     __slots__ = (
         "services", "lexicon_fingerprint", "threshold",
-        "concept_postings", "category_postings", "norms",
+        "concept_postings", "category_postings", "norms", "vector_weights",
     )
     services: tuple[AnnotatedService, ...]
     lexicon_fingerprint: str
@@ -187,6 +190,7 @@ class ServiceIndex(Frozen):
     concept_postings: Mapping[str, frozenset[int]]
     category_postings: Mapping[str, frozenset[int]]
     norms: tuple[float, ...]
+    vector_weights: tuple[Mapping[str, float], ...]
 
     def __init__(
         self,
@@ -205,6 +209,7 @@ class ServiceIndex(Frozen):
         concept_postings: defaultdict[str, list[int]] = defaultdict(list)
         category_postings: defaultdict[str, list[int]] = defaultdict(list)
         norms: list[float] = []
+        vector_weights: list[Mapping[str, float]] = []
         # Services share a few category names; normalize each name once.
         normalized: dict[str, str] = {}
         for pos, service in enumerate(services):
@@ -215,6 +220,7 @@ class ServiceIndex(Frozen):
                     f"service {pos}: record must be a ServiceRecord, vector a SemanticVector"
                 )
             norms.append(service.vector.norm())
+            vector_weights.append(service.vector.weights)
             for concept in service.vector.weights:
                 concept_postings[concept].append(pos)
             for category in service.record.categories:
@@ -231,6 +237,7 @@ class ServiceIndex(Frozen):
             "concept_postings": {c: frozenset(p) for c, p in concept_postings.items()},
             "category_postings": {c: frozenset(p) for c, p in category_postings.items()},
             "norms": tuple(norms),
+            "vector_weights": tuple(vector_weights),
         }.items():
             object.__setattr__(self, name, value)
 

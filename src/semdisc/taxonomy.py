@@ -14,7 +14,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .lexicon import Frozen, check_cell, check_text, loader, read_rows
+from .lexicon import Frozen, check_cell, check_str, check_text, loader, read_rows
 from .strsim import (
     _isub_normalized,
     _isub_upper_bound,
@@ -108,10 +108,12 @@ def match_categories(
 
     Scores below ``min_cscore`` (an int or float in [0, 1]) are dropped; at
     most ``top_k`` (:func:`check_top_k`) are returned.  Ties break on name.
+    Task text that is not a ``str`` raises ValueError.
     """
     if type(min_cscore) not in (int, float) or not 0.0 <= min_cscore <= 1.0:
         raise ValueError(f"min_cscore {min_cscore!r} outside [0, 1]")
     check_top_k(top_k)
+    check_str(task_text, "task_text")
     text = normalize_string(task_text)
     # A key whose upper bound is below the floor cannot reach it.  A zero
     # floor skips nothing; an empty text has no bound.

@@ -212,6 +212,12 @@ class TestAnnotate:
             annotate("tree", mini_lexicon, threshold=value)
         assert str(excinfo.value) == f"threshold {value!r} outside [-1, 1]"
 
+    @pytest.mark.parametrize("text", [None, b"tree", 1])
+    def test_text_must_be_a_str(self, mini_lexicon, text):
+        with pytest.raises(ValueError) as excinfo:
+            annotate(text, mini_lexicon)
+        assert str(excinfo.value) == f"text must be a str, not {type(text).__name__}"
+
     def test_threshold_boundary_inclusive(self, toy_lexicon):
         # X's only form scores exactly TOY_HALF_COVERAGE against this
         # text, and Y's form scores -1.

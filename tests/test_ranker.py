@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,7 +20,14 @@ from semdisc.ranker import (
     search_by_category,
     search_by_concepts,
 )
-from semdisc.registry import AnnotatedService, ServiceIndex, ServiceRecord, build_index
+from semdisc.registry import (
+    AnnotatedService,
+    ServiceIndex,
+    ServiceRecord,
+    build_index,
+    load_index,
+    save_index,
+)
 from semdisc.requirements import parse_requirements, tasks
 from semdisc.taxonomy import CategoryMatch, CategoryTaxonomy
 
@@ -111,6 +119,50 @@ vector_st = st.dictionaries(
     st.floats(min_value=1e-3, max_value=1e3),
     max_size=6,
 ).map(vector_of)
+
+_CATEGORIES = ["Cat A", "cat-a", "Cat B", "Cat C"]
+# Few concepts and few weights, so distinct vectors often score alike.
+_tie_vector_st = st.dictionaries(
+    st.sampled_from(["c0", "c1", "c2"]), st.sampled_from([0.5, 1.0, 2.0, 3.0]), max_size=3
+)
+
+
+@st.composite
+def tie_prone_index_st(draw):
+    """A small index whose services repeat a few vectors and category
+    sets, so scores tie, with positions in no particular name order."""
+    vectors = draw(st.lists(_tie_vector_st, min_size=1, max_size=3))
+    category_sets = draw(
+        st.lists(st.lists(st.sampled_from(_CATEGORIES), max_size=2), min_size=1, max_size=3)
+    )
+    n = draw(st.integers(min_value=1, max_value=9))
+    names = draw(st.permutations([f"S{i}" for i in range(n)]))
+    services = tuple(
+        AnnotatedService(
+            ServiceRecord(name, categories=tuple(draw(st.sampled_from(category_sets)))),
+            vector_of(draw(st.sampled_from(vectors))),
+        )
+        for name in names
+    )
+    return ServiceIndex(services=services, lexicon_fingerprint="f")
+
+
+weights_st = st.one_of(
+    st.sampled_from([Weights(), Weights(0.5, 0.5), Weights(1, 0), Weights(0.0, 1.0)]),
+    st.floats(min_value=0.0, max_value=1.0).map(lambda w1: Weights(w1, 1.0 - w1)),
+)
+matches_st = st.lists(
+    st.builds(
+        CategoryMatch,
+        st.sampled_from(_CATEGORIES),
+        st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+    ),
+    max_size=3,
+)
+
+
+def score_bits(results):
+    return [tuple(map(float.hex, (r.c_score, r.s_score, r.score))) for r in results]
 
 
 class TestWeights:
@@ -328,6 +380,29 @@ class TestRank:
             got = rank(task_vector, matches, tie_index, weights, top_k=top_k)
             assert got == expected, top_k
 
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        index=tie_prone_index_st(),
+        task=_tie_vector_st.map(vector_of),
+        matches=matches_st,
+        weights=weights_st,
+    )
+    def test_every_top_k_matches_full_sort_on_ties(self, index, task, matches, weights):
+        """Scores tie at the cut: every top_k still ranks as a full sort
+        does, every score bit for bit."""
+        for top_k in range(1, len(index) + 2):
+            expected = reference_rank(task, matches, index, weights, top_k)
+            got = rank(task, matches, index, weights, top_k=top_k)
+            assert got == expected, top_k
+            assert score_bits(got) == score_bits(expected), top_k
+
+    @pytest.mark.parametrize("weights", [(0.5, 0.8), (0.2, 0.8), None])
+    def test_weights_must_be_weights(self, route_index, weights):
+        # A plain tuple skips the constructor's checks, so it is refused
+        # even when it would pass them.
+        with pytest.raises(ValueError, match=r"^weights .* is not a Weights$"):
+            rank(vector_of({}), [], route_index, weights)
+
     def test_top_k_validation(
         self, route_index, demo_lexicon, demo_taxonomy, demo_index, monkeypatch
     ):
@@ -349,10 +424,16 @@ class TestRank:
             ("top_k_categories", True, r"^top_k True is not an integer >= 1$"),
             ("min_cscore", "0.4", r"^min_cscore '0\.4' outside \[0, 1\]$"),
             ("min_cscore", True, r"^min_cscore True outside \[0, 1\]$"),
+            ("weights", (0.5, 0.8), r"^weights \(0\.5, 0\.8\) is not a Weights$"),
+            ("weights", None, r"^weights None is not a Weights$"),
         ]:
             with pytest.raises(ValueError, match=message):
                 discover(*inputs, **{option: value})
             assert annotated == [], option
+        for text in (None, b"protein", 1):
+            with pytest.raises(ValueError, match=r"^task_text must be a str, not "):
+                discover(text, *inputs[1:])
+            assert annotated == [], text
 
     def test_shared_annotations(self, route_lexicon, route_index):
         from semdisc import annotate
@@ -425,3 +506,34 @@ def test_cosine_norm_consistency():
     weights = {f"c{i}": math.sqrt(i + 1) for i in range(50)}
     vec = vector_of(weights)
     assert cosine(vec, vec) == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(index=tie_prone_index_st())
+def test_vector_weights_are_derived(tmp_path_factory, index):
+    """The per-position weight mappings are each vector's own, are rebuilt
+    on load and unpickling, and take no part in ==, repr or the file."""
+
+    def own_weights(value):
+        return len(value.vector_weights) == len(value.services) and all(
+            w is s.vector.weights for w, s in zip(value.vector_weights, value.services)
+        )
+
+    assert own_weights(index)
+    assert index.__reduce__() == (
+        ServiceIndex, (index.services, index.lexicon_fingerprint, index.threshold)
+    )
+    assert own_weights(pickle.loads(pickle.dumps(index)))
+    path = tmp_path_factory.getbasetemp() / "derived.idx"
+    save_index(index, path)
+    saved = path.read_bytes()
+    loaded = load_index(path)
+    assert own_weights(loaded)
+    assert loaded.vector_weights == index.vector_weights
+    # Without its weight mappings an index still equals, prints and saves
+    # as before.
+    object.__setattr__(loaded, "vector_weights", ())
+    assert loaded == index
+    assert repr(loaded) == repr(index)
+    save_index(loaded, path)
+    assert path.read_bytes() == saved

@@ -231,6 +231,10 @@ class TestMatchCategories:
         assert match_categories(TASK, demo_taxonomy, min_cscore=0, top_k=1) == (
             match_categories(TASK, demo_taxonomy, min_cscore=0.0, top_k=1)
         )
+        for text in (None, b"protein", 1):
+            message = rf"^task_text must be a str, not {type(text).__name__}$"
+            with pytest.raises(ValueError, match=message):
+                match_categories(text, demo_taxonomy)
 
     def test_empty_text_keeps_every_name_at_zero_in_name_order(self, demo_taxonomy):
         matches = match_categories("!!!", demo_taxonomy, min_cscore=0, top_k=100)
