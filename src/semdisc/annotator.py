@@ -277,39 +277,29 @@ def annotate(
         {key for word in text_set for key in lexicon.prefix_forms_with_word(word, threshold)}
         if threshold > -1.0 else lexicon.forms()
     )
-    # Per concept, the winning (similarity, form, shared words): highest
-    # similarity, then the form with more words, then the lexicographically
-    # smaller.
-    best: dict[str, tuple[float, str, frozenset[str]]] = {}
+    # Per concept, the winner as (similarity, distinct word count, form,
+    # form words, form idf, shared words): highest similarity, then the
+    # form with more words, then the lexicographically smaller.  An
+    # accepted winner's Annotation reuses the words and idf it was scored by.
+    best: dict[str, tuple[float, int, str, frozenset[str], float, frozenset[str]]] = {}
     for cid, form in candidates:
-        shared = lexicon.form_words(cid, form) & text_set
+        form_words = lexicon.form_words(cid, form)
+        shared = form_words & text_set
         form_idf = lexicon.form_idf(cid, form)
         shared_idf = math.fsum(map(information.__getitem__, shared))
         value = min(1.0, max(-1.0, (2.0 * shared_idf - form_idf) / form_idf))
+        n = len(form_words)
         current = best.get(cid)
         if current is None or value > current[0] or (
-            value == current[0] and _wins_tie(lexicon, cid, form, current[1])
+            value == current[0] and (n > current[1] or n == current[1] and form < current[2])
         ):
-            best[cid] = (value, form, shared)
+            best[cid] = (value, n, form, form_words, form_idf, shared)
     counts = Counter(words)
     provenance: dict[str, Annotation] = {}
     for cid in sorted(best):
-        value, form, shared = best[cid]
-        if value < threshold:
-            continue
-        provenance[cid] = Annotation(
-            concept_id=cid,
-            lexical_form=form,
-            similarity=value,
-            tf=_contained(lexicon.form_words(cid, form), counts),
-            idf_value=lexicon.form_idf(cid, form),
-            matched_words=shared,
-        )
+        value, _, form, form_words, form_idf, shared = best[cid]
+        if value >= threshold:
+            provenance[cid] = Annotation(
+                cid, form, value, _contained(form_words, counts), form_idf, shared
+            )
     return SemanticVector(provenance)
-
-
-def _wins_tie(lexicon: Lexicon, concept_id: str, form: str, other: str) -> bool:
-    """Whether ``form`` beats ``other`` at equal similarity."""
-    n = len(lexicon.form_words(concept_id, form))
-    m = len(lexicon.form_words(concept_id, other))
-    return n > m or (n == m and form < other)

@@ -163,10 +163,7 @@ def _load_inputs(settings: argparse.Namespace, *names: str) -> dict:
         "index": load_index,
         "requirements": parse_requirements,
     }
-    try:
-        return {name: loaders[name](path) for name, path in paths.items()}
-    except ValueError as exc:
-        raise CliError(str(exc), exit_code=1)
+    return {name: loaders[name](path) for name, path in paths.items()}
 
 
 def _task_inputs(settings: argparse.Namespace, text: str | None) -> tuple[str, ...]:
@@ -418,7 +415,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except OSError as exc:
+    # Malformed input, output stdout cannot encode (UnicodeEncodeError), failed I/O.
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

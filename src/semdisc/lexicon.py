@@ -430,7 +430,7 @@ class Lexicon(Frozen):
         infos = {w: -math.log(self.probability(w)) for w in self._form_words[form]}
         mine = infos[word]
         before = math.fsum(v for w, v in infos.items() if v > mine or (v == mine and w < word))
-        return before <= share * math.fsum(infos.values())
+        return before <= share * self.form_idf(*form)
 
     def concepts_with_word(self, word: str) -> frozenset[str]:
         """Ids of concepts having ``word`` in at least one form."""

@@ -81,13 +81,13 @@ class Weights(Checked, _WeightsRow):
 
 
 def cosine(a: SemanticVector, b: SemanticVector) -> float:
-    """Cosine similarity of two sparse vectors; 0 when either is empty."""
+    """Cosine similarity of two sparse vectors; 0 when they share no
+    concept.  Sharing one, both norms are positive (see
+    :func:`search_by_concepts`)."""
     shared = a.support() & b.support()
     if not shared:
         return 0.0
-    dot = math.fsum(a.weights[c] * b.weights[c] for c in shared)
-    denom = a.norm() * b.norm()
-    return dot / denom if denom > 0.0 else 0.0
+    return math.fsum(a.weights[c] * b.weights[c] for c in shared) / (a.norm() * b.norm())
 
 
 def search_by_category(
@@ -97,7 +97,7 @@ def search_by_category(
     """Category-route scores: service position -> best matched c_score."""
     scores: dict[int, float] = {}
     for match in matches:
-        for pos in index.category_postings.get(match.normalized, frozenset()):
+        for pos in index.category_postings.get(match.normalized, ()):
             current = scores.get(pos)
             if current is None or match.c_score > current:
                 scores[pos] = match.c_score
@@ -112,7 +112,10 @@ def search_by_concepts(
 
     Only services sharing at least one concept with the task vector are
     scored; every returned score is > 0 and equals
-    ``cosine(task_vector, index.services[pos].vector)``.
+    ``cosine(task_vector, index.services[pos].vector)``.  Every weight lies
+    in [2**-255, 2**255] (:class:`~semdisc.annotator.Annotation`), so every
+    norm, and the product of two, is positive and finite: no denominator
+    is zero.
     """
     weights = index.vector_weights
     # Per reached service, task_weight * service_weight of each shared
@@ -128,11 +131,7 @@ def search_by_concepts(
                 terms.append(product)
     task_norm = task_vector.norm()
     norms = index.norms
-    scores: dict[int, float] = {}
-    for pos, terms in products.items():
-        denom = task_norm * norms[pos]
-        scores[pos] = math.fsum(terms) / denom if denom > 0.0 else 0.0
-    return scores
+    return {pos: math.fsum(terms) / (task_norm * norms[pos]) for pos, terms in products.items()}
 
 
 def combine(c_score: float, s_score: float, weights: Weights) -> float:
@@ -184,7 +183,7 @@ def rank(
         scores[pos] = c_score * w1 + s_scores.get(pos, 0.0) * w2
     # Only services at or above the top_k-th largest score can rank among
     # the top_k; keeping every one tied at it keeps the tie rules exact.
-    cut = heapq.nlargest(top_k, scores.values())[-1] if len(scores) > top_k else -math.inf
+    cut = min(heapq.nlargest(top_k, scores.values()), default=-math.inf)
     services = index.services
     # Names are unique, so the key is a total order and pos never compares.
     keys = [
@@ -193,10 +192,11 @@ def rank(
         if score >= cut
     ]
     task_support = task_vector.support()
+    vector_weights = index.vector_weights
     return [
         RankedResult(
             service=name,
-            shared_annotations=task_support & services[pos].vector.support(),
+            shared_annotations=task_support.intersection(vector_weights[pos]),
             c_score=c_scores.get(pos, 0.0),
             s_score=-neg_s_score,
             score=-neg_score,

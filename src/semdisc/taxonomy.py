@@ -7,7 +7,9 @@ ISub metric, keeps categories at or above a minimum score, and returns
 the best ones first, each a :class:`CategoryMatch` (a ``NamedTuple``).
 A name whose score cannot reach the minimum, even if every character it
 shares with the text were matched, is dropped without the full ISub
-(:mod:`semdisc.strsim`); the result equals scoring every name.
+(:mod:`semdisc.strsim`); the result equals scoring every name.  The
+bound applies at every floor (at a zero floor it drops nothing); only an
+empty normalized text, whose length the bound divides by, skips it.
 """
 from __future__ import annotations
 
@@ -115,13 +117,13 @@ def match_categories(
     check_top_k(top_k)
     check_str(task_text, "task_text")
     text = normalize_string(task_text)
-    # A key whose upper bound is below the floor cannot reach it.  A zero
-    # floor skips nothing; an empty text has no bound.
-    prune = min_cscore > 0 and text
     chars = char_occurrences(text)
     matches = []
     for name, key, key_chars in zip(taxonomy.names, taxonomy._keys, taxonomy._chars):
-        if prune and clamp_cscore(_isub_upper_bound(text, key, chars, key_chars)) < min_cscore:
+        # A key whose upper bound is below the floor cannot reach it; at a
+        # zero floor no clamped bound is below it.  The bound divides by
+        # the text's length, so an empty text skips it.
+        if text and clamp_cscore(_isub_upper_bound(text, key, chars, key_chars)) < min_cscore:
             continue
         c_score = clamp_cscore(_isub_normalized(text, key))
         if c_score >= min_cscore:

@@ -1353,6 +1353,45 @@ class TestReadFailure:
         assert err == f"error: [Errno {errno.EIO}] {os.strerror(errno.EIO)}: {str(path)!r}\n"
 
 
+class TestUnencodableOutput:
+    """Output that stdout's encoding cannot encode is a data error: exit 1
+    and one error line, not a traceback."""
+
+    @staticmethod
+    def run_encoded(capsys, monkeypatch, encoding: str, *argv: str) -> tuple[int, str]:
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BytesIO(), encoding=encoding))
+        code = main(list(argv))
+        return code, capsys.readouterr().err
+
+    @staticmethod
+    def assert_one_error_line(err: str) -> None:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
+    def test_non_ascii_task_text_in_an_ascii_table(self, capsys, monkeypatch):
+        code, err = self.run_encoded(
+            capsys, monkeypatch, "ascii",
+            "annotate", "protéine domains", "--lexicon", str(DATA / "lexicon.tsv"),
+        )
+        assert code == 1
+        self.assert_one_error_line(err)
+        assert "'ascii' codec can't encode" in err
+
+    def test_undecodable_index_path_under_strict_utf8(self, tmp_path, capsys, monkeypatch):
+        # An undecodable argv byte arrives as a lone surrogate.
+        index = tmp_path / "demo\udcff.idx"
+        code, err = self.run_encoded(
+            capsys, monkeypatch, "utf-8",
+            "index", "build", "--lexicon", str(DATA / "lexicon.tsv"),
+            "--registry", str(DATA / "services.jsonl"), "--index", str(index),
+        )
+        assert code == 1
+        self.assert_one_error_line(err)
+        assert "surrogates not allowed" in err
+        # The summary follows the write.
+        assert index.is_file()
+
+
 # Bytes that matter to some input format, including broken UTF-8, a byte
 # order mark and U+2028.
 _PIECES = [

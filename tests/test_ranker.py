@@ -114,9 +114,10 @@ def reference_rank(task_vector, matches, index, weights, top_k):
     return results[:top_k]
 
 
+# The weight range's two ends, so norms and their products reach theirs.
 vector_st = st.dictionaries(
     st.sampled_from([f"c{i}" for i in range(6)]),
-    st.floats(min_value=1e-3, max_value=1e3),
+    st.floats(min_value=1e-3, max_value=1e3) | st.sampled_from([2.0**-255, 2.0**255]),
     max_size=6,
 ).map(vector_of)
 
