@@ -74,12 +74,9 @@ def missing(
     text_words: AbstractSet[str],
     lexicon: Lexicon,
 ) -> float:
-    """Information the text fails to cover: idf(form) - idf(shared words).
-
-    Clamped at 0 to absorb float rounding; mathematically never negative
-    because the shared words are a subset of the form.
-    """
-    return max(0.0, lexicon.idf(form_words) - lexicon.idf(cw(form_words, text_words)))
+    """Information the text fails to cover: idf(form) - idf(shared words),
+    never negative in floats either, for the reason :func:`ratio` gives."""
+    return lexicon.idf(form_words) - lexicon.idf(cw(form_words, text_words))
 
 
 def ratio(
@@ -91,13 +88,15 @@ def ratio(
 
     Every word has probability below 1, so any non-empty form has idf > 0.
     Raises UndefinedScoreError for the one input with no information, an
-    empty form word set, since coverage of it is meaningless.
+    empty form word set, since coverage of it is meaningless.  No clamp is
+    needed: the shared words are a subset of the form's, each -log P(w) is
+    positive and ``math.fsum`` correctly rounded, so 0 <= idf(shared) <=
+    idf(form) holds in floats, and rounding 2s - f and the quotient is monotone.
     """
     if not form_words:
         raise UndefinedScoreError("an empty form word set carries no information")
     form_idf = lexicon.idf(form_words)
-    value = (2.0 * lexicon.idf(cw(form_words, text_words)) - form_idf) / form_idf
-    return min(1.0, max(-1.0, value))
+    return (2.0 * lexicon.idf(cw(form_words, text_words)) - form_idf) / form_idf
 
 
 class FormMatch(NamedTuple):
@@ -287,7 +286,7 @@ def annotate(
         shared = form_words & text_set
         form_idf = lexicon.form_idf(cid, form)
         shared_idf = math.fsum(map(information.__getitem__, shared))
-        value = min(1.0, max(-1.0, (2.0 * shared_idf - form_idf) / form_idf))
+        value = (2.0 * shared_idf - form_idf) / form_idf
         n = len(form_words)
         current = best.get(cid)
         if current is None or value > current[0] or (

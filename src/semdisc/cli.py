@@ -123,7 +123,7 @@ def resolve_settings(args: argparse.Namespace) -> argparse.Namespace:
         if not path.is_file():
             raise CliError(f"config file not found: {path}", exit_code=2)
         try:
-            file_values = json.loads(path.read_text("utf-8"))
+            file_values = json.loads(path.read_text("utf-8-sig"))
         except UnicodeDecodeError as exc:
             raise CliError(f"config file {path}: not valid UTF-8: {exc}", exit_code=2)
         except (ValueError, RecursionError) as exc:
@@ -300,7 +300,7 @@ def _result_lines(task_id: str, results: list[RankedResult], fmt: str) -> list[s
             )
             for r in results
         ]
-    lines = [f"service\tshared_annotations\tc_score\ts_score\tscore"]
+    lines = ["service\tshared_annotations\tc_score\ts_score\tscore"]
     for r in results:
         lines.append(
             f"{r.service}\t{','.join(sorted(r.shared_annotations))}\t"

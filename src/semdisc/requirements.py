@@ -138,20 +138,21 @@ def parse_requirements(path: Path) -> RequirementsModel:
         parsed = _LINE.match(line.strip())
         if parsed is None:
             raise ValueError("expected 'goal:', 'subgoal:' or 'task:'")
+        # Stripping the line and \s* leave whitespace around an id only.
         kind, task_id, text = parsed.group(1, "id", "text")
         if task_id is not None and kind != "task":
             raise ValueError("only tasks take an [id]")
         if kind == "goal":
-            goals.append((Goal(text.strip()), [], []))
+            goals.append((Goal(text), [], []))
         elif not goals:
             raise ValueError(f"{kind} outside any goal")
         elif kind == "subgoal":
-            goals[-1][2].append((Subgoal(text.strip()), []))
+            goals[-1][2].append((Subgoal(text), []))
         else:
             # A task joins the goal's last subgoal, or the goal if it has none.
             _, direct, subs = goals[-1]
             task_id = f"t{next(auto_ids)}" if task_id is None else task_id.strip()
-            (subs[-1][1] if subs else direct).append(TaskRequirement(task_id, text.strip()))
+            (subs[-1][1] if subs else direct).append(TaskRequirement(task_id, text))
 
     read_rows(path, row)
     return RequirementsModel(tuple(

@@ -60,9 +60,30 @@ class TestRatio:
         with pytest.raises(UndefinedScoreError):
             ratio(frozenset(), {"tree"}, mini_lexicon)
 
-    def test_missing_never_negative(self, mini_lexicon):
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_missing_never_negative(self, mini_lexicon, data):
         assert missing({"tree"}, {"tree"}, mini_lexicon) == 0.0
         assert missing({"tree", "topology"}, {"tree"}, mini_lexicon) > 0.0
+        # No clamp keeps either value in range, so draw lexicons of 1- to
+        # 30-word forms whose words repeat across forms, skewing their
+        # probabilities, and texts that may hold words the lexicon lacks.
+        vocab = [f"w{i}" for i in range(40)]
+        forms = data.draw(st.lists(
+            st.lists(st.sampled_from(vocab), min_size=1, max_size=30, unique=True),
+            min_size=1, max_size=12,
+        ))
+        lexicon = Lexicon(
+            [Concept(f"C{i}", frozenset({" ".join(form)})) for i, form in enumerate(forms)]
+        )
+        i = data.draw(st.integers(0, len(forms) - 1))
+        form_words = lexicon.form_words(f"C{i}", " ".join(forms[i]))
+        text_words = data.draw(st.sets(st.sampled_from([*vocab, "unknown"])))
+        value = missing(form_words, text_words, lexicon)
+        assert value >= 0.0
+        if form_words <= text_words:
+            assert value == 0.0
+        assert -1.0 <= ratio(form_words, text_words, lexicon) <= 1.0
 
     def test_cw_intersection(self):
         assert cw({"a", "b"}, {"b", "c"}) == frozenset({"b"})

@@ -34,6 +34,17 @@ def run(capsys, *argv: str) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
+def run_process(*argv: str | bytes, **env: str) -> subprocess.CompletedProcess:
+    """``python -m semdisc.cli *argv`` in a new interpreter that imports
+    this ``semdisc``, with no ``SEMDISC_*`` variable and ``env`` added."""
+    src = str(Path(semdisc.__file__).resolve().parent.parent)
+    env = {**{k: v for k, v in os.environ.items() if not k.startswith("SEMDISC_")}, **env}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "semdisc.cli", *argv], env=env, capture_output=True, timeout=120
+    )
+
+
 @pytest.fixture()
 def built_index(tmp_path, capsys):
     path = tmp_path / "demo.idx"
@@ -468,6 +479,7 @@ class TestDiscoverCommand:
         rows = [json.loads(line) for line in out.splitlines()]
         assert len(rows) == 7
         assert {row["task"] for row in rows} == {"t1", "t2"}
+        assert (rows[0]["task"], rows[0]["service"]) == ("t1", "GlobPlot")
         assert out.endswith("}\n")
 
     def test_records_task_without_results_prints_nothing(self, built_index, capsys):
@@ -491,9 +503,6 @@ class TestDiscoverCommand:
         # Ranking walks sets and dicts; a new interpreter with another
         # hash seed must still print the same bytes.
         argv = [
-            sys.executable,
-            "-m",
-            "semdisc.cli",
             "discover",
             "--lexicon",
             str(DATA / "lexicon.tsv"),
@@ -506,13 +515,9 @@ class TestDiscoverCommand:
             "--format",
             "records",
         ]
-        src = str(Path(semdisc.__file__).resolve().parent.parent)
         outputs = []
         for seed in ("0", "1"):
-            env = {k: v for k, v in os.environ.items() if not k.startswith("SEMDISC_")}
-            env["PYTHONHASHSEED"] = seed
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            proc = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+            proc = run_process(*argv, PYTHONHASHSEED=seed)
             assert proc.returncode == 0, proc.stderr.decode()
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
@@ -630,22 +635,22 @@ class TestDiscoverCommand:
         assert "unrecognized arguments: --threshold=0.9" in captured.err
 
     def test_previous_format_is_data_error(self, built_index, capsys):
-        body = bytearray(built_index.read_bytes()[:-32])
-        body[4:8] = (FORMAT_VERSION - 1).to_bytes(4, "big")
-        write_index_body(built_index, bytes(body))
-        code, out, err = run(
-            capsys,
-            "discover",
-            TASK,
-            f"--lexicon={DATA / 'lexicon.tsv'}",
-            f"--taxonomy={DATA / 'taxonomy.txt'}",
-            f"--index={built_index}",
-        )
-        assert (code, out) == (1, "")
-        assert err.startswith(
-            f"error: {built_index}: index format version {FORMAT_VERSION - 1} "
-        )
-        assert "rebuild the index with 'semdisc index build'" in err
+        raw = built_index.read_bytes()
+        for version in range(1, FORMAT_VERSION):
+            body = bytearray(raw[:-32])
+            body[4:8] = version.to_bytes(4, "big")
+            write_index_body(built_index, bytes(body))
+            code, out, err = run(
+                capsys,
+                "discover",
+                TASK,
+                f"--lexicon={DATA / 'lexicon.tsv'}",
+                f"--taxonomy={DATA / 'taxonomy.txt'}",
+                f"--index={built_index}",
+            )
+            assert (code, out) == (1, ""), version
+            assert err.startswith(f"error: {built_index}: index format version {version} ")
+            assert "rebuild the index with 'semdisc index build'" in err
 
     @pytest.mark.parametrize(
         "damage", ["missing_provenance", "non_finite_number", "deeply_nested"]
@@ -791,10 +796,12 @@ class TestSettingsPrecedence:
 
     def test_config_file_applies(self, built_index, tmp_path, capsys):
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"top_k": 2}))
-        code, out, _ = run(capsys, *self.base_argv(built_index), "--config", str(config))
-        assert code == 0
-        assert self.result_count(out) == 2
+        # A leading UTF-8 byte order mark is skipped, as in every input file.
+        for bom in (b"", b"\xef\xbb\xbf"):
+            config.write_bytes(bom + json.dumps({"top_k": 2}).encode())
+            code, out, err = run(capsys, *self.base_argv(built_index), "--config", str(config))
+            assert (code, err) == (0, "")
+            assert self.result_count(out) == 2
 
     def test_env_overrides_config(self, built_index, tmp_path, capsys, monkeypatch):
         config = tmp_path / "cfg.json"
@@ -948,7 +955,7 @@ class TestSettingRanges:
         assert results["flag"] == results["environment"] == results["config"]
         code, out, err = results["flag"]
         assert (code, out) == (2, "")
-        assert err.startswith("error: invalid ")
+        assert err.startswith(f"error: invalid value for {name}: ")
         assert err.count("\n") == 1
 
     def test_environment(self, tmp_path, capsys, monkeypatch):
@@ -1010,6 +1017,11 @@ class TestSettingRanges:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == "error: task text cannot be encoded as UTF-8\n"
+        # A new interpreter in UTF-8 mode decodes the byte itself that way.
+        argv[1] = b"prot\xffein"
+        proc = run_process(*argv, PYTHONUTF8="1")
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr == err.encode()
 
     @pytest.mark.parametrize("command", ["annotate", "discover"])
     @pytest.mark.parametrize(
@@ -1369,13 +1381,14 @@ class TestUnencodableOutput:
         assert "Traceback" not in err
 
     def test_non_ascii_task_text_in_an_ascii_table(self, capsys, monkeypatch):
-        code, err = self.run_encoded(
-            capsys, monkeypatch, "ascii",
-            "annotate", "protéine domains", "--lexicon", str(DATA / "lexicon.tsv"),
-        )
+        argv = ["annotate", "protéine domains", "--lexicon", str(DATA / "lexicon.tsv")]
+        code, err = self.run_encoded(capsys, monkeypatch, "ascii", *argv)
         assert code == 1
         self.assert_one_error_line(err)
         assert "'ascii' codec can't encode" in err
+        # The same from a new interpreter whose stdout is ASCII.
+        proc = run_process(*argv, PYTHONIOENCODING="ascii")
+        assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (1, b"", err)
 
     def test_undecodable_index_path_under_strict_utf8(self, tmp_path, capsys, monkeypatch):
         # An undecodable argv byte arrives as a lone surrogate.

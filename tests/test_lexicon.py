@@ -15,6 +15,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from semdisc import lexicon as lexicon_module
+from semdisc.cli import main
 from semdisc.lexicon import Concept, Lexicon, _ConceptRow, gc_paused, load_lexicon, normalize
 from semdisc.registry import ingest_registry, load_index
 from semdisc.requirements import parse_requirements
@@ -388,12 +389,20 @@ class TestLoadLexicon:
         ],
         ids=["comma_id", "vertical_tab_id", "bom_id"],
     )
-    def test_rejects_id_that_is_not_one_cell(self, tmp_path, line, message):
+    def test_rejects_id_that_is_not_one_cell(self, tmp_path, capsys, line, message):
         path = tmp_path / "lex.tsv"
         path.write_text(f"C1\tumls\talpha\n{line}\n", encoding="utf-8")
         with pytest.raises(ValueError) as info:
             load_lexicon(path)
         assert str(info.value) == f"{path}: line 2: {message}"
+        # index build fails on it as a data error and writes no index.
+        index = tmp_path / "out.idx"
+        code = main([
+            "index", "build", f"--lexicon={path}",
+            f"--registry={DATA / 'services.jsonl'}", f"--index={index}",
+        ])
+        assert (code, *capsys.readouterr()) == (1, "", f"error: {path}: line 2: {message}\n")
+        assert not index.exists()
 
     def test_loaded_lexicon_holds_few_tracked_objects(self, tmp_path):
         # No per-concept container is kept, so a loaded lexicon adds almost

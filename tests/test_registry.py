@@ -670,16 +670,16 @@ class TestPersistence:
             load_index(index_path)
 
     def test_previous_format_asks_for_rebuild(self, index_path):
-        body = bytearray(index_path.read_bytes()[:-32])
-        body[4:8] = (FORMAT_VERSION - 1).to_bytes(4, "big")
-        write_index_body(index_path, bytes(body))
-        with pytest.raises(ValueError) as excinfo:
-            load_index(index_path)
-        message = str(excinfo.value)
-        assert message.startswith(
-            f"{index_path}: index format version {FORMAT_VERSION - 1} "
-        )
-        assert "rebuild the index with 'semdisc index build'" in message
+        raw = index_path.read_bytes()
+        for version in range(1, FORMAT_VERSION):
+            body = bytearray(raw[:-32])
+            body[4:8] = version.to_bytes(4, "big")
+            write_index_body(index_path, bytes(body))
+            with pytest.raises(ValueError) as excinfo:
+                load_index(index_path)
+            message = str(excinfo.value)
+            assert message.startswith(f"{index_path}: index format version {version} ")
+            assert "rebuild the index with 'semdisc index build'" in message
 
     def test_bytes_between_payload_and_checksum_detected(self, index_path):
         write_index_body(index_path, index_path.read_bytes()[:-32] + b"\0" * 8)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semdisc.cli import main
 from semdisc.requirements import (
     Goal,
     RequirementsModel,
@@ -87,11 +88,16 @@ class TestParseRules:
         with pytest.raises(ValueError, match="line 1"):
             parse_requirements(path)
 
-    def test_unknown_directive_rejected(self, tmp_path):
+    def test_unknown_directive_rejected(self, tmp_path, capsys):
         path = tmp_path / "r.txt"
         path.write_text("goal: G\nwibble: What\n")
-        with pytest.raises(ValueError, match="line 2"):
+        message = f"{path}: line 2: expected 'goal:', 'subgoal:' or 'task:'"
+        with pytest.raises(ValueError, match="line 2") as info:
             parse_requirements(path)
+        assert str(info.value) == message
+        # The CLI reports it as a data error, on one line.
+        code = main(["annotate", f"--requirements={path}", f"--lexicon={DATA / 'lexicon.tsv'}"])
+        assert (code, *capsys.readouterr()) == (1, "", f"error: {message}\n")
 
     def test_id_on_non_task_rejected(self, tmp_path):
         path = tmp_path / "r.txt"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semdisc.cli import main
 from semdisc.strsim import clamp_cscore, isub
 from semdisc.taxonomy import (
     CategoryMatch,
@@ -87,15 +88,25 @@ class TestCategoryTaxonomy:
             ),
             ("Protein analysis\n---\n", "category '---' has no words"),
             ("# only a comment\n", "empty taxonomy"),
+            (
+                "Protein\tSequence Analysis\n",
+                "category 'Protein\\tSequence Analysis': "
+                "field 'name' must be one line without a tab",
+            ),
         ],
-        ids=["duplicate_after_normalization", "no_words", "empty"],
+        ids=["duplicate_after_normalization", "no_words", "empty", "tab_in_name"],
     )
-    def test_load_error_names_path(self, tmp_path, content, detail):
+    def test_load_error_names_path(self, tmp_path, capsys, content, detail):
         path = tmp_path / "tax.txt"
         path.write_text(content)
         with pytest.raises(ValueError) as info:
             load_taxonomy(path)
         assert str(info.value) == f"{path}: {detail}"
+        # The CLI reports it as a data error, on one line.
+        code = main(
+            ["annotate", "protein", f"--lexicon={DATA / 'lexicon.tsv'}", f"--taxonomy={path}"]
+        )
+        assert (code, *capsys.readouterr()) == (1, "", f"error: {path}: {detail}\n")
 
     @pytest.mark.parametrize("char", ["\x85", "\u2028", "\r"])
     def test_load_only_line_feed_ends_a_line(self, tmp_path, char):
