@@ -23,6 +23,17 @@ total.  The matched total never exceeds the characters the two strings
 share, counted with multiplicity (:func:`char_occurrences`), so scoring
 that count instead bounds the score from above without searching for a
 substring (:func:`_isub_upper_bound`).
+
+Two unequal strings that share no substring of 3 characters
+(:func:`blocks`) have a matched total of 0: the first longest common
+substring is already too short, so nothing is removed and no junction
+forms.  Their score is then at most -1 + 0.1 * 4 = -0.6, and their
+clamped score exactly 0.  Counting the shared 3-character substrings
+would still not bound the matched total: once a block is removed, the
+characters on each side of it join, and a longer common substring can
+span the junction (``"abQQQc"`` and ``"aQQQbc"`` share only ``"QQQ"``,
+yet match 6 characters; ``test_matched_block_can_span_a_junction`` in
+``tests/test_strsim.py``).
 """
 from __future__ import annotations
 
@@ -147,6 +158,16 @@ def char_occurrences(text: str) -> frozenset[str]:
         last[c] = occurrence = last.get(c, "") + c
         occurrences.add(occurrence)
     return frozenset(occurrences)
+
+
+def blocks(text: str) -> frozenset[str]:
+    """The substrings of ``text`` of length :data:`MIN_SUBSTRING_LEN`.
+
+    Two unequal strings whose sets are disjoint score at most -0.6, so
+    their clamped score is 0.
+    """
+    n = MIN_SUBSTRING_LEN
+    return frozenset(text[i : i + n] for i in range(len(text) - n + 1))
 
 
 def clamp_cscore(value: float) -> float:

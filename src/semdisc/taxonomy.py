@@ -5,11 +5,19 @@ A taxonomy is a flat list of category names, one per line read by
 Matching scores the full task text against each category name with the
 ISub metric, keeps categories at or above a minimum score, and returns
 the best ones first, each a :class:`CategoryMatch` (a ``NamedTuple``).
-A name whose score cannot reach the minimum, even if every character it
-shares with the text were matched, is dropped without the full ISub
-(:mod:`semdisc.strsim`); the result equals scoring every name.  The
-bound applies at every floor (at a zero floor it drops nothing); only an
-empty normalized text, whose length the bound divides by, skips it.
+Two rules spare the full ISub, and the result equals scoring every
+name (:mod:`semdisc.strsim`):
+
+- A name that differs from the text and shares no 3-character substring
+  with it scores exactly 0: no common block is long enough to remove, so
+  no junction can form a longer one.  An empty normalized text shares
+  none, so every name takes this rule.  Counting shared 3-character
+  substrings would not be a valid bound, since a block can span a
+  junction left by a removal (``test_matched_block_can_span_a_junction``
+  in ``tests/test_strsim.py``).
+- Any other name whose score cannot reach the minimum, even if every
+  character it shares with the text were matched, is dropped.  At a zero
+  floor this drops nothing.
 """
 from __future__ import annotations
 
@@ -20,6 +28,7 @@ from .lexicon import Frozen, check_cell, check_str, check_text, loader, read_row
 from .strsim import (
     _isub_normalized,
     _isub_upper_bound,
+    blocks,
     char_occurrences,
     clamp_cscore,
     normalize_string,
@@ -35,11 +44,12 @@ class CategoryTaxonomy(Frozen):
     and starting with neither ``#`` (a comment) nor U+FEFF (a byte order
     mark), which :func:`load_taxonomy` would skip or drop.  :attr:`names`
     holds the display names in sorted order and is the ``_args()`` of this
-    :class:`~semdisc.lexicon.Frozen` value.  The normalized keys and their
-    characters (:func:`semdisc.strsim.char_occurrences`), in the same
+    :class:`~semdisc.lexicon.Frozen` value.  The normalized keys, their
+    characters (:func:`semdisc.strsim.char_occurrences`) and their
+    3-character substrings (:func:`semdisc.strsim.blocks`), in the same
     order, are derived from the names once and are not part of the value."""
 
-    __slots__ = ("names", "_keys", "_chars")
+    __slots__ = ("names", "_keys", "_chars", "_blocks")
 
     def __init__(self, names: Iterable[str]) -> None:
         display: dict[str, str] = {}
@@ -65,6 +75,7 @@ class CategoryTaxonomy(Frozen):
         object.__setattr__(self, "names", sorted_names)
         object.__setattr__(self, "_keys", keys)
         object.__setattr__(self, "_chars", tuple(map(char_occurrences, keys)))
+        object.__setattr__(self, "_blocks", tuple(map(blocks, keys)))
 
     def _args(self) -> tuple:
         return (self.names,)
@@ -118,14 +129,21 @@ def match_categories(
     check_str(task_text, "task_text")
     text = normalize_string(task_text)
     chars = char_occurrences(text)
+    text_blocks = blocks(text)
     matches = []
-    for name, key, key_chars in zip(taxonomy.names, taxonomy._keys, taxonomy._chars):
-        # A key whose upper bound is below the floor cannot reach it; at a
-        # zero floor no clamped bound is below it.  The bound divides by
-        # the text's length, so an empty text skips it.
-        if text and clamp_cscore(_isub_upper_bound(text, key, chars, key_chars)) < min_cscore:
+    for name, key, key_chars, key_blocks in zip(
+        taxonomy.names, taxonomy._keys, taxonomy._chars, taxonomy._blocks
+    ):
+        # An unequal key sharing no 3-character block scores at most -0.6.
+        # An empty text shares none, so the bound, which divides by the
+        # text's length, never sees one.  A key whose upper bound is below
+        # the floor cannot reach it.
+        if key != text and text_blocks.isdisjoint(key_blocks):
+            c_score = 0.0
+        elif clamp_cscore(_isub_upper_bound(text, key, chars, key_chars)) < min_cscore:
             continue
-        c_score = clamp_cscore(_isub_normalized(text, key))
+        else:
+            c_score = clamp_cscore(_isub_normalized(text, key))
         if c_score >= min_cscore:
             matches.append(CategoryMatch(name, c_score))
     matches.sort(key=lambda m: (-m.c_score, m.category))

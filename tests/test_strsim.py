@@ -15,6 +15,7 @@ from semdisc.strsim import (
     _isub_upper_bound,
     _longest_common_substring,
     _matched_total,
+    blocks,
     char_occurrences,
     clamp_cscore,
     isub,
@@ -137,6 +138,27 @@ class TestMatchedBound:
         # a bound counting shared 3-grams would say 3, under the true 6.
         assert _matched_total("abQQQc", "aQQQbc", 3) == 6
         assert len(char_occurrences("abQQQc") & char_occurrences("aQQQbc")) == 6
+
+    @given(s1=tie_prone_st, s2=tie_prone_st)
+    @settings(max_examples=500, deadline=None)
+    def test_no_shared_block_scores_zero(self, s1, s2):
+        # Nothing is removed, so no junction forms: unlike the counting
+        # bound above, disjoint blocks are exact.
+        shared = any(s1[i : i + 3] in s2 for i in range(len(s1) - 2))
+        assert blocks(s1).isdisjoint(blocks(s2)) is not shared
+        if s1 != s2 and not shared:
+            assert _matched_total(s1, s2, 3) == 0
+            assert _isub_normalized(s1, s2) <= -0.6
+            assert clamp_cscore(_isub_normalized(s1, s2)) == 0.0
+
+    @pytest.mark.parametrize(
+        "s1, s2", [("ab", "ba"), ("a", "ab"), ("ab", "abc"), ("ab", "ab q"), ("x", "xyz")]
+    )
+    def test_unequal_strings_shorter_than_a_block(self, s1, s2):
+        assert blocks(s1) == frozenset()
+        assert _matched_total(s1, s2, 3) == 0
+        assert _isub_normalized(s1, s2) <= -0.6
+        assert clamp_cscore(_isub_normalized(s1, s2)) == 0.0
 
     def test_score_strictly_increasing_in_matched_and_symmetric(self):
         for len_a in range(1, 61):

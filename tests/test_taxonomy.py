@@ -256,6 +256,16 @@ class TestMatchCategories:
         matches = match_categories("protein-SEQUENCE analysis", demo_taxonomy, min_cscore=1.0)
         assert matches == [CategoryMatch("Protein Sequence Analysis", 1.0)]
 
+    def test_key_shorter_than_a_block_equal_to_text_scores_one(self):
+        # "ab" has no 3-character block, so it shares none with any text;
+        # only its equality with the text keeps it from scoring 0.
+        tax = CategoryTaxonomy(["ab", "abc q"])
+        assert match_categories("AB", tax, min_cscore=1.0) == [CategoryMatch("ab", 1.0)]
+        assert match_categories("AB", tax, min_cscore=0.0) == [
+            CategoryMatch("ab", 1.0),
+            CategoryMatch("abc q", 0.0),
+        ]
+
 
 def _reference_matches(text, taxonomy, min_cscore, top_k):
     """Every name scored with the full metric, then filtered and cut."""
@@ -271,15 +281,19 @@ _WORDS = st.lists(st.text(alphabet="abcq", min_size=1, max_size=5), min_size=1, 
 @settings(max_examples=500, deadline=None)
 @given(
     names=st.lists(_WORDS.map(" ".join), min_size=1, max_size=8),
-    # "!!!" normalizes to an empty text, which skips the bound.
-    text=_WORDS.map(" ".join) | st.just("!!!"),
+    # "!!!" normalizes to an empty text, which shares no block with any
+    # name; None stands for the picked name in capitals.
+    text=_WORDS.map(" ".join) | st.just("!!!") | st.none(),
     floor=st.sampled_from([0.0, 0.4, None]),
     pick=st.integers(0, 7),
 )
 def test_match_equals_scoring_every_name(names, text, floor, pick):
     """Skipping names that cannot reach the floor changes no result, also
-    at a floor (None) equal to the picked name's own score."""
+    at a floor (None) equal to the picked name's own score and for a text
+    (None) equal to the picked name."""
     taxonomy = CategoryTaxonomy(names)
+    if text is None:
+        text = taxonomy.names[pick % len(taxonomy)].upper()
     if floor is None:
         floor = clamp_cscore(isub(text, taxonomy.names[pick % len(taxonomy)]))
     assert match_categories(text, taxonomy, min_cscore=floor, top_k=10) == (
