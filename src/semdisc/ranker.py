@@ -8,13 +8,16 @@ The final score is the convex combination c_score * w1 + s_score * w2;
 a service missed by one route contributes 0 on that side.
 
 The concept route is one accumulator pass over the concept postings
-(term-at-a-time; ScanCount in Li, Lu & Lu, ICDE 2008): each posting of
-each task concept appends ``task_weight * service_weight`` to that
-service's product list, reading the service weight from the index's
-per-position weight mappings, and a service's score is the
-``math.fsum`` of its list over the task norm (computed once per query)
-times the service norm the index keeps.  ``fsum`` is correctly rounded
-whatever the order, so every score equals
+(term-at-a-time; ScanCount in Li, Lu & Lu, ICDE 2008).  Each posting of
+each task concept gives the product ``task_weight * service_weight``,
+the service weight read from the index's per-concept weight mappings.
+A service's first product is kept as one float; only a service reached
+again gets a list, which starts with that float and takes each later
+product.  After the pass each such list is replaced by its
+``math.fsum``, and a service's score is its sum over the task norm
+(computed once per query) times the service norm the index keeps.  A
+sum of one term is that term, and ``fsum`` of two or more is correctly
+rounded whatever their order, so every score equals
 ``cosine(task_vector, service.vector)`` bit for bit.
 
 :func:`rank` selects on bare float scores before it touches anything
@@ -117,21 +120,26 @@ def search_by_concepts(
     norm, and the product of two, is positive and finite: no denominator
     is zero.
     """
-    weights = index.vector_weights
+    concept_weights = index.concept_weights
     # Per reached service, task_weight * service_weight of each shared
-    # concept: the terms cosine() sums.
-    products: dict[int, list[float]] = {}
+    # concept, the terms cosine() sums: the one product of a service
+    # reached once, and the list of them for a service reached again.
+    sums: dict[int, float] = {}
+    terms: dict[int, list[float]] = {}
     for concept, task_weight in task_vector.weights.items():
-        for pos in index.concept_postings.get(concept, ()):
-            product = task_weight * weights[pos][concept]
-            terms = products.get(pos)
-            if terms is None:
-                products[pos] = [product]
+        for pos, weight in concept_weights.get(concept, {}).items():
+            product = task_weight * weight
+            if pos not in sums:
+                sums[pos] = product
+            elif pos in terms:
+                terms[pos].append(product)
             else:
-                terms.append(product)
+                terms[pos] = [sums[pos], product]
+    for pos, products in terms.items():
+        sums[pos] = math.fsum(products)
     task_norm = task_vector.norm()
     norms = index.norms
-    return {pos: math.fsum(terms) / (task_norm * norms[pos]) for pos, terms in products.items()}
+    return {pos: total / (task_norm * norms[pos]) for pos, total in sums.items()}
 
 
 def combine(c_score: float, s_score: float, weights: Weights) -> float:
@@ -144,6 +152,12 @@ def check_weights(weights: Weights) -> None:
     checks them; a plain tuple could hold weights that do not sum to 1."""
     if not isinstance(weights, Weights):
         raise ValueError(f"weights {weights!r} is not a Weights")
+
+
+def check_index(index: ServiceIndex) -> None:
+    """ValueError unless ``index`` is a :class:`ServiceIndex`."""
+    if not isinstance(index, ServiceIndex):
+        raise ValueError(f"index {index!r} is not a ServiceIndex")
 
 
 class RankedResult(NamedTuple):
@@ -168,12 +182,17 @@ def rank(
 
     Ties break on s_score (descending), then service name.  At most
     ``top_k``, an int >= 1 (else ValueError), results are returned.
-    ``weights`` must be a :class:`Weights` (else ValueError).  Scores are
-    :func:`combine`'s; only services at or above the ``top_k``-th largest
-    score, ties included, are ordered by the full tie rules.
+    ``weights`` must be a :class:`Weights`, ``task_vector`` a
+    :class:`SemanticVector` and ``index`` a :class:`ServiceIndex` (else
+    ValueError).  Scores are :func:`combine`'s; only services at or above
+    the ``top_k``-th largest score, ties included, are ordered by the
+    full tie rules.
     """
     check_top_k(top_k)
     check_weights(weights)
+    if not isinstance(task_vector, SemanticVector):
+        raise ValueError(f"task_vector {task_vector!r} is not a SemanticVector")
+    check_index(index)
     c_scores = search_by_category(category_matches, index)
     s_scores = search_by_concepts(task_vector, index)
     w1, w2 = weights
@@ -192,11 +211,10 @@ def rank(
         if score >= cut
     ]
     task_support = task_vector.support()
-    vector_weights = index.vector_weights
     return [
         RankedResult(
             service=name,
-            shared_annotations=task_support.intersection(vector_weights[pos]),
+            shared_annotations=task_support.intersection(services[pos].vector.weights),
             c_score=c_scores.get(pos, 0.0),
             s_score=-neg_s_score,
             score=-neg_score,
@@ -224,6 +242,7 @@ def discover(
     """
     check_top_k(top_k)
     check_weights(weights)
+    check_index(index)
     matches = match_categories(
         task_text, taxonomy, min_cscore=min_cscore, top_k=top_k_categories
     )

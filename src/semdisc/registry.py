@@ -170,19 +170,21 @@ class ServiceIndex(Frozen):
     :attr:`threshold` is the annotation threshold the services were
     annotated with, in [-1, 1].  Postings map concept ids and normalized
     category names to positions in :attr:`services`.  At the same
-    positions, :attr:`norms` holds each service vector's ``norm()`` and
-    :attr:`vector_weights` each vector's own ``weights`` mapping (the same
-    object, not a copy), so ranking neither recomputes a service norm nor
-    goes through the service and its vector for each posting.  All four
-    are derived from the services on construction and never stored in
-    the index file.  A :class:`~semdisc.lexicon.Frozen` value whose
-    ``_args()`` are its services, fingerprint and threshold, so none of
-    the four takes part in ``==``, ``repr``, copies or pickles.
+    positions, :attr:`norms` holds each service vector's ``norm()``.
+    :attr:`concept_weights` maps each concept id to {position: that
+    service's weight}, each weight the vector's own float object, and
+    each concept's posting set is the key set of its mapping; so ranking
+    neither recomputes a service norm nor goes through the service and
+    its vector for each posting.  All four are derived from the services
+    on construction and never stored in the index file.  A
+    :class:`~semdisc.lexicon.Frozen` value whose ``_args()`` are its
+    services, fingerprint and threshold, so none of the four takes part
+    in ``==``, ``repr``, copies or pickles.
     """
 
     __slots__ = (
         "services", "lexicon_fingerprint", "threshold",
-        "concept_postings", "category_postings", "norms", "vector_weights",
+        "concept_postings", "category_postings", "norms", "concept_weights",
     )
     services: tuple[AnnotatedService, ...]
     lexicon_fingerprint: str
@@ -190,7 +192,7 @@ class ServiceIndex(Frozen):
     concept_postings: Mapping[str, frozenset[int]]
     category_postings: Mapping[str, frozenset[int]]
     norms: tuple[float, ...]
-    vector_weights: tuple[Mapping[str, float], ...]
+    concept_weights: Mapping[str, Mapping[int, float]]
 
     def __init__(
         self,
@@ -206,10 +208,9 @@ class ServiceIndex(Frozen):
         if not isinstance(lexicon_fingerprint, str):
             raise ValueError("lexicon_fingerprint must be a string")
         check_threshold(threshold)
-        concept_postings: defaultdict[str, list[int]] = defaultdict(list)
+        concept_weights: defaultdict[str, dict[int, float]] = defaultdict(dict)
         category_postings: defaultdict[str, list[int]] = defaultdict(list)
         norms: list[float] = []
-        vector_weights: list[Mapping[str, float]] = []
         # Services share a few category names; normalize each name once.
         normalized: dict[str, str] = {}
         for pos, service in enumerate(services):
@@ -220,9 +221,8 @@ class ServiceIndex(Frozen):
                     f"service {pos}: record must be a ServiceRecord, vector a SemanticVector"
                 )
             norms.append(service.vector.norm())
-            vector_weights.append(service.vector.weights)
-            for concept in service.vector.weights:
-                concept_postings[concept].append(pos)
+            for concept, weight in service.vector.weights.items():
+                concept_weights[concept][pos] = weight
             for category in service.record.categories:
                 if category not in normalized:
                     normalized[category] = normalize_string(category)
@@ -234,10 +234,10 @@ class ServiceIndex(Frozen):
             "services": services,
             "lexicon_fingerprint": lexicon_fingerprint,
             "threshold": threshold,
-            "concept_postings": {c: frozenset(p) for c, p in concept_postings.items()},
+            "concept_postings": {c: frozenset(w) for c, w in concept_weights.items()},
             "category_postings": {c: frozenset(p) for c, p in category_postings.items()},
             "norms": tuple(norms),
-            "vector_weights": tuple(vector_weights),
+            "concept_weights": dict(concept_weights),
         }.items():
             object.__setattr__(self, name, value)
 

@@ -3,9 +3,10 @@ from __future__ import annotations
 
 import math
 import pickle
+import re
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from semdisc.annotator import annotate
@@ -302,9 +303,21 @@ class TestSearchRoutes:
             assert search_by_concepts(task_vector, demo_index) == expected
 
     @given(task_vector=vector_st, vectors=st.lists(vector_st, max_size=8))
+    # Services sharing one, two and three concepts with the task, so a
+    # single product, a list of two and a longer list are summed on every
+    # run.  Added left to right, the three products 1 + 2**-53 + 2**-53
+    # give 1.0, not the correctly rounded 1 + 2**-52.
+    @example(
+        task_vector=vector_of({"c0": 1.0, "c1": 1.0, "c2": 1.0}),
+        vectors=[
+            vector_of({"c0": 0.5}),
+            vector_of({"c0": 0.1, "c1": 0.2, "c3": 1.0}),
+            vector_of({"c0": 1.0, "c1": 2.0**-53, "c2": 2.0**-53}),
+        ],
+    )
     @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_concept_route_is_cosine(self, task_vector, vectors):
-        # Exact equality: the pass sums cosine's products in cosine's order.
+        # Bit for bit: the pass sums cosine's products, one or through fsum.
         index = ServiceIndex(
             services=tuple(
                 AnnotatedService(record=ServiceRecord(name=f"S{i}"), vector=vector)
@@ -312,7 +325,12 @@ class TestSearchRoutes:
             ),
             lexicon_fingerprint="f",
         )
-        assert search_by_concepts(task_vector, index) == cosine_scores(task_vector, index)
+        got = search_by_concepts(task_vector, index)
+        expected = cosine_scores(task_vector, index)
+        assert got.keys() == expected.keys()
+        assert {pos: s.hex() for pos, s in got.items()} == {
+            pos: s.hex() for pos, s in expected.items()
+        }
 
 
 class TestCombine:
@@ -436,6 +454,28 @@ class TestRank:
                 discover(text, *inputs[1:])
             assert annotated == [], text
 
+    def test_argument_types(
+        self, route_index, demo_lexicon, demo_taxonomy, demo_index, monkeypatch
+    ):
+        for task_vector in ("text", None, {"C1": 1.0}):
+            message = f"task_vector {task_vector!r} is not a SemanticVector"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                rank(task_vector, [], route_index)
+        for index in ("idx", None, route_index.services):
+            with pytest.raises(ValueError, match=r"^index .* is not a ServiceIndex$"):
+                rank(vector_of({}), [], index)
+        # discover checks the index before it matches categories or
+        # annotates the task.
+        called = []
+        for stage in ("match_categories", "annotate"):
+            monkeypatch.setattr(
+                f"semdisc.ranker.{stage}", lambda *args, _s=stage, **kw: called.append(_s)
+            )
+        for index in ("idx", None):
+            with pytest.raises(ValueError, match=rf"^index {index!r} is not a ServiceIndex$"):
+                discover("protein sequences", demo_lexicon, demo_taxonomy, index)
+        assert called == []
+
     def test_shared_annotations(self, route_lexicon, route_index):
         from semdisc import annotate
 
@@ -511,13 +551,28 @@ def test_cosine_norm_consistency():
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(index=tie_prone_index_st())
-def test_vector_weights_are_derived(tmp_path_factory, index):
-    """The per-position weight mappings are each vector's own, are rebuilt
-    on load and unpickling, and take no part in ==, repr or the file."""
+def test_concept_weights_are_derived(tmp_path_factory, index):
+    """The per-concept weight mappings hold each vector's own weights, key
+    the concept postings, are rebuilt on load and unpickling, and take no
+    part in ==, repr or the file."""
 
     def own_weights(value):
-        return len(value.vector_weights) == len(value.services) and all(
-            w is s.vector.weights for w, s in zip(value.vector_weights, value.services)
+        expected = {}
+        for pos, service in enumerate(value.services):
+            for concept, weight in service.vector.weights.items():
+                expected.setdefault(concept, {})[pos] = weight
+        return (
+            value.concept_weights == expected
+            and all(
+                value.concept_weights[c][pos] is w
+                for c, by_pos in expected.items()
+                for pos, w in by_pos.items()
+            )
+            and value.concept_postings.keys() == value.concept_weights.keys()
+            and all(
+                by_pos.keys() == value.concept_postings[c]
+                for c, by_pos in value.concept_weights.items()
+            )
         )
 
     assert own_weights(index)
@@ -530,10 +585,10 @@ def test_vector_weights_are_derived(tmp_path_factory, index):
     saved = path.read_bytes()
     loaded = load_index(path)
     assert own_weights(loaded)
-    assert loaded.vector_weights == index.vector_weights
+    assert loaded.concept_weights == index.concept_weights
     # Without its weight mappings an index still equals, prints and saves
     # as before.
-    object.__setattr__(loaded, "vector_weights", ())
+    object.__setattr__(loaded, "concept_weights", {})
     assert loaded == index
     assert repr(loaded) == repr(index)
     save_index(loaded, path)
