@@ -260,9 +260,10 @@ def annotate(
     """Annotate free text into a semantic vector over lexicon concepts.
 
     Every concept whose similarity reaches ``threshold`` contributes one
-    entry weighted tf * idf of its winning form.  Invariant under word
-    reordering of the text.  An empty or fully-unknown text yields an
-    empty vector.  Text that is not a ``str`` raises ValueError.
+    entry weighted tf * idf of its winning form; word order does not
+    matter.  A text sharing no word with the lexicon (or empty) scores -1
+    on every form: an empty vector above threshold -1, every concept with
+    tf 1 at -1.  Text that is not a ``str`` raises ValueError.
     """
     check_threshold(threshold)
     check_str(text, "text")
@@ -270,8 +271,7 @@ def annotate(
     text_set = frozenset(words)
     # -log P(w) of each text word: a form's shared words sum to idf(cw).
     information = {w: -math.log(lexicon.probability(w)) for w in text_set}
-    # Above -1 only a form sharing a prefix word can reach the threshold;
-    # at -1 every form does.
+    # Only forms sharing a prefix word can reach a threshold above -1.
     candidates: Iterable[tuple[str, str]] = (
         {key for word in text_set for key in lexicon.prefix_forms_with_word(word, threshold)}
         if threshold > -1.0 else lexicon.forms()

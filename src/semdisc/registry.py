@@ -52,7 +52,7 @@ import json
 import os
 from collections import defaultdict
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, KeysView, Mapping, NamedTuple
 
 from .annotator import DEFAULT_THRESHOLD, Annotation, SemanticVector, annotate, check_threshold
 from .lexicon import Checked, Frozen, Lexicon, check_cell, check_text, check_texts, duplicates
@@ -168,18 +168,18 @@ class ServiceIndex(Frozen):
     order; the constructor does not require it.
 
     :attr:`threshold` is the annotation threshold the services were
-    annotated with, in [-1, 1].  Postings map concept ids and normalized
-    category names to positions in :attr:`services`.  At the same
-    positions, :attr:`norms` holds each service vector's ``norm()``.
-    :attr:`concept_weights` maps each concept id to {position: that
-    service's weight}, each weight the vector's own float object, and
-    each concept's posting set is the key set of its mapping; so ranking
-    neither recomputes a service norm nor goes through the service and
-    its vector for each posting.  All four are derived from the services
-    on construction and never stored in the index file.  A
-    :class:`~semdisc.lexicon.Frozen` value whose ``_args()`` are its
-    services, fingerprint and threshold, so none of the four takes part
-    in ``==``, ``repr``, copies or pickles.
+    annotated with, in [-1, 1].  :attr:`concept_weights` maps each
+    concept id to {position in :attr:`services`: that service's weight},
+    each weight the vector's own float object, and :attr:`norms` holds
+    each vector's ``norm()`` at the same positions, so ranking neither
+    recomputes a norm nor goes through a service for each posting.
+    :attr:`concept_postings` maps each concept to its weight mapping's
+    key view, so the two cannot disagree, and :attr:`category_postings`
+    each normalized category name to a frozenset of positions.  All four
+    are derived from the services on construction, never stored in the
+    index file, and take no part in ``==``, ``repr``, copies or pickles:
+    this :class:`~semdisc.lexicon.Frozen` value's ``_args()`` are its
+    services, fingerprint and threshold.
     """
 
     __slots__ = (
@@ -189,7 +189,7 @@ class ServiceIndex(Frozen):
     services: tuple[AnnotatedService, ...]
     lexicon_fingerprint: str
     threshold: float
-    concept_postings: Mapping[str, frozenset[int]]
+    concept_postings: Mapping[str, KeysView[int]]
     category_postings: Mapping[str, frozenset[int]]
     norms: tuple[float, ...]
     concept_weights: Mapping[str, Mapping[int, float]]
@@ -234,7 +234,7 @@ class ServiceIndex(Frozen):
             "services": services,
             "lexicon_fingerprint": lexicon_fingerprint,
             "threshold": threshold,
-            "concept_postings": {c: frozenset(w) for c, w in concept_weights.items()},
+            "concept_postings": {c: w.keys() for c, w in concept_weights.items()},
             "category_postings": {c: frozenset(p) for c, p in category_postings.items()},
             "norms": tuple(norms),
             "concept_weights": dict(concept_weights),

@@ -249,12 +249,23 @@ class TestAnnotate:
         assert not annotate("alpha other", toy_lexicon, threshold=above)
 
     def test_floor_threshold_scans_all_concepts(self, mini_lexicon):
-        # At threshold -1 even concepts sharing no word are admitted,
-        # each weighted by its best form's full information content.
-        vec = annotate("nothing shared here", mini_lexicon, threshold=-1.0)
-        assert vec.support() == frozenset({"C0000001", "C0000002", "C0000003"})
-        assert all(a.similarity == -1.0 for a in vec.provenance.values())
-        assert all(a.tf == 1 for a in vec.provenance.values())
+        # At threshold -1 even concepts sharing no word are admitted, each
+        # weighted by the full information content of its form of most
+        # words; just above -1 a text sharing no word, or none, gets nothing.
+        for text in ["nothing shared here", ""]:
+            assert not annotate(text, mini_lexicon, threshold=-1.0 + 2**-52)
+            vec = annotate(text, mini_lexicon, threshold=-1.0)
+            assert {
+                cid: (a.lexical_form, a.similarity, a.tf, a.matched_words, a.weight)
+                for cid, a in vec.provenance.items()
+            } == {
+                cid: (form, -1.0, 1, frozenset(), mini_lexicon.idf(form.split()))
+                for cid, form in [
+                    ("C0000001", "sequence alignment"),
+                    ("C0000002", "phylogenetic tree"),
+                    ("C0000003", "tree topology"),
+                ]
+            }
 
     def test_floor_threshold_leaves_concept_view_unbuilt(self):
         lexicon = load_lexicon(DATA / "lexicon.tsv")

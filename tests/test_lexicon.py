@@ -289,6 +289,29 @@ class TestPrefixPostings:
         assert set(lexicon._prefix) == {(0.8, "a"), (0.3, "a")}
 
 
+class TestConceptsWithWord:
+    def test_words_are_matched_after_normalizing_forms(self):
+        lexicon = Lexicon([
+            Concept("X", frozenset({"Gamma-ray burst"})),
+            Concept("Y", frozenset({"ray", "beta_2"})),
+        ])
+        assert lexicon.concepts_with_word("ray") == frozenset({"X", "Y"})
+        assert lexicon.concepts_with_word("gamma") == frozenset({"X"})
+        assert lexicon.concepts_with_word("2") == frozenset({"Y"})
+        assert lexicon.concepts_with_word("Gamma") == frozenset()
+        assert lexicon.concepts_with_word("gamma-ray") == frozenset()
+
+    def test_every_demo_word_against_a_scan_of_the_forms(self, demo_lexicon):
+        # The demo forms are lowercase words separated by spaces.
+        expected: dict[str, set[str]] = {"zzz": set()}
+        for concept in demo_lexicon.concepts:
+            for form in concept.lexical_forms:
+                for word in form.split(" "):
+                    expected.setdefault(word, set()).add(concept.id)
+        for word, ids in expected.items():
+            assert demo_lexicon.concepts_with_word(word) == ids, word
+
+
 class TestIdf:
     def test_unseen_word(self, mini_lexicon):
         assert mini_lexicon.idf(["zzz"]) == pytest.approx(math.log(14), rel=1e-15)

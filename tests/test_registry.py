@@ -9,6 +9,7 @@ import io
 import json
 import math
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -338,6 +339,22 @@ class TestBuildIndex:
         assert demo_index.category_postings["protein sequences analysis db"] == (
             frozenset(names.index(n) for n in ["ELMdb", "Emboss tmap", "Genesilico", "Uniprot"])
         )
+
+    def test_normalized_categories_are_the_category_posting_keys(self, demo_index):
+        odd = ServiceRecord("Odd", categories=("Protein  Sequences/Analysis_DB", "DB", "db"))
+        index = ServiceIndex(
+            (*demo_index.services, AnnotatedService(odd, SemanticVector({}))), "f"
+        )
+        # Lowercased, each run of spaces, '/' and '_' one space.
+        assert index.services[-1].normalized_categories() == (
+            "protein sequences analysis db", "db", "db"
+        )
+        for pos, service in enumerate(index.services):
+            expected = tuple(
+                " ".join(re.split(r"[\s/_]+", c.lower())) for c in service.record.categories
+            )
+            assert service.normalized_categories() == expected
+            assert {k for k, p in index.category_postings.items() if pos in p} == set(expected)
 
     def test_repr_shows_count_fingerprint_and_threshold(self, demo_index):
         assert repr(demo_index) == (
