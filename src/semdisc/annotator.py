@@ -24,20 +24,31 @@ missing information is at most (1 - t) / 2 * idf(S).  The form's prefix
 at t is its distinct words by -log P(w), largest first (ties by word),
 taken until their sum exceeds that budget times (1 + 1e-9).  A text
 holding no prefix word misses all of them, more than the budget, so
-only forms sharing a prefix word with the text
-(:meth:`~semdisc.lexicon.Lexicon.prefix_forms_with_word`) are scored.
-At t = 0.8 the budget is a tenth of idf(S), so a form of fewer than ten
-distinct words has one prefix word: its rarest.
+only forms sharing a prefix word with the text are scored.  At t = 0.8
+the budget is a tenth of idf(S), so a form of fewer than ten distinct
+words has one prefix word: its rarest.
 
 The filter is exact.  Rounding moves a computed ratio by under 1e-15,
 and the margin makes rounding widen a prefix, never shrink it: where
 the budget is at least 5e-7 of idf(S), the margin exceeds that error;
 where it is smaller, the first prefix word alone carries at least 1/n
 of the information of an n-word form, far beyond the budget.  Each
-candidate is then scored as :func:`ratio` scores it, ``math.fsum`` over
-all its shared words, so :func:`sim` and :func:`ratio`, which score one
-concept or form directly, remain the reference for :func:`annotate`.
-At t = -1 every form reaches the threshold and every form is scored.
+candidate is then scored as :func:`ratio` scores it.  A form the text
+covers in full scores exactly 1, since its shared words are its own,
+whose ``math.fsum`` is its idf, and (2x - x) / x == 1.0; its tf is its
+smallest word count in the text.  Any other form scores by
+``math.fsum`` over its shared words, with tf 1.  So :func:`sim`,
+:func:`ratio` and :func:`term_frequency`, which score one concept or
+form directly, remain the reference for :func:`annotate`.  At t = -1
+every form reaches the threshold and every form is scored.
+
+:func:`annotate` reads what it scores by from the lexicon's tables,
+filled on first use and kept (see :class:`~semdisc.lexicon.Lexicon`):
+the candidates' :class:`~semdisc.lexicon.FormEntry` values, each a
+form's concept id, distinct words and idf, from the threshold's prefix
+table (:meth:`~semdisc.lexicon.Lexicon.prefix_entries`), and each shared
+word's -log P(w) from the information memo
+(:meth:`~semdisc.lexicon.Lexicon.information`).
 
 :class:`Annotation` is a checked tuple type (a ``typing.NamedTuple``
 subclass whose constructor checks every field), so it compares equal to
@@ -51,7 +62,16 @@ import math
 from collections import Counter
 from typing import AbstractSet, Iterable, Mapping, NamedTuple
 
-from .lexicon import Checked, Concept, Frozen, Lexicon, check_str, normalize
+from .lexicon import (  # check_threshold is re-exported for registry
+    Checked,
+    Concept,
+    FormEntry,
+    Frozen,
+    Lexicon,
+    check_str,
+    check_threshold,
+    normalize,
+)
 
 DEFAULT_THRESHOLD = 0.8
 # The range of annotation weights: their squares and pairwise products
@@ -237,18 +257,8 @@ def term_frequency(form_words: AbstractSet[str], text_words: Iterable[str]) -> i
     Word order is deliberately ignored.  A form that passed the similarity
     threshold without full coverage still counts once.
     """
-    return _contained(form_words, Counter(text_words))
-
-
-def _contained(form_words: AbstractSet[str], counts: Mapping[str, int]) -> int:
-    return max(1, min((counts.get(w, 0) for w in form_words), default=0))
-
-
-def check_threshold(threshold: float) -> None:
-    """ValueError unless ``threshold`` is an ``int`` or ``float`` (not a
-    bool) in [-1, 1]."""
-    if type(threshold) not in (int, float) or not -1.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold {threshold!r} outside [-1, 1]")
+    counts = Counter(text_words)
+    return max(1, min((counts[w] for w in form_words), default=0))
 
 
 def annotate(
@@ -269,36 +279,37 @@ def annotate(
     check_str(text, "text")
     words = normalize(text)
     text_set = frozenset(words)
-    # -log P(w) of each text word: a form's shared words sum to idf(cw).
-    information = {w: -math.log(lexicon.probability(w)) for w in text_set}
-    # Only forms sharing a prefix word can reach a threshold above -1.
-    candidates: Iterable[tuple[str, str]] = (
-        {key for word in text_set for key in lexicon.prefix_forms_with_word(word, threshold)}
-        if threshold > -1.0 else lexicon.forms()
+    # Only forms sharing a prefix word can reach a threshold above -1; at
+    # -1 every form does, and every word is in its forms' prefixes.
+    candidates = lexicon.prefix_entries(
+        text_set if threshold > -1.0 else lexicon.vocabulary, threshold
     )
-    # Per concept, the winner as (similarity, distinct word count, form,
-    # form words, form idf, shared words): highest similarity, then the
-    # form with more words, then the lexicographically smaller.  An
-    # accepted winner's Annotation reuses the words and idf it was scored by.
-    best: dict[str, tuple[float, int, str, frozenset[str], float, frozenset[str]]] = {}
-    for cid, form in candidates:
-        form_words = lexicon.form_words(cid, form)
+    information = lexicon.information
+    # Per concept, the winner as (similarity, entry, shared words):
+    # highest similarity, then the form with more words, then the
+    # lexicographically smaller.
+    best: dict[str, tuple[float, FormEntry, frozenset[str]]] = {}
+    for entry in candidates:
+        cid, form, form_words, form_idf = entry
         shared = form_words & text_set
-        form_idf = lexicon.form_idf(cid, form)
-        shared_idf = math.fsum(map(information.__getitem__, shared))
-        value = (2.0 * shared_idf - form_idf) / form_idf
-        n = len(form_words)
+        if len(shared) == len(form_words):
+            # Covered in full: the shared words sum to form_idf, as fsum is
+            # correctly rounded, and (2x - x) / x == 1.0.
+            value, shared = 1.0, form_words
+        else:
+            value = (2.0 * math.fsum(map(information, shared)) - form_idf) / form_idf
         current = best.get(cid)
-        if current is None or value > current[0] or (
-            value == current[0] and (n > current[1] or n == current[1] and form < current[2])
+        if current is None or value > current[0] or value == current[0] and (
+            (n := len(form_words)) > (m := len(current[1].words))
+            or n == m and form < current[1].form
         ):
-            best[cid] = (value, n, form, form_words, form_idf, shared)
+            best[cid] = (value, entry, shared)
     counts = Counter(words)
     provenance: dict[str, Annotation] = {}
     for cid in sorted(best):
-        value, _, form, form_words, form_idf, shared = best[cid]
+        value, (_, form, form_words, form_idf), shared = best[cid]
         if value >= threshold:
-            provenance[cid] = Annotation(
-                cid, form, value, _contained(form_words, counts), form_idf, shared
-            )
+            # term_frequency: a form covered in part occurs once.
+            tf = min(map(counts.__getitem__, form_words)) if shared is form_words else 1
+            provenance[cid] = Annotation(cid, form, value, tf, form_idf, shared)
     return SemanticVector(provenance)

@@ -17,8 +17,9 @@ table, so both give the same lexicon for the same concepts.
 
 A :class:`Lexicon` is a :class:`Frozen` value, equal to a lexicon of the
 same concepts, and safe to share across threads: the only tables filled
-later (form idfs, prefix postings and concepts by id) are memos of
-values that do not depend on which thread computes them.
+later (word information, form entries, prefix entries per threshold and
+concepts by id) are memos of values that do not depend on which thread
+computes them.  :func:`check_threshold` owns the rule for a threshold.
 
 :func:`read_rows`, :func:`check_text`, :func:`check_texts`,
 :func:`check_cell` and :func:`has_line_break` own the package's
@@ -126,6 +127,13 @@ def check_str(value: object, name: str) -> None:
     """ValueError naming ``name`` unless ``value`` is a ``str``."""
     if not isinstance(value, str):
         raise ValueError(f"{name} must be a str, not {type(value).__name__}")
+
+
+def check_threshold(threshold: float) -> None:
+    """ValueError unless ``threshold`` is an ``int`` or ``float`` (not a
+    bool) in [-1, 1]."""
+    if type(threshold) not in (int, float) or not -1.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold {threshold!r} outside [-1, 1]")
 
 
 def check_text(value: object, field: str) -> None:
@@ -258,6 +266,16 @@ class Concept(Checked, _ConceptRow):
         return tuple.__new__(cls, (id, lexical_forms, source))
 
 
+class FormEntry(NamedTuple):
+    """What annotation scores one lexical form by: its concept id, the
+    form, its distinct :func:`normalize` words and their idf."""
+
+    concept_id: str
+    form: str
+    words: frozenset[str]
+    idf: float
+
+
 class Lexicon(Frozen):
     """Immutable collection of :class:`Concept` values (else ValueError)
     with the word-probability model their forms estimate; ``fingerprint``
@@ -271,20 +289,23 @@ class Lexicon(Frozen):
     exceeds every numerator, so every probability is below 1 (as floats,
     while total < 2**52) and every form carries information: idf > 0.
 
-    Three memos are filled on first use, not at load time, so loading pays
-    nothing for what no text ever touches: each form's idf
-    (:meth:`form_idf`), each word's prefix postings at a threshold
-    (:meth:`prefix_forms_with_word`) and the concepts by id
-    (:meth:`concept`).  :attr:`concepts` is built on each call, since
-    annotation reads only the postings and form words.  A memoised value
-    is a pure function of the lexicon's rows (and the threshold), so two
-    threads filling the same entry store equal values and sharing an
-    instance across threads stays safe.  No memo is part of the value:
-    equality, copies and pickles see only the concepts.
+    Four tables are filled on first use, not at load time, so loading
+    pays nothing for what no text ever touches: each vocabulary word's
+    information, -log P(w) (:meth:`information`); each form's
+    :class:`FormEntry`, holding its distinct words and idf
+    (:meth:`form_idf`); per threshold, each vocabulary word's prefix
+    entries, the entries of the forms having the word in their prefix
+    (:meth:`prefix_entries`); and the concepts by id (:meth:`concept`).
+    A word outside the vocabulary enters none of them.  :attr:`concepts`
+    is built on each call, since annotation reads only the tables.  A
+    memoised value is a pure function of the lexicon's rows (and the
+    threshold), so two threads filling the same entry store equal values
+    and sharing an instance across threads stays safe.  No memo is part
+    of the value: equality, copies and pickles see only the concepts.
     """
 
     __slots__ = (
-        "_sources", "_form_words", "_form_idf", "_prefix", "_by_id",
+        "_sources", "_form_words", "_information", "_entries", "_prefix", "_by_id",
         "_postings", "_word_prob", "unseen_prob", "fingerprint",
     )
 
@@ -338,7 +359,7 @@ class Lexicon(Frozen):
         self = object.__new__(cls)
         for name, value in {
             "_sources": sources, "_form_words": form_words,
-            "_form_idf": {}, "_prefix": {}, "_by_id": {},
+            "_information": {}, "_entries": {}, "_prefix": {}, "_by_id": {},
             "_postings": {word: tuple(keys) for word, keys in postings.items()},
             "_word_prob": {w: (c + 1) / denom for w, c in counts.items()},
             "unseen_prob": 1.0 / denom,
@@ -387,14 +408,30 @@ class Lexicon(Frozen):
         """Distinct normalized words of one lexical form."""
         return frozenset(self._form_words[concept_id, form])
 
-    def form_idf(self, concept_id: str, form: str) -> float:
-        """idf of one lexical form's distinct words, memoised; always > 0,
-        since a form has words and every probability is below 1."""
-        key = (concept_id, form)
-        value = self._form_idf.get(key)
+    def information(self, word: str) -> float:
+        """-log P(w), memoised for vocabulary words only, so words outside
+        the model never grow the memo; always > 0."""
+        value = self._information.get(word)
         if value is None:
-            value = self._form_idf[key] = self.idf(self.form_words(concept_id, form))
+            value = -math.log(self.probability(word))
+            if word in self._word_prob:
+                self._information[word] = value
         return value
+
+    def form_idf(self, concept_id: str, form: str) -> float:
+        """idf of one lexical form's distinct words, memoised in its
+        :class:`FormEntry`; always > 0, since a form has words and every
+        probability is below 1."""
+        return self._entry((concept_id, form)).idf
+
+    def _entry(self, key: tuple[str, str]) -> FormEntry:
+        entry = self._entries.get(key)
+        if entry is None:
+            words = frozenset(self._form_words[key])
+            entry = FormEntry(*key, words, math.fsum(map(self.information, words)))
+            # Every thread then shares the first entry stored.
+            entry = self._entries.setdefault(key, entry)
+        return entry
 
     def forms(self) -> KeysView[tuple[str, str]]:
         """``(concept_id, form)`` of every lexical form."""
@@ -406,31 +443,47 @@ class Lexicon(Frozen):
 
     def prefix_forms_with_word(self, word: str, threshold: float) -> tuple[tuple[str, str], ...]:
         """``(concept_id, form)`` of every form having ``word`` in its prefix
-        at ``threshold``, memoised: the form's distinct words by -log P(w),
-        largest first (ties by word), taken until their sum exceeds
-        ``(1 - threshold) / 2 * form_idf * (1 + 1e-9)``, or all of them.
-        Above -1, a text sharing no prefix word with a form has ratio below
-        ``threshold`` against it (see :mod:`semdisc.annotator`)."""
-        key = (threshold, word)
-        keys = self._prefix.get(key)
-        if keys is None:
-            postings = self.forms_with_word(word)
-            # Not memoised: a word outside the vocabulary is in no form.
-            if not postings:
-                return postings
-            share = (1.0 - threshold) / 2.0 * (1.0 + 1e-9)
-            keys = self._prefix[key] = tuple(
-                form for form in postings if self._in_prefix(word, form, share)
-            )
-        return keys
+        at ``threshold``, in ascending order: the form's distinct words by
+        -log P(w), largest first (ties by word), taken until their sum
+        exceeds ``(1 - threshold) / 2 * form_idf * (1 + 1e-9)``, or all of
+        them.  Above -1, a text sharing no prefix word with a form has
+        ratio below ``threshold`` against it (see :mod:`semdisc.annotator`).
+        ValueError unless :func:`check_threshold` admits ``threshold``."""
+        return tuple(sorted(entry[:2] for entry in self.prefix_entries((word,), threshold)))
 
-    def _in_prefix(self, word: str, form: tuple[str, str], share: float) -> bool:
-        """Whether the words of ``form`` ranked before ``word`` hold at most
-        ``share`` of its information."""
-        infos = {w: -math.log(self.probability(w)) for w in self._form_words[form]}
-        mine = infos[word]
-        before = math.fsum(v for w, v in infos.items() if v > mine or (v == mine and w < word))
-        return before <= share * self.form_idf(*form)
+    def prefix_entries(self, words: Iterable[str], threshold: float) -> set[FormEntry]:
+        """The :class:`FormEntry` of every form having one of ``words`` in
+        its prefix at ``threshold`` (see :meth:`prefix_forms_with_word`),
+        each vocabulary word's entries memoised in the threshold's table."""
+        check_threshold(threshold)
+        table = self._prefix.get(threshold)
+        if table is None:
+            table = self._prefix.setdefault(threshold, {})
+        entries: set[FormEntry] = set()
+        # A word outside the vocabulary is in no form and enters no table.
+        for word in self._postings.keys() & words:
+            found = table.get(word)
+            if found is None:
+                found = table[word] = self._prefix_of(word, threshold)
+            entries.update(found)
+        return entries
+
+    def _prefix_of(self, word: str, threshold: float) -> tuple[FormEntry, ...]:
+        """The entries of the forms having vocabulary word ``word`` in
+        their prefix at ``threshold``: those whose words ranked before
+        ``word`` hold at most the budget."""
+        share = (1.0 - threshold) / 2.0 * (1.0 + 1e-9)
+        information = self.information
+        mine = information(word)
+        found = []
+        for key in self._postings[word]:
+            entry = self._entry(key)
+            before = math.fsum(
+                v for w in entry.words if (v := information(w)) > mine or (v == mine and w < word)
+            )
+            if before <= share * entry.idf:
+                found.append(entry)
+        return tuple(found)
 
     def concepts_with_word(self, word: str) -> frozenset[str]:
         """Ids of concepts having ``word`` in at least one form."""

@@ -322,8 +322,10 @@ def _write_atomic(path: Path, data: bytes) -> None:
 def load_index(path: Path) -> ServiceIndex:
     """Read an index file, verifying magic, checksum, version and payload.
 
-    A file too short to hold magic, version and checksum fails the
-    checksum check.  A checksum-valid payload that is not JSON, holds a
+    A file that does not start with the magic ``SDIX``, one under 4 bytes
+    included, is "not a service index file"; one that does but is under
+    40 bytes, too short for version and checksum, fails the checksum
+    check.  A checksum-valid payload that is not JSON, holds a
     row of the wrong length, provenance rows not ascending by concept, or
     a value the index constructors reject raises ValueError naming the
     file.  So does a file of another version, with a message to rebuild.

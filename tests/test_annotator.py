@@ -408,8 +408,45 @@ class TestAnnotateMatchesSim:
             ), threshold
 
 
+class TestFullCoverage:
+    """A form the text covers in full scores exactly 1 with tf its
+    smallest word count; an accepted form covered in part has tf 1."""
+
+    # filler is in 31 forms, so its information is small and a text
+    # holding delta alone still gives "delta filler" a ratio above 0.5.
+    @pytest.fixture(scope="class")
+    def lexicon(self):
+        return Lexicon([
+            Concept("A", frozenset({"alpha beta"})),
+            Concept("B", frozenset({"gamma"})),
+            Concept("P", frozenset({"delta filler"})),
+            *(Concept(f"F{i}", frozenset({f"filler w{i}"})) for i in range(30)),
+        ])
+
+    @pytest.mark.parametrize("threshold", [-1.0, 0.5, DEFAULT_THRESHOLD, 1.0])
+    @pytest.mark.parametrize("repeats", [1, 2, 3])
+    def test_covered_forms_against_the_reference(self, lexicon, threshold, repeats):
+        text = " ".join(["beta alpha gamma"] * repeats + ["beta delta"])
+        words = normalize(text)
+        fields = _provenance_fields(text, lexicon, threshold)
+        assert fields == _reference_provenance(text, lexicon, threshold)
+        for cid, form in [("A", "alpha beta"), ("B", "gamma")]:
+            _, similarity, tf, _, matched = fields[cid]
+            assert similarity == 1.0
+            assert tf == term_frequency(lexicon.form_words(cid, form), words) == repeats
+            assert matched == lexicon.form_words(cid, form)
+        partial = ratio(lexicon.form_words("P", "delta filler"), frozenset(words), lexicon)
+        assert 0.5 < partial < DEFAULT_THRESHOLD
+        if threshold <= 0.5:
+            idf = lexicon.form_idf("P", "delta filler")
+            assert fields["P"] == ("delta filler", partial, 1, idf, {"delta"})
+        else:
+            assert "P" not in fields
+
+
 class TestPrefixMemo:
-    """The lexicon's per-threshold prefix postings change no vector."""
+    """The lexicon's information memo, form entries and per-threshold
+    prefix tables change no vector."""
 
     def test_thresholds_in_turn_match_fresh_lexicons(self, demo_records):
         texts = _demo_texts(demo_records)
@@ -420,6 +457,12 @@ class TestPrefixMemo:
                 assert annotate(text, lexicon, threshold=threshold) == (
                     annotate(text, fresh, threshold=threshold)
                 ), (threshold, text)
+            assert lexicon._prefix[threshold]
+        # Every form scored at -1 has one entry, shared by every table.
+        assert set(lexicon._entries) == set(lexicon.forms())
+        for table in lexicon._prefix.values():
+            for entries in table.values():
+                assert all(lexicon._entries[entry[:2]] is entry for entry in entries)
 
     def test_threads_over_a_cold_lexicon_match_serial(self, demo_records):
         texts = _demo_texts(demo_records)
@@ -442,6 +485,11 @@ class TestPrefixMemo:
         finally:
             sys.setswitchinterval(interval)
         assert results == [serial] * 4
+        # The tables the threads filled hold what serial annotation filled.
+        assert lexicon._information == reference._information
+        assert lexicon._entries == reference._entries
+        assert lexicon._prefix == reference._prefix
+        assert set(lexicon._prefix) == set(thresholds)
 
     def test_memo_is_not_part_of_the_value(self, demo_records):
         fresh = load_lexicon(DATA / "lexicon.tsv")
@@ -449,6 +497,7 @@ class TestPrefixMemo:
         for text in _demo_texts(demo_records):
             for threshold in (0.8, 0.3):
                 annotate(text, used, threshold=threshold)
+        assert used._information and used._entries and used._prefix
         assert used == fresh
         assert pickle.dumps(used) == pickle.dumps(fresh)
         assert copy.copy(used) == copy.copy(fresh) == fresh

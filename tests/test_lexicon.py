@@ -15,6 +15,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from semdisc import lexicon as lexicon_module
+from semdisc.annotator import annotate
 from semdisc.cli import main
 from semdisc.lexicon import Concept, Lexicon, _ConceptRow, gc_paused, load_lexicon, normalize
 from semdisc.registry import ingest_registry, load_index
@@ -286,7 +287,64 @@ class TestPrefixPostings:
         lexicon.prefix_forms_with_word("a", 0.8)
         lexicon.prefix_forms_with_word("zzz", 0.8)
         lexicon.prefix_forms_with_word("a", 0.3)
-        assert set(lexicon._prefix) == {(0.8, "a"), (0.3, "a")}
+        assert {(t, w) for t, table in lexicon._prefix.items() for w in table} == {
+            (0.8, "a"), (0.3, "a")
+        }
+
+    @pytest.mark.parametrize("threshold", [math.nan, 5.0, -1.5, "0.8", True, None])
+    def test_threshold_outside_the_rule_is_rejected_unmemoised(self, lexicon, threshold):
+        for _ in range(5):
+            with pytest.raises(ValueError, match=r"outside \[-1, 1\]"):
+                lexicon.prefix_forms_with_word("a", threshold)
+            with pytest.raises(ValueError, match=r"outside \[-1, 1\]"):
+                lexicon.prefix_entries(["a"], threshold)
+        assert lexicon._prefix == {}
+
+
+class TestScoringTables:
+    """The information memo and the form entries annotation reads."""
+
+    def test_information_is_minus_log_probability(self):
+        lexicon = load_lexicon(DATA / "lexicon.tsv")
+        for word in [*lexicon.vocabulary, "unseenword"]:
+            expected = -math.log(lexicon.probability(word))
+            assert lexicon.information(word).hex() == expected.hex(), word
+        assert set(lexicon._information) == lexicon.vocabulary
+        for word, value in lexicon._information.items():
+            assert value.hex() == (-math.log(lexicon.probability(word))).hex()
+
+    def test_unknown_words_never_grow_the_memo(self):
+        lexicon = load_lexicon(DATA / "lexicon.tsv")
+        for i in range(50):
+            text = " ".join(f"unknown{i}x{j}" for j in range(20)) + " protein"
+            annotate(text, lexicon)
+            annotate(text, lexicon, threshold=0.3)
+            lexicon.information(f"unknown{i}")
+        assert set(lexicon._information) <= lexicon.vocabulary
+        assert len(lexicon._information) <= len(lexicon.vocabulary)
+        for table in lexicon._prefix.values():
+            assert set(table) <= lexicon.vocabulary
+
+    def test_entries_hold_the_form_words_and_idf(self):
+        lexicon = load_lexicon(DATA / "lexicon.tsv")
+        entries = lexicon.prefix_entries(lexicon.vocabulary, -1.0)
+        assert {entry[:2] for entry in entries} == set(lexicon.forms())
+        for entry in entries:
+            words = lexicon.form_words(entry.concept_id, entry.form)
+            assert entry.words == words
+            assert entry.idf.hex() == lexicon.form_idf(entry.concept_id, entry.form).hex()
+            assert entry.idf.hex() == lexicon.idf(words).hex()
+
+    def test_each_form_entry_is_stored_once(self):
+        lexicon = load_lexicon(DATA / "lexicon.tsv")
+        by_key = {}
+        for threshold in (0.8, 0.3, -1.0):
+            for entry in lexicon.prefix_entries(lexicon.vocabulary, threshold):
+                assert by_key.setdefault(entry[:2], entry) is entry
+        for table in lexicon._prefix.values():
+            for entries in table.values():
+                for entry in entries:
+                    assert by_key[entry[:2]] is entry
 
 
 class TestConceptsWithWord:

@@ -671,6 +671,12 @@ class TestPersistence:
         with pytest.raises(ValueError, match="checksum mismatch"):
             load_index(index_path)
 
+    @pytest.mark.parametrize("raw", [b"", b"SDI", b"SDIx" + bytes(60)])
+    def test_file_without_magic_is_not_an_index(self, index_path, raw):
+        index_path.write_bytes(raw)
+        with pytest.raises(ValueError, match="not a service index file$"):
+            load_index(index_path)
+
     def test_truncated_file_detected(self, index_path):
         blob = index_path.read_bytes()
         index_path.write_bytes(blob[: len(blob) // 2])
