@@ -33,14 +33,13 @@ and the margin makes rounding widen a prefix, never shrink it: where
 the budget is at least 5e-7 of idf(S), the margin exceeds that error;
 where it is smaller, the first prefix word alone carries at least 1/n
 of the information of an n-word form, far beyond the budget.  Each
-candidate is then scored as :func:`ratio` scores it.  A form the text
-covers in full scores exactly 1, since its shared words are its own,
-whose ``math.fsum`` is its idf, and (2x - x) / x == 1.0; its tf is its
-smallest word count in the text.  Any other form scores by
-``math.fsum`` over its shared words, with tf 1.  So :func:`sim`,
-:func:`ratio` and :func:`term_frequency`, which score one concept or
-form directly, remain the reference for :func:`annotate`.  At t = -1
-every form reaches the threshold and every form is scored.
+candidate is then scored as :func:`ratio` scores it, ``math.fsum`` over
+all its shared words, and counted as :func:`term_frequency` counts it,
+so :func:`sim`, :func:`ratio` and :func:`term_frequency`, which score
+one concept or form directly, remain the reference for :func:`annotate`.
+A form the text covers in full scores exactly 1: ``math.fsum`` of its
+own words is its idf, and (2x - x) / x == 1.0.  At t = -1 every form
+reaches the threshold and every form is scored.
 
 :func:`annotate` reads what it scores by from the lexicon's tables,
 filled on first use and kept (see :class:`~semdisc.lexicon.Lexicon`):
@@ -275,14 +274,15 @@ def annotate(
     on every form: an empty vector above threshold -1, every concept with
     tf 1 at -1.  Text that is not a ``str`` raises ValueError.
     """
-    check_threshold(threshold)
     check_str(text, "text")
     words = normalize(text)
     text_set = frozenset(words)
     # Only forms sharing a prefix word can reach a threshold above -1; at
     # -1 every form does, and every word is in its forms' prefixes.
+    # prefix_entries checks the threshold; == -1 is safe on any value,
+    # where > -1 raises TypeError on a str.
     candidates = lexicon.prefix_entries(
-        text_set if threshold > -1.0 else lexicon.vocabulary, threshold
+        lexicon.vocabulary if threshold == -1 else text_set, threshold
     )
     information = lexicon.information
     # Per concept, the winner as (similarity, entry, shared words):
@@ -292,12 +292,7 @@ def annotate(
     for entry in candidates:
         cid, form, form_words, form_idf = entry
         shared = form_words & text_set
-        if len(shared) == len(form_words):
-            # Covered in full: the shared words sum to form_idf, as fsum is
-            # correctly rounded, and (2x - x) / x == 1.0.
-            value, shared = 1.0, form_words
-        else:
-            value = (2.0 * math.fsum(map(information, shared)) - form_idf) / form_idf
+        value = (2.0 * math.fsum(map(information, shared)) - form_idf) / form_idf
         current = best.get(cid)
         if current is None or value > current[0] or value == current[0] and (
             (n := len(form_words)) > (m := len(current[1].words))
@@ -309,7 +304,6 @@ def annotate(
     for cid in sorted(best):
         value, (_, form, form_words, form_idf), shared = best[cid]
         if value >= threshold:
-            # term_frequency: a form covered in part occurs once.
-            tf = min(map(counts.__getitem__, form_words)) if shared is form_words else 1
+            tf = max(1, min(map(counts.__getitem__, form_words)))
             provenance[cid] = Annotation(cid, form, value, tf, form_idf, shared)
     return SemanticVector(provenance)

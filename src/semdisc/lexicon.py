@@ -389,8 +389,8 @@ class Lexicon(Frozen):
         return concept_id in self._sources
 
     @property
-    def vocabulary(self) -> frozenset[str]:
-        return frozenset(self._word_prob)
+    def vocabulary(self) -> KeysView[str]:
+        return self._word_prob.keys()
 
     def probability(self, word: str) -> float:
         return self._word_prob.get(word, self.unseen_prob)
@@ -441,20 +441,15 @@ class Lexicon(Frozen):
         """``(concept_id, form)`` of every form having ``word``."""
         return self._postings.get(word, ())
 
-    def prefix_forms_with_word(self, word: str, threshold: float) -> tuple[tuple[str, str], ...]:
-        """``(concept_id, form)`` of every form having ``word`` in its prefix
-        at ``threshold``, in ascending order: the form's distinct words by
-        -log P(w), largest first (ties by word), taken until their sum
-        exceeds ``(1 - threshold) / 2 * form_idf * (1 + 1e-9)``, or all of
-        them.  Above -1, a text sharing no prefix word with a form has
-        ratio below ``threshold`` against it (see :mod:`semdisc.annotator`).
-        ValueError unless :func:`check_threshold` admits ``threshold``."""
-        return tuple(sorted(entry[:2] for entry in self.prefix_entries((word,), threshold)))
-
     def prefix_entries(self, words: Iterable[str], threshold: float) -> set[FormEntry]:
         """The :class:`FormEntry` of every form having one of ``words`` in
-        its prefix at ``threshold`` (see :meth:`prefix_forms_with_word`),
-        each vocabulary word's entries memoised in the threshold's table."""
+        its prefix at ``threshold``, each vocabulary word's entries
+        memoised in the threshold's table.  A form's prefix is its distinct
+        words by -log P(w), largest first (ties by word), taken until their
+        sum exceeds ``(1 - threshold) / 2 * form_idf * (1 + 1e-9)``, or all
+        of them.  Above -1, a text sharing no prefix word with a form has
+        ratio below ``threshold`` against it (see :mod:`semdisc.annotator`).
+        ValueError unless :func:`check_threshold` admits ``threshold``."""
         check_threshold(threshold)
         table = self._prefix.get(threshold)
         if table is None:

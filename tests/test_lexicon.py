@@ -273,20 +273,20 @@ class TestPrefixPostings:
         form = ("X", self._WORDS)
         assert {
             word for word in normalize(self._WORDS)
-            if form in lexicon.prefix_forms_with_word(word, threshold)
+            if form in {entry[:2] for entry in lexicon.prefix_entries([word], threshold)}
         } == set(prefix.split())
 
     def test_one_word_form_is_its_own_prefix(self, lexicon):
-        assert lexicon.prefix_forms_with_word("m", 1.0) == (("Y", "m"),)
+        assert [entry[:2] for entry in lexicon.prefix_entries(["m"], 1.0)] == [("Y", "m")]
 
     def test_unknown_word_is_in_no_form(self, lexicon):
-        assert lexicon.prefix_forms_with_word("zzz", 0.8) == ()
+        assert lexicon.prefix_entries(["zzz"], 0.8) == set()
 
     def test_filled_on_use_for_seen_words_only(self, lexicon):
         assert lexicon._prefix == {}
-        lexicon.prefix_forms_with_word("a", 0.8)
-        lexicon.prefix_forms_with_word("zzz", 0.8)
-        lexicon.prefix_forms_with_word("a", 0.3)
+        lexicon.prefix_entries(["a"], 0.8)
+        lexicon.prefix_entries(["zzz"], 0.8)
+        lexicon.prefix_entries(["a", "zzz"], 0.3)
         assert {(t, w) for t, table in lexicon._prefix.items() for w in table} == {
             (0.8, "a"), (0.3, "a")
         }
@@ -294,8 +294,6 @@ class TestPrefixPostings:
     @pytest.mark.parametrize("threshold", [math.nan, 5.0, -1.5, "0.8", True, None])
     def test_threshold_outside_the_rule_is_rejected_unmemoised(self, lexicon, threshold):
         for _ in range(5):
-            with pytest.raises(ValueError, match=r"outside \[-1, 1\]"):
-                lexicon.prefix_forms_with_word("a", threshold)
             with pytest.raises(ValueError, match=r"outside \[-1, 1\]"):
                 lexicon.prefix_entries(["a"], threshold)
         assert lexicon._prefix == {}
