@@ -39,15 +39,18 @@ so :func:`sim`, :func:`ratio` and :func:`term_frequency`, which score
 one concept or form directly, remain the reference for :func:`annotate`.
 A form the text covers in full scores exactly 1: ``math.fsum`` of its
 own words is its idf, and (2x - x) / x == 1.0.  At t = -1 every form
-reaches the threshold and every form is scored.
+reaches the threshold and every form is scored.  A concept enters the
+vector only through a form reaching the threshold, so a candidate below
+it is dropped before the tie rules.
 
 :func:`annotate` reads what it scores by from the lexicon's tables,
 filled on first use and kept (see :class:`~semdisc.lexicon.Lexicon`):
 the candidates' :class:`~semdisc.lexicon.FormEntry` values, each a
 form's concept id, distinct words and idf, from the threshold's prefix
-table (:meth:`~semdisc.lexicon.Lexicon.prefix_entries`), and each shared
-word's -log P(w) from the information memo
-(:meth:`~semdisc.lexicon.Lexicon.information`).
+table (:meth:`~semdisc.lexicon.Lexicon.prefix_entries`), or at t = -1
+every form's entry, and each shared word's -log P(w) by a lookup in the
+information memo (:meth:`~semdisc.lexicon.Lexicon.information`), which
+making an entry fills for every word of its form.
 
 :class:`Annotation` is a checked tuple type (a ``typing.NamedTuple``
 subclass whose constructor checks every field), so it compares equal to
@@ -275,24 +278,27 @@ def annotate(
     tf 1 at -1.  Text that is not a ``str`` raises ValueError.
     """
     check_str(text, "text")
+    check_threshold(threshold)
     words = normalize(text)
     text_set = frozenset(words)
     # Only forms sharing a prefix word can reach a threshold above -1; at
-    # -1 every form does, and every word is in its forms' prefixes.
-    # prefix_entries checks the threshold; == -1 is safe on any value,
-    # where > -1 raises TypeError on a str.
-    candidates = lexicon.prefix_entries(
-        lexicon.vocabulary if threshold == -1 else text_set, threshold
+    # -1 every form does, so every form is a candidate.
+    candidates = (
+        map(lexicon._entry, lexicon.forms()) if threshold == -1
+        else lexicon.prefix_entries(text_set, threshold)
     )
-    information = lexicon.information
-    # Per concept, the winner as (similarity, entry, shared words):
-    # highest similarity, then the form with more words, then the
-    # lexicographically smaller.
+    # Lexicon._entry put each word of every candidate's form in the memo.
+    information = lexicon._information.__getitem__
+    # Per concept, the winner among forms reaching the threshold as
+    # (similarity, entry, shared words): highest similarity, then the
+    # form with more words, then the lexicographically smaller.
     best: dict[str, tuple[float, FormEntry, frozenset[str]]] = {}
     for entry in candidates:
         cid, form, form_words, form_idf = entry
         shared = form_words & text_set
         value = (2.0 * math.fsum(map(information, shared)) - form_idf) / form_idf
+        if value < threshold:
+            continue
         current = best.get(cid)
         if current is None or value > current[0] or value == current[0] and (
             (n := len(form_words)) > (m := len(current[1].words))
@@ -303,7 +309,6 @@ def annotate(
     provenance: dict[str, Annotation] = {}
     for cid in sorted(best):
         value, (_, form, form_words, form_idf), shared = best[cid]
-        if value >= threshold:
-            tf = max(1, min(map(counts.__getitem__, form_words)))
-            provenance[cid] = Annotation(cid, form, value, tf, form_idf, shared)
+        tf = max(1, min(map(counts.__getitem__, form_words)))
+        provenance[cid] = Annotation(cid, form, value, tf, form_idf, shared)
     return SemanticVector(provenance)

@@ -46,6 +46,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, KeysView, NamedTuple, TypeVar
 
 _WORD = re.compile(r"[^\W_]+")
+# Indexed by ASCII code: a letter or digit in lowercase, else a space.
+_ASCII_WORDS = "".join(c.lower() if c.isalnum() else " " for c in map(chr, range(128)))
 T = TypeVar("T")
 _Row = tuple[str, str, tuple[str, ...]]  # (concept_id, form, words)
 
@@ -230,7 +232,17 @@ def normalize(text: str) -> list[str]:
 
     Word order and multiplicity are preserved; no stopword removal and no
     stemming.  The function is idempotent on its own space-joined output.
+
+    ASCII text takes one ``str.translate`` through a 128-entry table that
+    lowercases ``A-Z``, keeps ``a-z`` and ``0-9`` and turns every other
+    code into a space, then a whitespace split: on ASCII those are exactly
+    the runs the regular expression finds, at a fraction of its cost.
+    Other text is lowercased and searched with the regular expression: a
+    translate table over every code point (a dict filled on first sight)
+    measured 1.2-2x slower than it on non-ASCII text.
     """
+    if text.isascii():
+        return text.translate(_ASCII_WORDS).split()
     return _WORD.findall(text.lower())
 
 
@@ -295,13 +307,15 @@ class Lexicon(Frozen):
     :class:`FormEntry`, holding its distinct words and idf
     (:meth:`form_idf`); per threshold, each vocabulary word's prefix
     entries, the entries of the forms having the word in their prefix
-    (:meth:`prefix_entries`); and the concepts by id (:meth:`concept`).
-    A word outside the vocabulary enters none of them.  :attr:`concepts`
-    is built on each call, since annotation reads only the tables.  A
-    memoised value is a pure function of the lexicon's rows (and the
-    threshold), so two threads filling the same entry store equal values
-    and sharing an instance across threads stays safe.  No memo is part
-    of the value: equality, copies and pickles see only the concepts.
+    (:meth:`prefix_entries`), which annotation at threshold -1 does not
+    fill, since there every form is a candidate; and the concepts by id
+    (:meth:`concept`).  A word outside the vocabulary enters none of
+    them.  :attr:`concepts` is built on each call, since annotation reads
+    only the tables.  A memoised value is a pure function of the
+    lexicon's rows (and the threshold), so two threads filling the same
+    entry store equal values and sharing an instance across threads stays
+    safe.  No memo is part of the value: equality, copies and pickles see
+    only the concepts.
     """
 
     __slots__ = (

@@ -289,7 +289,10 @@ def _index_payload(index: ServiceIndex) -> bytes:
         ]
         services.append([*service.record, provenance])
     payload = [index.lexicon_fingerprint, index.threshold, services]
-    return json.dumps(payload, separators=(",", ":"), allow_nan=False).encode("utf-8")
+    # Built just above from fresh lists, so it holds no cycle to look for.
+    return json.dumps(
+        payload, separators=(",", ":"), allow_nan=False, check_circular=False
+    ).encode("utf-8")
 
 
 def save_index(index: ServiceIndex, path: str | Path) -> None:

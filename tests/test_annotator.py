@@ -457,7 +457,10 @@ class TestPrefixMemo:
                 assert annotate(text, lexicon, threshold=threshold) == (
                     annotate(text, fresh, threshold=threshold)
                 ), (threshold, text)
-            assert lexicon._prefix[threshold]
+            if threshold == -1:  # Every form is a candidate: no prefix table.
+                assert threshold not in lexicon._prefix
+            else:
+                assert lexicon._prefix[threshold]
         # Every form scored at -1 has one entry, shared by every table.
         assert set(lexicon._entries) == set(lexicon.forms())
         for table in lexicon._prefix.values():

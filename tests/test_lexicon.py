@@ -48,18 +48,37 @@ class TestNormalize:
         """The substitute-and-split rule that finding words replaced."""
         return re.sub(r"[\W_]+", " ", text.lower()).split()
 
-    @given(st.text())
+    # ASCII text is translated and split, other text searched by the
+    # regular expression; U+212A KELVIN SIGN lowercases to an ASCII "k".
+    @given(st.text() | st.text(st.characters(max_codepoint=127)))
     @example("\u2028x_y\x1c\u0130\u03a3 \u1680z\u00a0")
+    @example("Tmap_V2 -- \u212aelvin")
     def test_equals_substitute_and_split(self, text):
         assert normalize(text) == self.reference(text)
 
     def test_equals_substitute_and_split_for_every_code_point(self):
-        # Each non-surrogate code point between two letters, one text per
-        # Unicode plane.
+        # Each ASCII code point between two letters, then each non-surrogate
+        # code point, one text per Unicode plane.
+        texts = ["a" + "a".join(map(chr, range(128))) + "a"]
         for plane in range(0, sys.maxunicode + 1, 0x10000):
             points = (i for i in range(plane, plane + 0x10000) if not 0xD800 <= i <= 0xDFFF)
-            text = "a" + "a".join(map(chr, points)) + "a"
+            texts.append("a" + "a".join(map(chr, points)) + "a")
+        for text in texts:
             assert normalize(text) == self.reference(text)
+
+    def test_only_non_ascii_text_reaches_the_regex(self, monkeypatch):
+        pattern = lexicon_module._WORD
+        searched: list[str] = []
+
+        class CountingPattern:
+            def findall(self, text):
+                searched.append(text)
+                return pattern.findall(text)
+
+        monkeypatch.setattr(lexicon_module, "_WORD", CountingPattern())
+        for text in ["Tree_2 of LIFE", "\u212aelvin", "Caf\u00e9", "\u0394\u039d\u0391"]:
+            assert normalize(text) == self.reference(text)
+        assert searched == ["kelvin", "caf\u00e9", "\u03b4\u03bd\u03b1"]
 
 
 class TestGcPaused:
@@ -565,24 +584,26 @@ class TestLoadLexicon:
         with pytest.raises(OSError):
             load_lexicon(tmp_path / "absent.tsv")
 
-    def test_tokenizes_each_form_line_once(self, tmp_path, monkeypatch):
-        # Counted at normalize's word search, so a pass that reaches the
+    def test_tokenizes_each_form_line_once(self, tmp_path):
+        # Counted at calls of normalize's code, so a pass that reaches the
         # tokenizer through any name or default argument counts too.
-        pattern = lexicon_module._WORD
         split: list[str] = []
 
-        class CountingPattern:
-            def findall(self, text):
-                split.append(text)
-                return pattern.findall(text)
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code is normalize.__code__:
+                split.append(frame.f_locals["text"])
 
-        monkeypatch.setattr(lexicon_module, "_WORD", CountingPattern())
         path = tmp_path / "lex.tsv"
         path.write_text(
             "C1\tumls\talpha\nC1\tumls\tBeta gamma\n"
             "C2\tumls\tgamma\nC3\tmesh\tgamma-gamma delta\n"
         )
-        lex = load_lexicon(path)
+        profile = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            lex = load_lexicon(path)
+        finally:
+            sys.setprofile(profile)
         assert len(split) == 4
         forms = lex.concept("C1").lexical_forms
         assert {form: lex.form_words("C1", form) for form in forms} == {
