@@ -39,18 +39,18 @@ so :func:`sim`, :func:`ratio` and :func:`term_frequency`, which score
 one concept or form directly, remain the reference for :func:`annotate`.
 A form the text covers in full scores exactly 1: ``math.fsum`` of its
 own words is its idf, and (2x - x) / x == 1.0.  At t = -1 every form
-reaches the threshold and every form is scored.  A concept enters the
-vector only through a form reaching the threshold, so a candidate below
-it is dropped before the tie rules.
+reaches the threshold and every form is a candidate.  A concept enters
+the vector only through a form reaching the threshold, so a candidate
+below it is dropped before the tie rules.
 
 :func:`annotate` reads what it scores by from the lexicon's tables,
-filled on first use and kept (see :class:`~semdisc.lexicon.Lexicon`):
-the candidates' :class:`~semdisc.lexicon.FormEntry` values, each a
-form's concept id, distinct words and idf, from the threshold's prefix
-table (:meth:`~semdisc.lexicon.Lexicon.prefix_entries`), or at t = -1
-every form's entry, and each shared word's -log P(w) by a lookup in the
-information memo (:meth:`~semdisc.lexicon.Lexicon.information`), which
-making an entry fills for every word of its form.
+filled on first use and kept (see :class:`~semdisc.lexicon.Lexicon`),
+through public names only: the candidates' FormEntry values (each a
+form's concept id, distinct words and idf) from one
+:meth:`~semdisc.lexicon.Lexicon.prefix_entries` call at every threshold,
+and each shared word's -log P(w) from
+:attr:`~semdisc.lexicon.Lexicon.entry_information`, the information
+memo, which making an entry fills for every word of its form.
 
 :class:`Annotation` is a checked tuple type (a ``typing.NamedTuple``
 subclass whose constructor checks every field), so it compares equal to
@@ -278,17 +278,10 @@ def annotate(
     tf 1 at -1.  Text that is not a ``str`` raises ValueError.
     """
     check_str(text, "text")
-    check_threshold(threshold)
     words = normalize(text)
     text_set = frozenset(words)
-    # Only forms sharing a prefix word can reach a threshold above -1; at
-    # -1 every form does, so every form is a candidate.
-    candidates = (
-        map(lexicon._entry, lexicon.forms()) if threshold == -1
-        else lexicon.prefix_entries(text_set, threshold)
-    )
-    # Lexicon._entry put each word of every candidate's form in the memo.
-    information = lexicon._information.__getitem__
+    candidates = lexicon.prefix_entries(text_set, threshold)
+    information = lexicon.entry_information
     # Per concept, the winner among forms reaching the threshold as
     # (similarity, entry, shared words): highest similarity, then the
     # form with more words, then the lexicographically smaller.

@@ -43,7 +43,7 @@ from functools import wraps
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, KeysView, NamedTuple, TypeVar
+from typing import Callable, Collection, Iterable, Iterator, KeysView, NamedTuple, TypeVar
 
 _WORD = re.compile(r"[^\W_]+")
 # Indexed by ASCII code: a letter or digit in lowercase, else a space.
@@ -303,19 +303,18 @@ class Lexicon(Frozen):
 
     Four tables are filled on first use, not at load time, so loading
     pays nothing for what no text ever touches: each vocabulary word's
-    information, -log P(w) (:meth:`information`); each form's
-    :class:`FormEntry`, holding its distinct words and idf
-    (:meth:`form_idf`); per threshold, each vocabulary word's prefix
-    entries, the entries of the forms having the word in their prefix
-    (:meth:`prefix_entries`), which annotation at threshold -1 does not
-    fill, since there every form is a candidate; and the concepts by id
-    (:meth:`concept`).  A word outside the vocabulary enters none of
-    them.  :attr:`concepts` is built on each call, since annotation reads
-    only the tables.  A memoised value is a pure function of the
-    lexicon's rows (and the threshold), so two threads filling the same
-    entry store equal values and sharing an instance across threads stays
-    safe.  No memo is part of the value: equality, copies and pickles see
-    only the concepts.
+    information, -log P(w) (:meth:`information`, :attr:`entry_information`);
+    each form's :class:`FormEntry`, holding its distinct words and idf;
+    per threshold above -1, each vocabulary word's prefix entries, the
+    entries of the forms having the word in their prefix (annotation reads
+    both through :meth:`prefix_entries`, which at -1 gives every form's
+    entry); and the concepts by id (:meth:`concept`).  A word outside the
+    vocabulary enters none of them.  :attr:`concepts` is built on each
+    call, since annotation reads only the tables.  A memoised value is a
+    pure function of the lexicon's rows (and the threshold), so two
+    threads filling the same entry store equal values and sharing an
+    instance across threads stays safe.  No memo is part of the value:
+    equality, copies and pickles see only the concepts.
     """
 
     __slots__ = (
@@ -432,12 +431,6 @@ class Lexicon(Frozen):
                 self._information[word] = value
         return value
 
-    def form_idf(self, concept_id: str, form: str) -> float:
-        """idf of one lexical form's distinct words, memoised in its
-        :class:`FormEntry`; always > 0, since a form has words and every
-        probability is below 1."""
-        return self._entry((concept_id, form)).idf
-
     def _entry(self, key: tuple[str, str]) -> FormEntry:
         entry = self._entries.get(key)
         if entry is None:
@@ -451,20 +444,33 @@ class Lexicon(Frozen):
         """``(concept_id, form)`` of every lexical form."""
         return self._form_words.keys()
 
-    def forms_with_word(self, word: str) -> tuple[tuple[str, str], ...]:
-        """``(concept_id, form)`` of every form having ``word``."""
-        return self._postings.get(word, ())
+    @property
+    def entry_information(self) -> Callable[[str], float]:
+        """The information memo's bound ``__getitem__`` (one C-level call
+        per word): -log P(w) of any word of a :class:`FormEntry` the
+        lexicon has returned; another word may raise KeyError."""
+        return self._information.__getitem__
 
-    def prefix_entries(self, words: Iterable[str], threshold: float) -> set[FormEntry]:
-        """The :class:`FormEntry` of every form having one of ``words`` in
-        its prefix at ``threshold``, each vocabulary word's entries
-        memoised in the threshold's table.  A form's prefix is its distinct
-        words by -log P(w), largest first (ties by word), taken until their
-        sum exceeds ``(1 - threshold) / 2 * form_idf * (1 + 1e-9)``, or all
-        of them.  Above -1, a text sharing no prefix word with a form has
-        ratio below ``threshold`` against it (see :mod:`semdisc.annotator`).
+    def prefix_entries(self, words: Iterable[str], threshold: float) -> Collection[FormEntry]:
+        """The :class:`FormEntry` of every form that a text of distinct
+        words ``words`` can reach ``threshold`` against.  At -1 every form
+        can: this is the entries memo's value view, filled whole on the
+        first such call, with no prefix table or sum.  Once full the memo
+        gains no key, so threads can share the view.  Above -1, the set of
+        the entries of the forms having one of ``words`` in their prefix
+        at ``threshold``, each vocabulary word's entries memoised in the
+        threshold's table.  A form's prefix is its distinct words by
+        -log P(w), largest first (ties by word), taken until their sum
+        exceeds ``(1 - threshold) / 2 * form_idf * (1 + 1e-9)``, or all of
+        them; a text sharing no prefix word with a form has ratio below
+        ``threshold`` against it (see :mod:`semdisc.annotator`).
         ValueError unless :func:`check_threshold` admits ``threshold``."""
         check_threshold(threshold)
+        if threshold == -1:
+            if len(self._entries) < len(self._form_words):
+                for key in self._form_words:
+                    self._entry(key)
+            return self._entries.values()
         table = self._prefix.get(threshold)
         if table is None:
             table = self._prefix.setdefault(threshold, {})
@@ -496,7 +502,7 @@ class Lexicon(Frozen):
 
     def concepts_with_word(self, word: str) -> frozenset[str]:
         """Ids of concepts having ``word`` in at least one form."""
-        return frozenset(cid for cid, _ in self.forms_with_word(word))
+        return frozenset(cid for cid, _ in self._postings.get(word, ()))
 
 
 @loader

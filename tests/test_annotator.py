@@ -1,6 +1,7 @@
 """Annotation scoring: coverage ratio, form selection, semantic vectors."""
 from __future__ import annotations
 
+import ast
 import copy
 import math
 import pickle
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from semdisc import annotator
 from semdisc.annotator import (
     DEFAULT_THRESHOLD,
     Annotation,
@@ -438,7 +440,7 @@ class TestFullCoverage:
         partial = ratio(lexicon.form_words("P", "delta filler"), frozenset(words), lexicon)
         assert 0.5 < partial < DEFAULT_THRESHOLD
         if threshold <= 0.5:
-            idf = lexicon.form_idf("P", "delta filler")
+            idf = lexicon.idf(lexicon.form_words("P", "delta filler"))
             assert fields["P"] == ("delta filler", partial, 1, idf, {"delta"})
         else:
             assert "P" not in fields
@@ -469,7 +471,7 @@ class TestPrefixMemo:
 
     def test_threads_over_a_cold_lexicon_match_serial(self, demo_records):
         texts = _demo_texts(demo_records)
-        thresholds = (0.8, 0.3)
+        thresholds = (0.8, 0.3, -1.0)
         reference = load_lexicon(DATA / "lexicon.tsv")
         serial = [annotate(text, reference, threshold=t) for t in thresholds for text in texts]
         lexicon = load_lexicon(DATA / "lexicon.tsv")
@@ -492,7 +494,7 @@ class TestPrefixMemo:
         assert lexicon._information == reference._information
         assert lexicon._entries == reference._entries
         assert lexicon._prefix == reference._prefix
-        assert set(lexicon._prefix) == set(thresholds)
+        assert set(lexicon._prefix) == {0.8, 0.3}
 
     def test_memo_is_not_part_of_the_value(self, demo_records):
         fresh = load_lexicon(DATA / "lexicon.tsv")
@@ -504,3 +506,17 @@ class TestPrefixMemo:
         assert used == fresh
         assert pickle.dumps(used) == pickle.dumps(fresh)
         assert copy.copy(used) == copy.copy(fresh) == fresh
+
+
+def test_annotator_reads_no_private_attribute():
+    """annotator.py reads no attribute named with a leading ``_`` other
+    than a dunder, so it reads a Lexicon through public names only."""
+    with open(annotator.__file__, encoding="utf-8") as file:
+        tree = ast.parse(file.read())
+    private = [
+        f"line {node.lineno}: .{node.attr}" for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and node.attr.startswith("_")
+        and not (node.attr.startswith("__") and node.attr.endswith("__"))
+    ]
+    assert private == []

@@ -220,9 +220,8 @@ class TestLaplaceModel:
         assert 0.0 < lex.unseen_prob < 1.0
         for word in lex.vocabulary:
             assert 0.0 < lex.probability(word) < 1.0
-        for concept in lex.concepts:
-            for form in concept.lexical_forms:
-                assert lex.form_idf(concept.id, form) > 0.0
+        for entry in lex.prefix_entries((), -1.0):
+            assert entry.idf > 0.0
 
     def test_fingerprint_follows_concept_lines(self):
         one = Concept("C1", frozenset({"alignment", "sequence alignment"}))
@@ -300,6 +299,11 @@ class TestPrefixPostings:
 
     def test_unknown_word_is_in_no_form(self, lexicon):
         assert lexicon.prefix_entries(["zzz"], 0.8) == set()
+        # At -1 every form is a candidate, whatever the words.
+        for words in (["zzz"], []):
+            entries = lexicon.prefix_entries(words, -1.0)
+            assert sorted(entry[:2] for entry in entries) == sorted(lexicon.forms())
+        assert list(lexicon._prefix) == [0.8]
 
     def test_filled_on_use_for_seen_words_only(self, lexicon):
         assert lexicon._prefix == {}
@@ -349,7 +353,6 @@ class TestScoringTables:
         for entry in entries:
             words = lexicon.form_words(entry.concept_id, entry.form)
             assert entry.words == words
-            assert entry.idf.hex() == lexicon.form_idf(entry.concept_id, entry.form).hex()
             assert entry.idf.hex() == lexicon.idf(words).hex()
 
     def test_each_form_entry_is_stored_once(self):
@@ -612,7 +615,7 @@ class TestLoadLexicon:
         }
         # 4 occurrences of gamma among 7 words over a vocabulary of 4.
         assert lex.probability("gamma") == 5 / 12
-        assert lex.forms_with_word("gamma") == (
+        assert lex._postings["gamma"] == (
             ("C1", "Beta gamma"),
             ("C2", "gamma"),
             ("C3", "gamma-gamma delta"),
@@ -626,12 +629,12 @@ def _assert_same_model(loaded: Lexicon, built: Lexicon) -> None:
     assert loaded.unseen_prob == built.unseen_prob
     for word in [*loaded.vocabulary, "unseenword"]:
         assert loaded.probability(word) == built.probability(word)
-        assert set(loaded.forms_with_word(word)) == set(built.forms_with_word(word))
+        assert loaded.concepts_with_word(word) == built.concepts_with_word(word)
     for concept in loaded.concepts:
         for form in concept.lexical_forms:
             key = (concept.id, form)
             assert loaded.form_words(*key) == built.form_words(*key)
-            assert loaded.form_idf(*key) == built.form_idf(*key)
+    assert set(loaded.prefix_entries((), -1.0)) == set(built.prefix_entries((), -1.0))
 
 
 class TestLoaders:
