@@ -11,22 +11,29 @@ The concept route is one accumulator pass over the concept postings
 (term-at-a-time; ScanCount in Li, Lu & Lu, ICDE 2008).  Each posting of
 each task concept gives the product ``task_weight * service_weight``,
 the service weight read from the index's per-concept weight mappings.
-A service's first product is kept as one float; only a service reached
-again gets a list, which starts with that float and takes each later
-product.  After the pass each such list is replaced by its
-``math.fsum``, and a service's score is its sum over the task norm
-(computed once per query) times the service norm the index keeps.  A
-sum of one term is that term, and ``fsum`` of two or more is correctly
-rounded whatever their order, so every score equals
+The first non-empty posting list seeds the accumulator with its
+products.  After that a service's first product is kept as one float;
+only a service reached again gets a list, which starts with that float
+and takes each later product.  After the pass each such list is
+replaced by its ``math.fsum``, and a service's score is its sum over the
+task norm (computed once per query) times the service norm the index
+keeps.  A sum of one term is that term, and ``fsum`` of two or more is
+correctly rounded whatever their order, so every score equals
 ``cosine(task_vector, service.vector)`` bit for bit.
 
 :func:`rank` selects on bare float scores before it touches anything
 else (as accumulator-based top-k retrieval does; Turtle & Flood, IPM
-1995): it combines each reached service's two scores into a float,
-takes the ``top_k``-th largest as the cut, and builds sort keys, names
-and results only for the services scoring at or above it.  Every
-service tied at the cut is kept, so the tie rules order them exactly as
-sorting every reached service would.
+1995): it takes the ``top_k``-th largest score as the cut, and builds
+sort keys, names and results only for the services scoring at or above
+it.  Every service tied at the cut is kept, so the tie rules order them
+exactly as sorting every reached service would.  Only a service the
+category route reached gets a combined score stored.  One only the
+concept route reached scores ``s_score * w2``, and since ``w2 >= 0``
+rounding ``x * w2`` never decreases as ``x`` grows: the ``top_k``
+largest such scores are ``w2`` times the ``top_k`` largest cosines,
+which :func:`heapq.nlargest` finds on the cosines themselves.  Such a
+service is kept when its ``s_score * w2`` reaches the cut, so cosines one
+rounding step apart whose products are equal both stay.
 
 :class:`Weights` is a checked tuple type
 (:class:`semdisc.lexicon.Checked`) and :class:`RankedResult` a plain
@@ -107,6 +114,36 @@ def search_by_category(
     return scores
 
 
+def _dot_products(task_vector: SemanticVector, index: ServiceIndex) -> dict[int, float]:
+    """The accumulator: service position -> the numerator of
+    ``cosine(task_vector, index.services[pos].vector)``, for every service
+    sharing at least one concept with the task vector."""
+    concept_weights = index.concept_weights
+    # Per reached service, task_weight * service_weight of each shared
+    # concept, the terms cosine() sums: the one product of a service
+    # reached once, and the list of them for a service reached again.
+    sums: dict[int, float] = {}
+    terms: dict[int, list[float]] = {}
+    for concept, task_weight in task_vector.weights.items():
+        weights = concept_weights.get(concept)
+        if not weights:
+            continue
+        if not sums:
+            sums = {pos: task_weight * weight for pos, weight in weights.items()}
+            continue
+        for pos, weight in weights.items():
+            product = task_weight * weight
+            if pos not in sums:
+                sums[pos] = product
+            elif pos in terms:
+                terms[pos].append(product)
+            else:
+                terms[pos] = [sums[pos], product]
+    for pos, products in terms.items():
+        sums[pos] = math.fsum(products)
+    return sums
+
+
 def search_by_concepts(
     task_vector: SemanticVector,
     index: ServiceIndex,
@@ -118,25 +155,10 @@ def search_by_concepts(
     ``cosine(task_vector, index.services[pos].vector)``.  Every weight lies
     in [2**-255, 2**255] (:class:`~semdisc.annotator.Annotation`), so every
     norm, and the product of two, is positive and finite: no denominator
-    is zero.
+    is zero.  :func:`rank` divides the same sums (:func:`_dot_products`)
+    by the same norms.
     """
-    concept_weights = index.concept_weights
-    # Per reached service, task_weight * service_weight of each shared
-    # concept, the terms cosine() sums: the one product of a service
-    # reached once, and the list of them for a service reached again.
-    sums: dict[int, float] = {}
-    terms: dict[int, list[float]] = {}
-    for concept, task_weight in task_vector.weights.items():
-        for pos, weight in concept_weights.get(concept, {}).items():
-            product = task_weight * weight
-            if pos not in sums:
-                sums[pos] = product
-            elif pos in terms:
-                terms[pos].append(product)
-            else:
-                terms[pos] = [sums[pos], product]
-    for pos, products in terms.items():
-        sums[pos] = math.fsum(products)
+    sums = _dot_products(task_vector, index)
     task_norm = task_vector.norm()
     norms = index.norms
     return {pos: total / (task_norm * norms[pos]) for pos, total in sums.items()}
@@ -186,7 +208,10 @@ def rank(
     :class:`SemanticVector` and ``index`` a :class:`ServiceIndex` (else
     ValueError).  Scores are :func:`combine`'s; only services at or above
     the ``top_k``-th largest score, ties included, are ordered by the
-    full tie rules.
+    full tie rules.  A service only the concept route reached keeps its
+    cosine in a list and gets no stored score: the cut takes ``w2`` times
+    the ``top_k`` largest cosines (see the module docstring) with the
+    combined scores of the services the category route reached.
     """
     check_top_k(top_k)
     check_weights(weights)
@@ -194,22 +219,46 @@ def rank(
         raise ValueError(f"task_vector {task_vector!r} is not a SemanticVector")
     check_index(index)
     c_scores = search_by_category(category_matches, index)
-    s_scores = search_by_concepts(task_vector, index)
+    sums = _dot_products(task_vector, index)
+    task_norm = task_vector.norm()
+    norms = index.norms
     w1, w2 = weights
-    # Bit for bit combine()'s: for a concept-only service, 0.0 * w1 + x is x.
-    scores = {pos: s_score * w2 for pos, s_score in s_scores.items()}
-    for pos, c_score in c_scores.items():
-        scores[pos] = c_score * w1 + s_scores.get(pos, 0.0) * w2
+    if c_scores:
+        # Cosines, then scores, of the services the category route reached;
+        # sums keeps the services only the concept route reached.
+        s_scores = {
+            pos: sums.pop(pos) / (task_norm * norms[pos]) for pos in c_scores if pos in sums
+        }
+        scores = {
+            pos: c_score * w1 + s_scores.get(pos, 0.0) * w2
+            for pos, c_score in c_scores.items()
+        }
+    # Cosines of the services only the concept route reached, aligned with
+    # sums.  Each scores s_score * w2, combine()'s bit for bit (0.0 * w1 + x
+    # is x), and rounding x * w2 never decreases as x grows (w2 >= 0): so
+    # their top_k largest scores are w2 times their top_k largest cosines.
+    cosines = [total / (task_norm * norms[pos]) for pos, total in sums.items()]
+    top = heapq.nlargest(top_k, cosines)
     # Only services at or above the top_k-th largest score can rank among
     # the top_k; keeping every one tied at it keeps the tie rules exact.
-    cut = min(heapq.nlargest(top_k, scores.values()), default=-math.inf)
+    cut = top[-1] * w2 if top else -math.inf
+    if c_scores:
+        candidates = [s_score * w2 for s_score in top]
+        candidates += scores.values()
+        cut = min(heapq.nlargest(top_k, candidates))
     services = index.services
     # Names are unique, so the key is a total order and pos never compares.
     keys = [
-        (-score, -s_scores.get(pos, 0.0), services[pos].name, pos)
-        for pos, score in scores.items()
-        if score >= cut
+        (-(s_score * w2), -s_score, services[pos].name, pos)
+        for pos, s_score in zip(sums, cosines)
+        if s_score * w2 >= cut
     ]
+    if c_scores:
+        keys += [
+            (-score, -s_scores.get(pos, 0.0), services[pos].name, pos)
+            for pos, score in scores.items()
+            if score >= cut
+        ]
     task_support = task_vector.support()
     return [
         RankedResult(

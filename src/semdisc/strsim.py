@@ -15,7 +15,10 @@ dynamic program: scanning the first string left to right, each start
 only has to beat the best length found so far, so every step is one
 ``in`` test on the second string, done in C.  It returns what
 :meth:`difflib.SequenceMatcher.find_longest_match` returns for two
-strings without junk, tie rule included.
+strings without junk, tie rule included.  ISub removes only substrings
+of at least 3 characters, so its scan starts with a best length of 2:
+it tests no shorter substring, and finding none longer ends the removal
+as a match of 2 characters or fewer would.
 
 The score is computed from the two lengths, the matched total and the
 shared prefix alone (:func:`_isub_score`), and rises with the matched
@@ -51,15 +54,17 @@ def normalize_string(text: str) -> str:
     return " ".join(normalize(text))
 
 
-def _longest_common_substring(s1: str, s2: str) -> tuple[int, int, int]:
+def _longest_common_substring(s1: str, s2: str, floor: int = 0) -> tuple[int, int, int]:
     """Length and start offsets of the longest common substring.
 
     Ties take the leftmost occurrence in s1, then in s2: the tie rule of
     :meth:`difflib.SequenceMatcher.find_longest_match`.  At most
     ``len(s1) + length`` substring tests; pass the shorter string as s1.
+    The scan only looks for substrings longer than ``floor``; when the
+    longest is no longer, the result is ``(0, 0, 0)``.
     """
-    best = start = 0
-    i = 0
+    best = floor
+    start = i = 0
     while i + best < len(s1):
         if s1[i : i + best + 1] in s2:
             best += 1
@@ -67,6 +72,8 @@ def _longest_common_substring(s1: str, s2: str) -> tuple[int, int, int]:
                 best += 1
             start = i
         i += 1
+    if best == floor:
+        return 0, 0, 0
     return best, start, s2.find(s1[start : start + best])
 
 
@@ -74,7 +81,9 @@ def _matched_total(s1: str, s2: str, min_len: int) -> int:
     """Total length of iteratively removed common substrings."""
     total = 0
     while s1 and s2:
-        length, i, j = _longest_common_substring(s1, s2)
+        # Only substrings of min_len or more are removed, so the scan
+        # skips the shorter ones.
+        length, i, j = _longest_common_substring(s1, s2, min_len - 1)
         if length < min_len:
             break
         total += length

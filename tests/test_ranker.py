@@ -164,6 +164,36 @@ matches_st = st.lists(
 )
 
 
+# Hub concepts h0 and h1 are carried by most services and c2 by some;
+# services holding both hubs, or a hub and c2, are reached more than once.
+_HUB_CONCEPT_SETS = [("h0",), ("h1",), ("h0", "h1"), ("h0", "c2"), ("h1", "c2"), ("c2",), ("c3",)]
+# A few shared weights make equal cosines, so scores tie at the cut.
+_hub_weight_st = st.sampled_from([0.5, 1.0, 2.0]) | st.floats(min_value=1e-3, max_value=1e3)
+
+
+@st.composite
+def hub_index_st(draw):
+    """50 to 200 services carrying one or two hub concepts and no category,
+    positions in no particular name order."""
+    n = draw(st.integers(min_value=50, max_value=200))
+    order = draw(st.permutations(range(n)))
+    services = tuple(
+        AnnotatedService(
+            ServiceRecord(f"S{i:03d}"),
+            vector_of(
+                {c: draw(_hub_weight_st) for c in draw(st.sampled_from(_HUB_CONCEPT_SETS))}
+            ),
+        )
+        for i in order
+    )
+    return ServiceIndex(services=services, lexicon_fingerprint="f")
+
+
+hub_task_st = st.fixed_dictionaries(
+    {"h0": _hub_weight_st, "h1": _hub_weight_st}, optional={"c2": _hub_weight_st}
+).map(vector_of)
+
+
 def score_bits(results):
     return [tuple(map(float.hex, (r.c_score, r.s_score, r.score))) for r in results]
 
@@ -415,6 +445,81 @@ class TestRank:
             got = rank(task, matches, index, weights, top_k=top_k)
             assert got == expected, top_k
             assert score_bits(got) == score_bits(expected), top_k
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        index=hub_index_st(),
+        task=hub_task_st,
+        matches=st.sampled_from([[], [CategoryMatch("Cat A", 1.0)]]),
+        weights=weights_st,
+    )
+    def test_hub_scale_top_k_matches_full_sort(self, index, task, matches, weights):
+        """No category reaches a service; the hub concepts reach most of
+        them, some once and some more than once."""
+        for top_k in (1, 10, len(index) + 1):
+            expected = reference_rank(task, matches, index, weights, top_k)
+            got = rank(task, matches, index, weights, top_k=top_k)
+            assert got == expected, top_k
+            assert score_bits(got) == score_bits(expected), top_k
+
+    def test_rounding_collapse_ties_at_the_cut(self, monkeypatch):
+        """Two cosines one ulp apart give the same score at w2 = 0.8, as
+        does a category-only service at w1 = 0.2: the three tie at the
+        cut, and s_score, not the name, orders them."""
+        high = 0.175
+        low = math.nextafter(high, 0.0)
+        c_score = 0.7
+        score = c_score * 0.2
+        assert low < high and low * 0.8 == high * 0.8 == score
+        # Unit-norm vectors, so each cosine is the patched dot product.
+        index = ServiceIndex(
+            services=(
+                AnnotatedService(ServiceRecord("S1", categories=("Cat A",)), vector_of({})),
+                AnnotatedService(ServiceRecord("S2"), vector_of({"c": 1.0})),
+                AnnotatedService(ServiceRecord("S3"), vector_of({"c": 1.0})),
+            ),
+            lexicon_fingerprint="f",
+        )
+        monkeypatch.setattr(
+            "semdisc.ranker._dot_products", lambda task_vector, index: {1: low, 2: high}
+        )
+        task = vector_of({"c": 1.0})
+        shared = frozenset({"c"})
+        high_result = RankedResult("S3", shared, 0.0, high, score)
+        low_result = RankedResult("S2", shared, 0.0, low, score)
+        category_result = RankedResult("S1", frozenset(), c_score, 0.0, score)
+        # Concept route only: the higher s_score first at every top_k.
+        for top_k, expected in [(1, [high_result]), (2, [high_result, low_result])]:
+            got = rank(task, [], index, Weights(0.2, 0.8), top_k=top_k)
+            assert got == expected, top_k
+            assert score_bits(got) == score_bits(expected), top_k
+        # Both routes: the category-only service ties with both at the cut.
+        matches = [CategoryMatch("Cat A", c_score)]
+        everything = [high_result, low_result, category_result]
+        for top_k in (1, 2, 3, 4):
+            got = rank(task, matches, index, Weights(0.2, 0.8), top_k=top_k)
+            assert got == everything[:top_k], top_k
+            assert score_bits(got) == score_bits(everything[:top_k]), top_k
+
+    @pytest.mark.parametrize("weights", [Weights(1, 0), Weights(1.0, 0.0)])
+    def test_zero_w2_orders_by_s_score_then_name(self, weights, monkeypatch):
+        # Every concept-only score is 0.0, so every service ties at the cut.
+        cosines = [0.5, math.nextafter(0.7, 0.0), 0.7, 0.5]
+        index = ServiceIndex(
+            services=tuple(
+                AnnotatedService(ServiceRecord(name), vector_of({"c": 1.0}))
+                for name in ("S4", "S1", "S2", "S3")
+            ),
+            lexicon_fingerprint="f",
+        )
+        monkeypatch.setattr(
+            "semdisc.ranker._dot_products", lambda task_vector, index: dict(enumerate(cosines))
+        )
+        order = [("S2", 0.7), ("S1", math.nextafter(0.7, 0.0)), ("S3", 0.5), ("S4", 0.5)]
+        for top_k in range(1, 6):
+            got = rank(vector_of({"c": 1.0}), [], index, weights, top_k=top_k)
+            assert [(r.service, r.s_score) for r in got] == order[:top_k], top_k
+            assert all(r.score.hex() == "0x0.0p+0" for r in got), top_k
 
     @pytest.mark.parametrize("weights", [(0.5, 0.8), (0.2, 0.8), None])
     def test_weights_must_be_weights(self, route_index, weights):

@@ -102,6 +102,16 @@ class TestLongestCommonSubstring:
         i, j, length = matcher.find_longest_match(0, len(s1), 0, len(s2))
         assert _longest_common_substring(s1, s2) == (length, i, j)
 
+    @given(s1=tie_prone_st, s2=tie_prone_st, floor=st.integers(0, 4))
+    @settings(max_examples=500, deadline=None)
+    def test_floored_matches_difflib(self, s1, s2, floor):
+        # Longer than the floor, the longest match is difflib's; no longer,
+        # it reads (0, 0, 0), which ends _matched_total's removal.
+        matcher = SequenceMatcher(None, s1, s2, autojunk=False)
+        i, j, length = matcher.find_longest_match(0, len(s1), 0, len(s2))
+        expected = (length, i, j) if length > floor else (0, 0, 0)
+        assert _longest_common_substring(s1, s2, floor) == expected
+
 
 class TestMatchedTotal:
     def test_iterates_until_blocks_too_short(self):
