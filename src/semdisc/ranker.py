@@ -21,19 +21,21 @@ keeps.  A sum of one term is that term, and ``fsum`` of two or more is
 correctly rounded whatever their order, so every score equals
 ``cosine(task_vector, service.vector)`` bit for bit.
 
-:func:`rank` selects on bare float scores before it touches anything
-else (as accumulator-based top-k retrieval does; Turtle & Flood, IPM
-1995): it takes the ``top_k``-th largest score as the cut, and builds
+:func:`rank` selects on bare floats before it touches anything else (as
+accumulator-based top-k retrieval does; Turtle & Flood, IPM 1995): it
+needs only a cut no higher than the ``top_k``-th largest score, and builds
 sort keys, names and results only for the services scoring at or above
-it.  Every service tied at the cut is kept, so the tie rules order them
-exactly as sorting every reached service would.  Only a service the
-category route reached gets a combined score stored.  One only the
-concept route reached scores ``s_score * w2``, and since ``w2 >= 0``
-rounding ``x * w2`` never decreases as ``x`` grows: the ``top_k``
-largest such scores are ``w2`` times the ``top_k`` largest cosines,
-which :func:`heapq.nlargest` finds on the cosines themselves.  Such a
-service is kept when its ``s_score * w2`` reaches the cut, so cosines one
-rounding step apart whose products are equal both stay.
+it.  Every one tied at the cut is kept, so the tie rules order them
+exactly as sorting every reached service would.  The cut is ``w2`` times
+the ``top_k``-th largest cosine, found by :func:`heapq.nlargest` on the
+cosines of every service the concept route reached (no cut when fewer
+than ``top_k`` were).  Every reached service scores at least
+``s_score * w2``: ``c_score * w1 >= 0``, and rounding ``a + b`` with
+``a >= 0`` never gives less than ``b``.  Rounding ``x * w2`` never
+decreases as ``x`` grows (``w2 >= 0``), so the services of the ``top_k``
+largest cosines all score at or above the cut.  A service only the
+concept route reached scores exactly ``s_score * w2``, :func:`combine`'s
+score bit for bit (``0.0 * w1 + x`` is ``x``).
 
 :class:`Weights` is a checked tuple type
 (:class:`semdisc.lexicon.Checked`) and :class:`RankedResult` a plain
@@ -205,60 +207,50 @@ def rank(
     Ties break on s_score (descending), then service name.  At most
     ``top_k``, an int >= 1 (else ValueError), results are returned.
     ``weights`` must be a :class:`Weights`, ``task_vector`` a
-    :class:`SemanticVector` and ``index`` a :class:`ServiceIndex` (else
-    ValueError).  Scores are :func:`combine`'s; only services at or above
-    the ``top_k``-th largest score, ties included, are ordered by the
-    full tie rules.  A service only the concept route reached keeps its
-    cosine in a list and gets no stored score: the cut takes ``w2`` times
-    the ``top_k`` largest cosines (see the module docstring) with the
-    combined scores of the services the category route reached.
+    :class:`SemanticVector`, ``category_matches`` a list or tuple of
+    :class:`~semdisc.taxonomy.CategoryMatch` values and ``index`` a
+    :class:`ServiceIndex` (else ValueError).  Scores are
+    :func:`combine`'s.  Every reached service scores at least
+    ``s_score * w2``, so ``w2`` times the ``top_k``-th largest cosine is a
+    cut no higher than the ``top_k``-th largest score (see the module
+    docstring); only services at or above it are ordered by the full tie
+    rules.
     """
     check_top_k(top_k)
     check_weights(weights)
     if not isinstance(task_vector, SemanticVector):
         raise ValueError(f"task_vector {task_vector!r} is not a SemanticVector")
+    if not isinstance(category_matches, (list, tuple)) or not all(
+        isinstance(match, CategoryMatch) for match in category_matches
+    ):
+        raise ValueError(
+            f"category_matches {category_matches!r} is not a list or tuple of CategoryMatch"
+        )
     check_index(index)
     c_scores = search_by_category(category_matches, index)
     sums = _dot_products(task_vector, index)
     task_norm = task_vector.norm()
     norms = index.norms
     w1, w2 = weights
-    if c_scores:
-        # Cosines, then scores, of the services the category route reached;
-        # sums keeps the services only the concept route reached.
-        s_scores = {
-            pos: sums.pop(pos) / (task_norm * norms[pos]) for pos in c_scores if pos in sums
-        }
-        scores = {
-            pos: c_score * w1 + s_scores.get(pos, 0.0) * w2
-            for pos, c_score in c_scores.items()
-        }
-    # Cosines of the services only the concept route reached, aligned with
-    # sums.  Each scores s_score * w2, combine()'s bit for bit (0.0 * w1 + x
-    # is x), and rounding x * w2 never decreases as x grows (w2 >= 0): so
-    # their top_k largest scores are w2 times their top_k largest cosines.
+    # Cosines of every service the concept route reached, aligned with sums.
     cosines = [total / (task_norm * norms[pos]) for pos, total in sums.items()]
     top = heapq.nlargest(top_k, cosines)
-    # Only services at or above the top_k-th largest score can rank among
-    # the top_k; keeping every one tied at it keeps the tie rules exact.
-    cut = top[-1] * w2 if top else -math.inf
-    if c_scores:
-        candidates = [s_score * w2 for s_score in top]
-        candidates += scores.values()
-        cut = min(heapq.nlargest(top_k, candidates))
+    # At least top_k services score at or above the cut, so every service
+    # ranking among the top_k does; keeping every one tied at it keeps the
+    # tie rules exact.
+    cut = top[-1] * w2 if len(top) == top_k else -math.inf
     services = index.services
     # Names are unique, so the key is a total order and pos never compares.
     keys = [
         (-(s_score * w2), -s_score, services[pos].name, pos)
         for pos, s_score in zip(sums, cosines)
-        if s_score * w2 >= cut
+        if s_score * w2 >= cut and pos not in c_scores
     ]
-    if c_scores:
-        keys += [
-            (-score, -s_scores.get(pos, 0.0), services[pos].name, pos)
-            for pos, score in scores.items()
-            if score >= cut
-        ]
+    for pos, c_score in c_scores.items():
+        s_score = sums[pos] / (task_norm * norms[pos]) if pos in sums else 0.0
+        score = c_score * w1 + s_score * w2
+        if score >= cut:
+            keys.append((-score, -s_score, services[pos].name, pos))
     task_support = task_vector.support()
     return [
         RankedResult(

@@ -83,8 +83,9 @@ class CategoryTaxonomy(Frozen):
     def __len__(self) -> int:
         return len(self.names)
 
-    def __contains__(self, name: str) -> bool:
-        return normalize_string(name) in self._keys
+    def __contains__(self, name: object) -> bool:
+        # A value that is not a str names no category.
+        return isinstance(name, str) and normalize_string(name) in self._keys
 
 
 @loader

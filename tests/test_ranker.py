@@ -173,13 +173,16 @@ _hub_weight_st = st.sampled_from([0.5, 1.0, 2.0]) | st.floats(min_value=1e-3, ma
 
 @st.composite
 def hub_index_st(draw):
-    """50 to 200 services carrying one or two hub concepts and no category,
-    positions in no particular name order."""
+    """50 to 200 services carrying one or two hub concepts and a few
+    category sets, positions in no particular name order."""
     n = draw(st.integers(min_value=50, max_value=200))
     order = draw(st.permutations(range(n)))
+    category_sets = draw(
+        st.lists(st.lists(st.sampled_from(_CATEGORIES), max_size=2), min_size=1, max_size=3)
+    )
     services = tuple(
         AnnotatedService(
-            ServiceRecord(f"S{i:03d}"),
+            ServiceRecord(f"S{i:03d}", categories=tuple(draw(st.sampled_from(category_sets)))),
             vector_of(
                 {c: draw(_hub_weight_st) for c in draw(st.sampled_from(_HUB_CONCEPT_SETS))}
             ),
@@ -450,12 +453,14 @@ class TestRank:
     @given(
         index=hub_index_st(),
         task=hub_task_st,
-        matches=st.sampled_from([[], [CategoryMatch("Cat A", 1.0)]]),
+        matches=matches_st,
         weights=weights_st,
     )
     def test_hub_scale_top_k_matches_full_sort(self, index, task, matches, weights):
-        """No category reaches a service; the hub concepts reach most of
-        them, some once and some more than once."""
+        """The hub concepts reach most services, some once and some more
+        than once; matched categories reach some of them too, and some
+        services only by category, so category scores can lift the
+        top_k-th score above w2 times the top_k-th cosine."""
         for top_k in (1, 10, len(index) + 1):
             expected = reference_rank(task, matches, index, weights, top_k)
             got = rank(task, matches, index, weights, top_k=top_k)
@@ -570,6 +575,16 @@ class TestRank:
         for index in ("idx", None, route_index.services):
             with pytest.raises(ValueError, match=r"^index .* is not a ServiceIndex$"):
                 rank(vector_of({}), [], index)
+        for matches in (
+            [("Sequence analysis", 1.0)],
+            (CategoryMatch("Cat A", 1.0), "Cat B"),
+            None,
+            "Cat A",
+            {CategoryMatch("Cat A", 1.0)},
+        ):
+            message = f"category_matches {matches!r} is not a list or tuple of CategoryMatch"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                rank(vector_of({}), matches, route_index)
         # discover checks the index before it matches categories or
         # annotates the task.
         called = []

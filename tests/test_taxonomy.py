@@ -31,6 +31,10 @@ class TestCategoryTaxonomy:
         assert "TEXT-MINING!" in tax
         assert "data retrieval" not in tax
 
+    @pytest.mark.parametrize("value", [5, None, b"text mining", ("Text Mining",)])
+    def test_contains_is_false_for_a_non_string(self, value):
+        assert value not in CategoryTaxonomy(["Text Mining"])
+
     def test_conflicting_display_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             CategoryTaxonomy(["Text Mining", "text mining"])
