@@ -106,7 +106,17 @@ def search_by_category(
     matches: Sequence[CategoryMatch],
     index: ServiceIndex,
 ) -> dict[int, float]:
-    """Category-route scores: service position -> best matched c_score."""
+    """Category-route scores: service position -> best matched c_score.
+
+    ``matches`` must be a list or tuple of
+    :class:`~semdisc.taxonomy.CategoryMatch` values and ``index`` a
+    :class:`ServiceIndex` (else ValueError).
+    """
+    if not isinstance(matches, (list, tuple)) or not all(
+        isinstance(match, CategoryMatch) for match in matches
+    ):
+        raise ValueError(f"category_matches {matches!r} is not a list or tuple of CategoryMatch")
+    check_index(index)
     scores: dict[int, float] = {}
     for match in matches:
         for pos in index.category_postings.get(match.normalized, ()):
@@ -154,12 +164,16 @@ def search_by_concepts(
 
     Only services sharing at least one concept with the task vector are
     scored; every returned score is > 0 and equals
-    ``cosine(task_vector, index.services[pos].vector)``.  Every weight lies
+    ``cosine(task_vector, index.services[pos].vector)``.  ``task_vector``
+    must be a :class:`SemanticVector` and ``index`` a :class:`ServiceIndex`
+    (else ValueError).  Every weight lies
     in [2**-255, 2**255] (:class:`~semdisc.annotator.Annotation`), so every
     norm, and the product of two, is positive and finite: no denominator
     is zero.  :func:`rank` divides the same sums (:func:`_dot_products`)
     by the same norms.
     """
+    check_task_vector(task_vector)
+    check_index(index)
     sums = _dot_products(task_vector, index)
     task_norm = task_vector.norm()
     norms = index.norms
@@ -182,6 +196,12 @@ def check_index(index: ServiceIndex) -> None:
     """ValueError unless ``index`` is a :class:`ServiceIndex`."""
     if not isinstance(index, ServiceIndex):
         raise ValueError(f"index {index!r} is not a ServiceIndex")
+
+
+def check_task_vector(task_vector: SemanticVector) -> None:
+    """ValueError unless ``task_vector`` is a :class:`SemanticVector`."""
+    if not isinstance(task_vector, SemanticVector):
+        raise ValueError(f"task_vector {task_vector!r} is not a SemanticVector")
 
 
 class RankedResult(NamedTuple):
@@ -218,15 +238,8 @@ def rank(
     """
     check_top_k(top_k)
     check_weights(weights)
-    if not isinstance(task_vector, SemanticVector):
-        raise ValueError(f"task_vector {task_vector!r} is not a SemanticVector")
-    if not isinstance(category_matches, (list, tuple)) or not all(
-        isinstance(match, CategoryMatch) for match in category_matches
-    ):
-        raise ValueError(
-            f"category_matches {category_matches!r} is not a list or tuple of CategoryMatch"
-        )
-    check_index(index)
+    check_task_vector(task_vector)
+    # Checks category_matches and index.
     c_scores = search_by_category(category_matches, index)
     sums = _dot_products(task_vector, index)
     task_norm = task_vector.norm()

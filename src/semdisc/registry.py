@@ -11,21 +11,26 @@ An index annotates every service once and keeps the resulting vectors
 with two posting tables (concept -> services, category -> services) so
 queries never rescan raw text.  On disk the index is ``SDIX`` magic, a
 4-byte big-endian format version, a compact JSON payload and the
-SHA-256 of everything before it.  Format version 5's payload holds
+SHA-256 of everything before it.  Format version 6's payload holds
 arrays only, and only what cannot be derived::
 
-    [lexicon_fingerprint, threshold, services]
-    service:    [name, description, documentation, tags, categories, provenance]
-    provenance: [[concept_id, lexical_form, similarity, tf, idf_value,
-                  matched_words], ...]
+    [lexicon_fingerprint, threshold, annotations, services]
+    annotation: [concept_id, lexical_form, similarity, tf, idf_value, matched_words]
+    service:    [name, description, documentation, tags, categories, references]
 
-Services are in canonical (name) order, provenance rows are sorted by
-concept id and matched words are sorted.  A vector derives each weight
+Popular concepts annotate many services with the same winning form, so
+each distinct annotation is one row of the ``annotations`` table
+(dictionary encoding), numbered from 0 in order of first use, and a
+service's ``references`` are the numbers of its annotations, ascending
+by concept.  Rows are told apart by what is written, so annotations that
+compare equal but print differently (a similarity of ``1`` and ``1.0``,
+``0.0`` and ``-0.0``) keep rows of their own.  Services are in canonical
+(name) order and matched words are sorted.  A vector derives each weight
 from its annotation as ``tf * idf_value`` and the index derives its
 posting tables from the services, so neither weights nor postings are
-stored, and neither can disagree with the annotations.  Version 4 files,
-with the same payload but a lexicon file's byte digest as fingerprint,
-and files of any other version are rejected with a message to rebuild.
+stored, and neither can disagree with the annotations.  Files of any
+other version, versions 1 to 5 included, are rejected with a message to
+rebuild.
 
 :class:`ServiceRecord` and :class:`AnnotatedService`, like
 :class:`~semdisc.annotator.Annotation`, are checked tuple types
@@ -34,9 +39,13 @@ tuple of its fields.  The constructors of :class:`ServiceRecord`,
 :class:`ServiceIndex` and :class:`~semdisc.annotator.Annotation` admit
 only values the format holds, so every index the library builds loads
 back equal; an index holds each service name once.  The loader hands
-each row's items straight to them and checks only that each row is a
-JSON list of the right length and that each array it converts to a
-tuple or frozenset is a list.  :func:`ingest_registry` and
+each row's items straight to them, building one
+:class:`~semdisc.annotator.Annotation` per table row, which every
+service referring to the row shares: it is an immutable checked tuple.
+Beyond the constructors it checks only that each row is a JSON list of
+the right length, that each array it converts to a tuple or frozenset
+is a list, and that the references are table row numbers ascending by
+concept that leave no row unused.  :func:`ingest_registry` and
 :func:`load_index` are :func:`semdisc.lexicon.loader` functions: they
 build with cyclic GC paused, and a ValueError names the file.
 
@@ -49,10 +58,11 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import os
 from collections import defaultdict
 from pathlib import Path
-from typing import Iterable, Iterator, KeysView, Mapping, NamedTuple
+from typing import Iterable, KeysView, Mapping, NamedTuple
 
 from .annotator import DEFAULT_THRESHOLD, Annotation, SemanticVector, annotate, check_threshold
 from .lexicon import Checked, Frozen, Lexicon, check_cell, check_text, check_texts, duplicates
@@ -60,7 +70,7 @@ from .lexicon import loader, read_rows
 from .strsim import normalize_string
 
 MAGIC = b"SDIX"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 
 class _ServiceRow(NamedTuple):
@@ -179,7 +189,10 @@ class ServiceIndex(Frozen):
     are derived from the services on construction, never stored in the
     index file, and take no part in ``==``, ``repr``, copies or pickles:
     this :class:`~semdisc.lexicon.Frozen` value's ``_args()`` are its
-    services, fingerprint and threshold.
+    services, fingerprint and threshold.  The services of a loaded index
+    share :class:`~semdisc.annotator.Annotation` values: services whose
+    file rows refer to one annotation row hold the one value built from
+    it.
     """
 
     __slots__ = (
@@ -280,15 +293,27 @@ def build_index(
 
 def _index_payload(index: ServiceIndex) -> bytes:
     # Records and annotations are tuples of their row's items, in row
-    # order; annotations sort by concept id, which is unique in a vector.
-    services = []
-    for service in index.services:
-        provenance = [
-            [*annotation[:5], sorted(annotation.matched_words)]
-            for annotation in sorted(service.vector.provenance.values())
-        ]
-        services.append([*service.record, provenance])
-    payload = [index.lexicon_fingerprint, index.threshold, services]
+    # order; a service's annotations sort by concept id, which is unique
+    # in a vector.  Annotation rows are numbered in order of first use, one
+    # per distinct written row.  Equal values are written alike but for an
+    # int and a float (1 and 1.0) and the two zeros, so the key adds the
+    # number types and the sign of the similarity; an idf_value is never
+    # zero, since the weight tf * idf_value is positive.
+    numbers: dict[tuple, int] = {}
+    services = [
+        [*service.record, [
+            # A new key takes the next number: len is read before the insert.
+            numbers.setdefault(
+                (a, type(a.similarity), type(a.idf_value), math.copysign(1.0, a.similarity)),
+                len(numbers),
+            )
+            for a in sorted(service.vector.provenance.values())
+        ]]
+        for service in index.services
+    ]
+    # A dict keeps its keys in insertion order, so rows are in number order.
+    annotations = [[*a[:5], sorted(a.matched_words)] for a, *_ in numbers]
+    payload = [index.lexicon_fingerprint, index.threshold, annotations, services]
     # Built just above from fresh lists, so it holds no cycle to look for.
     return json.dumps(
         payload, separators=(",", ":"), allow_nan=False, check_circular=False
@@ -328,10 +353,12 @@ def load_index(path: Path) -> ServiceIndex:
     A file that does not start with the magic ``SDIX``, one under 4 bytes
     included, is "not a service index file"; one that does but is under
     40 bytes, too short for version and checksum, fails the checksum
-    check.  A checksum-valid payload that is not JSON, holds a
-    row of the wrong length, provenance rows not ascending by concept, or
-    a value the index constructors reject raises ValueError naming the
-    file.  So does a file of another version, with a message to rebuild.
+    check.  A checksum-valid payload that is not JSON, holds a row of the
+    wrong length, a reference that is no row number of the annotations
+    table, references not ascending by concept, an annotation row no
+    service refers to, or a value the index constructors reject raises
+    ValueError naming the file.  So does a file of another version, with
+    a message to rebuild.
     """
     raw = path.read_bytes()
     if raw[:4] != MAGIC:
@@ -346,10 +373,11 @@ def load_index(path: Path) -> ServiceIndex:
             f"{FORMAT_VERSION}); rebuild the index with 'semdisc index build'"
         )
     try:
-        fingerprint, threshold, services = _row(
-            json.loads(body[8:].decode("utf-8"), parse_constant=_reject_constant), 3
+        fingerprint, threshold, annotations, services = _row(
+            json.loads(body[8:].decode("utf-8"), parse_constant=_reject_constant), 4
         )
-        return ServiceIndex(tuple(_services(services)), fingerprint, threshold)
+        table = _annotations(annotations)
+        return ServiceIndex(_services(services, table), fingerprint, threshold)
     except (ValueError, RecursionError) as exc:
         raise ValueError(f"malformed index payload: {exc}") from exc
 
@@ -369,33 +397,62 @@ def _row(value: object, length: int | None = None) -> list:
     return value
 
 
-def _services(rows: object) -> Iterator[AnnotatedService]:
+def _annotations(rows: object) -> list[Annotation]:
+    """The annotations table: one Annotation per row, in row order."""
+    table = []
     for pos, row in enumerate(_row(rows)):
         try:
-            yield _service(row)
-        except ValueError as exc:
-            raise ValueError(f"service {pos}: {exc}") from None
-
-
-def _service(row: object) -> AnnotatedService:
-    name, description, documentation, tags, categories, provenance = _row(row, 6)
-    annotations: dict[str, Annotation] = {}
-    last = None
-    for pos, entry in enumerate(_row(provenance)):
-        try:
-            cid, form, similarity, tf, idf_value, matched = _row(entry, 6)
+            cid, form, similarity, tf, idf_value, matched = _row(row, 6)
             try:
                 words = frozenset(_row(matched))
             except TypeError as exc:  # a JSON list or object among the words
                 raise ValueError(str(exc)) from None
-            annotation = Annotation(cid, form, similarity, tf, idf_value, words)
-            if last is not None and cid <= last:
-                raise ValueError(f"concept {cid!r} after {last!r}: rows must ascend by concept")
+            table.append(Annotation(cid, form, similarity, tf, idf_value, words))
         except ValueError as exc:
-            raise ValueError(f"provenance {pos}: {exc}") from None
-        annotations[cid] = annotation
+            raise ValueError(f"annotation {pos}: {exc}") from None
+    return table
+
+
+def _services(rows: object, table: list[Annotation]) -> tuple[AnnotatedService, ...]:
+    """The services of the service rows, each holding the table's
+    Annotation values it refers to; every table row must be referred to."""
+    services = []
+    used: set[int] = set()
+    for pos, row in enumerate(_row(rows)):
+        try:
+            name, description, documentation, tags, categories, references = _row(row, 6)
+            provenance = _provenance(_row(references), table)
+            used.update(references)
+            record = ServiceRecord(
+                name, description, documentation, tuple(_row(tags)), tuple(_row(categories))
+            )
+        except ValueError as exc:
+            raise ValueError(f"service {pos}: {exc}") from None
+        services.append(AnnotatedService(record, SemanticVector(provenance)))
+    if len(used) < len(table):
+        unused = min(set(range(len(table))) - used)
+        raise ValueError(f"annotation {unused}: no service refers to it")
+    return tuple(services)
+
+
+def _provenance(references: list, table: list[Annotation]) -> dict[str, Annotation]:
+    """The table rows ``references`` numbers, keyed by concept id; the
+    numbers must be ints naming rows whose concepts ascend."""
+    provenance: dict[str, Annotation] = {}
+    last = None
+    for pos, number in enumerate(references):
+        # Exact type, so a bool is no number; a negative one is no row.
+        if type(number) is not int:
+            raise ValueError(f"reference {pos} has type {type(number).__name__}")
+        if not 0 <= number < len(table):
+            raise ValueError(f"reference {pos}: annotation {number} outside [0, {len(table)})")
+        annotation = table[number]
+        cid = annotation.concept_id
+        if last is not None and cid <= last:
+            raise ValueError(
+                f"reference {pos}: concept {cid!r} after {last!r}: references must ascend "
+                "by concept"
+            )
+        provenance[cid] = annotation
         last = cid
-    record = ServiceRecord(
-        name, description, documentation, tuple(_row(tags)), tuple(_row(categories))
-    )
-    return AnnotatedService(record, SemanticVector(annotations))
+    return provenance

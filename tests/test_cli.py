@@ -657,11 +657,12 @@ class TestDiscoverCommand:
     )
     def test_malformed_index_is_data_error(self, built_index, capsys, damage):
         def edit(payload):
-            service = payload[2][0]  # provenance is a service row's last item
+            # A service row's last item is its references to the
+            # annotation rows, payload item 2.
             if damage == "missing_provenance":
-                del service[5]
+                del payload[3][0][5]
             else:
-                row = next(r for r in service[5] if r[0] == "D9000419")
+                row = next(r for r in payload[2] if r[0] == "D9000419")
                 row[4] = float("nan")  # idf_value
             return payload
 
@@ -690,9 +691,9 @@ class TestDiscoverCommand:
         # Each weight is finite, but the sum of two squares is not, so such
         # weights are out of range.
         def inflate(payload):
-            service = next(s for s in payload[2] if len(s[5]) > 1)
-            for row in service[5]:
-                row[3:5] = [1, 1e154]  # tf, idf_value
+            service = next(s for s in payload[3] if len(s[5]) > 1)
+            for number in service[5]:
+                payload[2][number][3:5] = [1, 1e154]  # tf, idf_value
             return payload
 
         rewrite_index_payload(built_index, inflate)
@@ -708,13 +709,13 @@ class TestDiscoverCommand:
             str(built_index),
         )
         assert (code, out) == (1, "")
-        assert err.startswith(f"error: {built_index}: malformed index payload: service ")
-        assert "provenance 0: field 'tf': out-of-range weight 1e+154 outside" in err
+        assert err.startswith(f"error: {built_index}: malformed index payload: annotation ")
+        assert ": field 'tf': out-of-range weight 1e+154 outside" in err
         assert "Traceback" not in err
 
     def test_lone_surrogate_in_index_is_data_error(self, built_index, capsys):
         def rename(payload):
-            payload[2][0][0] = "Bad\ud800"  # the first service's name
+            payload[3][0][0] = "Bad\ud800"  # the first service's name
             return payload
 
         rewrite_index_payload(built_index, rename)
@@ -1311,7 +1312,7 @@ class TestGcStateRestored:
         repeated = tmp_path / "repeated.idx"
         repeated.write_bytes(built_index.read_bytes())
         rewrite_index_payload(
-            repeated, lambda payload: [*payload[:2], [*payload[2], payload[2][0]]]
+            repeated, lambda payload: [*payload[:3], [*payload[3], payload[3][0]]]
         )
         return {
             "load_lexicon": (DATA / "lexicon.tsv", bad_lexicon),

@@ -27,7 +27,7 @@ SYLLABLES = "ba ce di fo gu ha ki lo mu ne pi ro su ta ve wi xo yu za".split()
 CATEGORY_WORDS = "sequence protein gene analysis alignment structure motif domain".split()
 
 INPUTS_SHA256 = "ab5b6015741b0b9cd82988a5b79130c4714232ace5ba9453223e3d3056b3a6bc"
-INDEX_SHA256 = "2162fb6e1fd6237558e7ebc1ae44a17a5de57d0f22296ff793f281d56c992ee7"
+INDEX_SHA256 = "3197b58881107bce8e6d38d1d8cb24ba69c93a58f9480ec6238d3614cacf5213"
 OUTPUT_SHA256 = "cc4869d10498352967f22ebffc034f168f01aaa5b108b7433066aeb9ff065dc3"
 
 

@@ -568,23 +568,38 @@ class TestRank:
     def test_argument_types(
         self, route_index, demo_lexicon, demo_taxonomy, demo_index, monkeypatch
     ):
-        for task_vector in ("text", None, {"C1": 1.0}):
-            message = f"task_vector {task_vector!r} is not a SemanticVector"
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                rank(task_vector, [], route_index)
-        for index in ("idx", None, route_index.services):
-            with pytest.raises(ValueError, match=r"^index .* is not a ServiceIndex$"):
-                rank(vector_of({}), [], index)
-        for matches in (
-            [("Sequence analysis", 1.0)],
-            (CategoryMatch("Cat A", 1.0), "Cat B"),
-            None,
-            "Cat A",
-            {CategoryMatch("Cat A", 1.0)},
-        ):
-            message = f"category_matches {matches!r} is not a list or tuple of CategoryMatch"
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                rank(vector_of({}), matches, route_index)
+        # rank checks as the two searches it is built from do.
+        def rank_concepts(task_vector, index):
+            return rank(task_vector, [], index)
+
+        def rank_categories(matches, index):
+            return rank(vector_of({}), matches, index)
+
+        for search in (rank_concepts, search_by_concepts):
+            for task_vector in ("text", None, {"C1": 1.0}):
+                message = f"task_vector {task_vector!r} is not a SemanticVector"
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    search(task_vector, route_index)
+        for search, first in [
+            (rank_concepts, vector_of({})),
+            (search_by_concepts, vector_of({})),
+            (rank_categories, []),
+            (search_by_category, []),
+        ]:
+            for index in ("idx", None, route_index.services):
+                with pytest.raises(ValueError, match=r"^index .* is not a ServiceIndex$"):
+                    search(first, index)
+        for search in (rank_categories, search_by_category):
+            for matches in (
+                [("Sequence analysis", 1.0)],
+                (CategoryMatch("Cat A", 1.0), "Cat B"),
+                None,
+                "Cat A",
+                {CategoryMatch("Cat A", 1.0)},
+            ):
+                message = f"category_matches {matches!r} is not a list or tuple of CategoryMatch"
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    search(matches, route_index)
         # discover checks the index before it matches categories or
         # annotates the task.
         called = []

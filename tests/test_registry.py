@@ -425,6 +425,25 @@ _ANY_VALUE = st.one_of(
 )
 
 
+# Annotations of two concepts whose numbers compare equal but are written
+# apart: ints against floats (1 and 1.0, 2 and 2.0) and the two zeros.
+_NUMBER_VARIANTS = [
+    Annotation(cid, "x", similarity, 1, idf_value, frozenset({"x"}))
+    for cid in ("C1", "C2")
+    for similarity in (1, 1.0, 0, 0.0, -0.0, -1, -1.0)
+    for idf_value in (2, 2.0)
+]
+
+
+def _written(service: AnnotatedService) -> list:
+    """Each annotation's concept and the type and text of its numbers, by
+    concept."""
+    return [
+        (cid, [(type(value), repr(value)) for value in annotation[2:5]])
+        for cid, annotation in sorted(service.vector.provenance.items())
+    ]
+
+
 class TestPersistence:
     def test_round_trip_preserves_everything(self, demo_index, index_path):
         loaded = load_index(index_path)
@@ -446,8 +465,51 @@ class TestPersistence:
         assert first.read_bytes() == second.read_bytes()
         # Pinned so every supported Python version must write these bytes.
         assert hashlib.sha256(first.read_bytes()).hexdigest() == (
-            "2645f0cc492a83794899da1668b5b78e34df8199a8f951bb80965618a0df984b"
+            "5aa2872ee23ea53b18cdc2753bf4e95175324f77aea6ecd6636c441facbd9780"
         )
+
+    def test_annotation_rows_are_shared_by_what_is_written(self, demo_index, tmp_path):
+        # Each variant on two services: equal annotations written alike
+        # share one row and load as one value; those written apart keep
+        # rows, types and signs of their own.
+        variants = [a for a in _NUMBER_VARIANTS if a.concept_id == "C1"]
+        services = tuple(
+            AnnotatedService(
+                ServiceRecord(f"S{i}"), SemanticVector({"C1": variants[i % len(variants)]})
+            )
+            for i in range(2 * len(variants))
+        )
+        path = tmp_path / "a.idx"
+        save_index(ServiceIndex(services, "f"), path)
+        assert len(json.loads(read_index_payload(path))[_ANNOTATIONS]) == len(variants)
+        loaded = load_index(path).services
+        assert [_written(s) for s in loaded] == [_written(s) for s in services]
+        for first, second in zip(loaded, loaded[len(variants):]):
+            assert first.vector.provenance["C1"] is second.vector.provenance["C1"]
+        # D9000419 "protein sequences" annotates all five demo services.
+        save_index(demo_index, path)
+        payload = json.loads(read_index_payload(path))
+        assert len(payload[_ANNOTATIONS]) == 7
+        assert sum(len(row[_REFERENCES]) for row in payload[_SERVICES]) == 12
+        shared = {id(s.vector.provenance["D9000419"]) for s in load_index(path).services}
+        assert len(shared) == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(chosen=st.lists(st.lists(st.sampled_from(_NUMBER_VARIANTS), max_size=4), max_size=6))
+    def test_save_load_save_is_byte_identical(self, tmp_path_factory, chosen):
+        services = tuple(
+            AnnotatedService(
+                ServiceRecord(f"S{i}"), SemanticVector({a.concept_id: a for a in annotations})
+            )
+            for i, annotations in enumerate(chosen)
+        )
+        path = tmp_path_factory.getbasetemp() / "round_trip.idx"
+        save_index(ServiceIndex(services, "f"), path)
+        written = path.read_bytes()
+        loaded = load_index(path)
+        assert [_written(s) for s in loaded.services] == [_written(s) for s in services]
+        save_index(loaded, path)
+        assert path.read_bytes() == written
 
     def test_vector_keeps_a_copy_of_its_provenance(self, tmp_path):
         a1 = Annotation("C1", "tree", 1.0, 1, 1.5, frozenset({"tree"}))
@@ -711,10 +773,10 @@ class TestPersistence:
         assert str(excinfo.value).startswith(str(index_path))
 
 
-# Item positions in the payload row, in a service row and in a
-# provenance row.
-_FINGERPRINT, _THRESHOLD, _SERVICES = range(3)
-_NAME, _DESCRIPTION, _DOCUMENTATION, _TAGS, _CATEGORIES, _PROVENANCE = range(6)
+# Item positions in the payload row, in a service row and in an
+# annotation row (a provenance row of the annotations table).
+_FINGERPRINT, _THRESHOLD, _ANNOTATIONS, _SERVICES = range(4)
+_NAME, _DESCRIPTION, _DOCUMENTATION, _TAGS, _CATEGORIES, _REFERENCES = range(6)
 _CONCEPT_ID, _FORM, _SIMILARITY, _TF, _IDF_VALUE, _MATCHED_WORDS = range(6)
 
 
@@ -739,9 +801,12 @@ def _edit_service(pos: int, value):
 
 
 def _edit_provenance(pos: int, value):
+    """Set an item of the annotation row the first annotated service
+    refers to first: annotation 0."""
+
     def edit(payload):
-        service = next(s for s in payload[_SERVICES] if s[_PROVENANCE])
-        service[_PROVENANCE][0][pos] = value
+        service = next(s for s in payload[_SERVICES] if s[_REFERENCES])
+        payload[_ANNOTATIONS][service[_REFERENCES][0]][pos] = value
         return payload
 
     return edit
@@ -756,11 +821,11 @@ def _resize_service(resize):
 
 
 def _reorder_provenance(reorder):
-    """Replace the first service's provenance rows with ``reorder(rows)``."""
+    """Replace the first service's references with ``reorder(references)``."""
 
     def edit(payload):
-        rows = payload[_SERVICES][0][_PROVENANCE]
-        payload[_SERVICES][0][_PROVENANCE] = reorder(rows)
+        references = payload[_SERVICES][0][_REFERENCES]
+        payload[_SERVICES][0][_REFERENCES] = reorder(references)
         return payload
 
     return edit
@@ -768,8 +833,9 @@ def _reorder_provenance(reorder):
 
 def _resize_provenance(resize):
     def edit(payload):
-        service = next(s for s in payload[_SERVICES] if s[_PROVENANCE])
-        service[_PROVENANCE][0] = resize(service[_PROVENANCE][0])
+        service = next(s for s in payload[_SERVICES] if s[_REFERENCES])
+        number = service[_REFERENCES][0]
+        payload[_ANNOTATIONS][number] = resize(payload[_ANNOTATIONS][number])
         return payload
 
     return edit
@@ -780,7 +846,7 @@ class TestMalformedPayload:
 
     def test_missing_provenance_key(self, index_path):
         def drop_provenance(payload):
-            del payload[_SERVICES][0][_PROVENANCE]
+            del payload[_SERVICES][0][_REFERENCES]
             return payload
 
         rewrite_index_payload(index_path, drop_provenance)
@@ -796,7 +862,7 @@ class TestMalformedPayload:
         rewrite_index_payload(
             index_path, lambda payload: [*payload, {"D9000419": [len(demo_index)]}]
         )
-        with pytest.raises(ValueError, match="expected a list of 3 items, got 4"):
+        with pytest.raises(ValueError, match="expected a list of 4 items, got 5"):
             load_index(index_path)
 
     @pytest.mark.parametrize(
@@ -805,10 +871,8 @@ class TestMalformedPayload:
     )
     def test_overflowing_number_rejected(self, index_path, key, detail):
         pos = {"idf_value": _IDF_VALUE, "similarity": _SIMILARITY}[key]
-        payload = json.loads(read_index_payload(index_path))
-        service = next(s for s in payload[_SERVICES] if s[_PROVENANCE])
+        payload = _edit_provenance(pos, "OVERFLOW")(json.loads(read_index_payload(index_path)))
         # JSON has no infinity; 1e999 is a number literal that overflows.
-        service[_PROVENANCE][0][pos] = "OVERFLOW"
         blob = json.dumps(payload, separators=(",", ":")).encode()
         replace_index_payload(index_path, blob.replace(b'"OVERFLOW"', b"1e999"))
         with pytest.raises(ValueError, match=detail) as excinfo:
@@ -822,11 +886,13 @@ class TestMalformedPayload:
         [
             pytest.param(
                 lambda payload: [payload],
-                ": malformed index payload: expected a list of 3 items, got 1",
+                ": malformed index payload: expected a list of 4 items, got 1",
                 id="payload_nested_in_a_list",
             ),
             pytest.param(
-                lambda payload: dict(zip(("lexicon_fingerprint", "threshold", "services"), payload)),
+                lambda payload: dict(
+                    zip(("lexicon_fingerprint", "threshold", "annotations", "services"), payload)
+                ),
                 ": malformed index payload: expected a list, got dict",
                 id="payload_as_object",
             ),
@@ -872,21 +938,64 @@ class TestMalformedPayload:
                 _edit_service(_CATEGORIES, [1]),
                 "field 'categories' must be a tuple of strings",
             ),
-            (
+            pytest.param(
                 _resize_provenance(lambda row: row[:-1]),
-                "provenance 0: expected a list of 6 items, got 5",
+                ": malformed index payload: annotation 0: expected a list of 6 items, got 5",
+                id="edit-provenance 0: expected a list of 6 items, got 5",
             ),
-            # ELMdb's rows are C8200005 then D9000419.  A repeated row
-            # would otherwise load, the later copy replacing the first.
+            # ELMdb refers to annotations 0 (C8200005) then 1 (D9000419).  A
+            # repeated reference would otherwise load, the later replacing
+            # the first.
             pytest.param(
                 _reorder_provenance(lambda rows: [*rows, rows[-1]]),
-                "service 0: provenance 2: concept 'D9000419' after 'D9000419': rows must ascend",
+                "service 0: reference 2: concept 'D9000419' after 'D9000419': references "
+                "must ascend",
                 id="provenance_row_repeated",
             ),
             pytest.param(
                 _reorder_provenance(lambda rows: rows[::-1]),
-                "service 0: provenance 1: concept 'C8200005' after 'D9000419': rows must ascend",
+                "service 0: reference 1: concept 'C8200005' after 'D9000419': references "
+                "must ascend",
                 id="provenance_rows_swapped",
+            ),
+            pytest.param(
+                lambda payload: [
+                    *payload[:_ANNOTATIONS],
+                    [*payload[_ANNOTATIONS], ["C1", "x", 1.0, 1, 2.0, ["x"]]],
+                    payload[_SERVICES],
+                ],
+                ": malformed index payload: annotation 7: no service refers to it",
+                id="unused_annotation_row",
+            ),
+            pytest.param(
+                _reorder_provenance(lambda rows: [rows[0], 7]),
+                "service 0: reference 1: annotation 7 outside [0, 7)",
+                id="reference_past_the_table",
+            ),
+            pytest.param(
+                _reorder_provenance(lambda rows: [-1, rows[1]]),
+                "service 0: reference 0: annotation -1 outside [0, 7)",
+                id="negative_reference",
+            ),
+            pytest.param(
+                _reorder_provenance(lambda rows: [False, rows[1]]),
+                "service 0: reference 0 has type bool",
+                id="bool_reference",
+            ),
+            pytest.param(
+                _reorder_provenance(lambda rows: [0.0, rows[1]]),
+                "service 0: reference 0 has type float",
+                id="float_reference",
+            ),
+            pytest.param(
+                _reorder_provenance(lambda rows: [rows[0], str(rows[1])]),
+                "service 0: reference 1 has type str",
+                id="string_reference",
+            ),
+            pytest.param(
+                _edit_service(_REFERENCES, 1),
+                "service 0: expected a list, got int",
+                id="references_not_a_list",
             ),
             (_edit_provenance(_IDF_VALUE, "8.0"), "'idf_value' has type str"),
             (_edit_provenance(_IDF_VALUE, -1.0), "non-positive weight"),
@@ -898,7 +1007,7 @@ class TestMalformedPayload:
             (_edit_provenance(_SIMILARITY, 1.5), "similarity 1.5 outside [-1, 1]"),
             pytest.param(
                 _edit_provenance(_MATCHED_WORDS, "tree"),
-                "provenance 0: expected a list, got str",
+                ": malformed index payload: annotation 0: expected a list, got str",
                 id="edit-'matched_words' has type str",
             ),
             (
@@ -909,13 +1018,28 @@ class TestMalformedPayload:
             (_edit_payload(_FINGERPRINT, 7), "lexicon_fingerprint must be a string"),
             pytest.param(
                 _edit_payload(_FINGERPRINT, None),
-                "expected a list of 3 items, got 2",
+                "expected a list of 4 items, got 3",
                 id="edit-missing key 'lexicon_fingerprint'",
             ),
             pytest.param(
                 _edit_payload(_THRESHOLD, None),
-                "expected a list of 3 items, got 2",
+                "expected a list of 4 items, got 3",
                 id="edit-missing key 'threshold'",
+            ),
+            pytest.param(
+                _edit_payload(_ANNOTATIONS, None),
+                "expected a list of 4 items, got 3",
+                id="missing_annotations",
+            ),
+            pytest.param(
+                _edit_payload(_ANNOTATIONS, {}),
+                ": malformed index payload: expected a list, got dict",
+                id="annotations_as_object",
+            ),
+            pytest.param(
+                _edit_payload(_ANNOTATIONS, "C1"),
+                ": malformed index payload: expected a list, got str",
+                id="annotations_as_string",
             ),
             (_edit_payload(_THRESHOLD, "0.8"), "threshold '0.8' outside [-1, 1]"),
             (_edit_payload(_THRESHOLD, False), "threshold False outside [-1, 1]"),
@@ -933,6 +1057,17 @@ class TestMalformedPayload:
     def test_unchanged_payload_still_loads(self, index_path, demo_index):
         rewrite_index_payload(index_path, lambda payload: payload)
         assert load_index(index_path) == demo_index
+
+    def test_reference_to_another_services_row_loads(self, index_path, demo_index):
+        # Annotation 2 (C8200004) is Emboss tmap's; ELMdb's concepts still
+        # ascend with it first, and both services hold the one value.
+        rewrite_index_payload(index_path, _reorder_provenance(lambda rows: [2, *rows]))
+        elmdb, emboss = load_index(index_path).services[:2]
+        assert elmdb.vector.provenance == {
+            "C8200004": demo_index.services[1].vector.provenance["C8200004"],
+            **demo_index.services[0].vector.provenance,
+        }
+        assert elmdb.vector.provenance["C8200004"] is emboss.vector.provenance["C8200004"]
 
     def test_services_out_of_name_order_load(self, index_path, demo_index):
         rewrite_index_payload(
@@ -1060,23 +1195,24 @@ _JSON_KINDS = {
 }
 
 
-def _read_rows(rows: list) -> tuple[AnnotatedService, ...]:
-    """The services the constructors make of well-formed service rows."""
+def _read_rows(payload: list) -> tuple[AnnotatedService, ...]:
+    """The services the constructors make of a well-formed payload's
+    annotation and service rows."""
+    table = [Annotation(*row[:5], frozenset(row[5])) for row in payload[_ANNOTATIONS]]
     return tuple(
         AnnotatedService(
             ServiceRecord(name, description, documentation, tuple(tags), tuple(categories)),
-            SemanticVector(
-                {row[0]: Annotation(*row[:5], frozenset(row[5])) for row in provenance}
-            ),
+            SemanticVector({table[n].concept_id: table[n] for n in references}),
         )
-        for name, description, documentation, tags, categories, provenance in rows
+        for name, description, documentation, tags, categories, references
+        in payload[_SERVICES]
     )
 
 
 class TestMutatedPayload:
-    """Checksum-valid payloads with one service or provenance row changed:
-    one item replaced by a JSON value of another type, or the row made
-    one item short or long."""
+    """Checksum-valid payloads with one service row or one provenance row
+    (a row of the annotations table) changed: one item replaced by a JSON
+    value of another type, or the row made one item short or long."""
 
     @pytest.mark.parametrize("change", ["short", "long", *_JSON_KINDS])
     @pytest.mark.parametrize("pos", range(6))
@@ -1087,9 +1223,8 @@ class TestMutatedPayload:
         self, tmp_path_factory, demo_index, row_kind, pos, change, data
     ):
         payload = json.loads(_index_payload(demo_index))
-        row = payload[_SERVICES][data.draw(st.integers(0, len(demo_index) - 1))]
-        if row_kind == "provenance":
-            row = row[_PROVENANCE][data.draw(st.integers(0, len(row[_PROVENANCE]) - 1))]
+        rows = payload[_ANNOTATIONS if row_kind == "provenance" else _SERVICES]
+        row = rows[data.draw(st.integers(0, len(rows) - 1))]
         if change == "short":
             del row[pos]
         elif change == "long":
@@ -1106,7 +1241,7 @@ class TestMutatedPayload:
             loaded = None
             assert str(exc).startswith(f"{path}: malformed index payload: ")
         else:
-            assert loaded.services == _read_rows(payload[_SERVICES])
+            assert loaded.services == _read_rows(payload)
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = cli.main([
