@@ -96,6 +96,22 @@ def mini_lexicon():
     return load_lexicon(DATA / "mini_lexicon.tsv")
 
 
+@pytest.fixture
+def record_property(request) -> Callable[[str, object], None]:
+    """Add a ``(name, value)`` note to the calling test's report.
+
+    Stands in for pytest's fixture of the same name, which stores the note
+    the same way but also warns when a JUnit XML report in the default
+    ``xunit2`` family is requested; with warnings as errors, that warning
+    would fail every acceptance test in such a run.
+    """
+
+    def record(name: str, value: object) -> None:
+        request.node.user_properties.append((name, value))
+
+    return record
+
+
 def pytest_runtest_logreport(report):
     if report.when != "call" or "test_acceptance" not in report.nodeid:
         return
