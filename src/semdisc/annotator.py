@@ -159,8 +159,8 @@ class _AnnotationRow(NamedTuple):
 
 class Annotation(Checked, _AnnotationRow):
     """One vector entry, a checked tuple of the fields an index file holds
-    for it; its weight is tf * idf_value and lies in [2**-255, 2**255].
-    ValueError names the field a value does not fit."""
+    for it; tf is at least 1, and the weight, tf * idf_value, lies in
+    [2**-255, 2**255].  ValueError names the field a value does not fit."""
 
     __slots__ = ()
 
@@ -202,6 +202,8 @@ class Annotation(Checked, _AnnotationRow):
                 else "non-finite"
             )
             raise ValueError(f"field 'tf': {kind} weight {weight} outside [2**-255, 2**255]")
+        if tf < 1:
+            raise ValueError(f"field 'tf': {tf} is below 1")
         return tuple.__new__(
             cls, (concept_id, lexical_form, similarity, tf, idf_value, matched_words)
         )
@@ -275,9 +277,12 @@ def annotate(
     entry weighted tf * idf of its winning form; word order does not
     matter.  A text sharing no word with the lexicon (or empty) scores -1
     on every form: an empty vector above threshold -1, every concept with
-    tf 1 at -1.  Text that is not a ``str`` raises ValueError.
+    tf 1 at -1.  Text that is not a ``str``, or a ``lexicon`` that is not
+    a :class:`~semdisc.lexicon.Lexicon`, raises ValueError.
     """
     check_str(text, "text")
+    if not isinstance(lexicon, Lexicon):
+        raise ValueError(f"lexicon {lexicon!r} is not a Lexicon")
     words = normalize(text)
     text_set = frozenset(words)
     candidates = lexicon.prefix_entries(text_set, threshold)

@@ -21,21 +21,22 @@ keeps.  A sum of one term is that term, and ``fsum`` of two or more is
 correctly rounded whatever their order, so every score equals
 ``cosine(task_vector, service.vector)`` bit for bit.
 
-:func:`rank` selects on bare floats before it touches anything else (as
-accumulator-based top-k retrieval does; Turtle & Flood, IPM 1995): it
-needs only a cut no higher than the ``top_k``-th largest score, and builds
-sort keys, names and results only for the services scoring at or above
-it.  Every one tied at the cut is kept, so the tie rules order them
-exactly as sorting every reached service would.  The cut is ``w2`` times
-the ``top_k``-th largest cosine, found by :func:`heapq.nlargest` on the
-cosines of every service the concept route reached (no cut when fewer
-than ``top_k`` were).  Every reached service scores at least
-``s_score * w2``: ``c_score * w1 >= 0``, and rounding ``a + b`` with
-``a >= 0`` never gives less than ``b``.  Rounding ``x * w2`` never
-decreases as ``x`` grows (``w2 >= 0``), so the services of the ``top_k``
-largest cosines all score at or above the cut.  A service only the
-concept route reached scores exactly ``s_score * w2``, :func:`combine`'s
-score bit for bit (``0.0 * w1 + x`` is ``x``).
+:func:`rank` combines :func:`search_by_category` and
+:func:`search_by_concepts`.  It selects on bare floats before it touches
+anything else (as accumulator-based top-k retrieval does; Turtle &
+Flood, IPM 1995): it needs only a cut no higher than the ``top_k``-th
+largest score, and builds sort keys, names and results only for the
+services scoring at or above it.  Every one tied at the cut is kept, so
+the tie rules order them exactly as sorting every reached service would.
+The cut is ``w2`` times the ``top_k``-th largest cosine, found by
+:func:`heapq.nlargest` on the cosines of every service the concept route
+reached (no cut when fewer than ``top_k`` were).  Every reached service
+scores at least ``s_score * w2``: ``c_score * w1 >= 0``, and rounding
+``a + b`` with ``a >= 0`` never gives less than ``b``.  Rounding
+``x * w2`` never decreases as ``x`` grows (``w2 >= 0``), so the services
+of the ``top_k`` largest cosines all score at or above the cut.  A service
+only the concept route reached scores exactly ``s_score * w2``,
+:func:`combine`'s score bit for bit (``0.0 * w1 + x`` is ``x``).
 
 :class:`Weights` is a checked tuple type
 (:class:`semdisc.lexicon.Checked`) and :class:`RankedResult` a plain
@@ -126,10 +127,23 @@ def search_by_category(
     return scores
 
 
-def _dot_products(task_vector: SemanticVector, index: ServiceIndex) -> dict[int, float]:
-    """The accumulator: service position -> the numerator of
-    ``cosine(task_vector, index.services[pos].vector)``, for every service
-    sharing at least one concept with the task vector."""
+def search_by_concepts(
+    task_vector: SemanticVector,
+    index: ServiceIndex,
+) -> dict[int, float]:
+    """Concept-route scores: service position -> cosine similarity.
+
+    Only services sharing at least one concept with the task vector are
+    scored; every returned score is > 0 and equals
+    ``cosine(task_vector, index.services[pos].vector)``.  The mapping is
+    new on each call and the caller's to keep.  ``task_vector`` must be a
+    :class:`SemanticVector` and ``index`` a :class:`ServiceIndex` (else
+    ValueError).  Every weight lies in [2**-255, 2**255]
+    (:class:`~semdisc.annotator.Annotation`), so every norm, and the
+    product of two, is positive and finite: no denominator is zero.
+    """
+    check_task_vector(task_vector)
+    check_index(index)
     concept_weights = index.concept_weights
     # Per reached service, task_weight * service_weight of each shared
     # concept, the terms cosine() sums: the one product of a service
@@ -153,31 +167,12 @@ def _dot_products(task_vector: SemanticVector, index: ServiceIndex) -> dict[int,
                 terms[pos] = [sums[pos], product]
     for pos, products in terms.items():
         sums[pos] = math.fsum(products)
-    return sums
-
-
-def search_by_concepts(
-    task_vector: SemanticVector,
-    index: ServiceIndex,
-) -> dict[int, float]:
-    """Concept-route scores: service position -> cosine similarity.
-
-    Only services sharing at least one concept with the task vector are
-    scored; every returned score is > 0 and equals
-    ``cosine(task_vector, index.services[pos].vector)``.  ``task_vector``
-    must be a :class:`SemanticVector` and ``index`` a :class:`ServiceIndex`
-    (else ValueError).  Every weight lies
-    in [2**-255, 2**255] (:class:`~semdisc.annotator.Annotation`), so every
-    norm, and the product of two, is positive and finite: no denominator
-    is zero.  :func:`rank` divides the same sums (:func:`_dot_products`)
-    by the same norms.
-    """
-    check_task_vector(task_vector)
-    check_index(index)
-    sums = _dot_products(task_vector, index)
+    # In place: a second dict made rank slower where tasks reach many services.
     task_norm = task_vector.norm()
     norms = index.norms
-    return {pos: total / (task_norm * norms[pos]) for pos, total in sums.items()}
+    for pos, total in sums.items():
+        sums[pos] = total / (task_norm * norms[pos])
+    return sums
 
 
 def combine(c_score: float, s_score: float, weights: Weights) -> float:
@@ -229,25 +224,19 @@ def rank(
     ``weights`` must be a :class:`Weights`, ``task_vector`` a
     :class:`SemanticVector`, ``category_matches`` a list or tuple of
     :class:`~semdisc.taxonomy.CategoryMatch` values and ``index`` a
-    :class:`ServiceIndex` (else ValueError).  Scores are
-    :func:`combine`'s.  Every reached service scores at least
+    :class:`ServiceIndex` (else ValueError).  Scores are :func:`combine`'s
+    of the two searches' scores.  Every reached service scores at least
     ``s_score * w2``, so ``w2`` times the ``top_k``-th largest cosine is a
     cut no higher than the ``top_k``-th largest score (see the module
-    docstring); only services at or above it are ordered by the full tie
-    rules.
+    docstring); only services at or above it get the full tie rules.
     """
     check_top_k(top_k)
     check_weights(weights)
-    check_task_vector(task_vector)
-    # Checks category_matches and index.
+    # Checks task_vector and index, then category_matches.
+    s_scores = search_by_concepts(task_vector, index)
     c_scores = search_by_category(category_matches, index)
-    sums = _dot_products(task_vector, index)
-    task_norm = task_vector.norm()
-    norms = index.norms
     w1, w2 = weights
-    # Cosines of every service the concept route reached, aligned with sums.
-    cosines = [total / (task_norm * norms[pos]) for pos, total in sums.items()]
-    top = heapq.nlargest(top_k, cosines)
+    top = heapq.nlargest(top_k, s_scores.values())
     # At least top_k services score at or above the cut, so every service
     # ranking among the top_k does; keeping every one tied at it keeps the
     # tie rules exact.
@@ -256,11 +245,11 @@ def rank(
     # Names are unique, so the key is a total order and pos never compares.
     keys = [
         (-(s_score * w2), -s_score, services[pos].name, pos)
-        for pos, s_score in zip(sums, cosines)
+        for pos, s_score in s_scores.items()
         if s_score * w2 >= cut and pos not in c_scores
     ]
     for pos, c_score in c_scores.items():
-        s_score = sums[pos] / (task_norm * norms[pos]) if pos in sums else 0.0
+        s_score = s_scores.get(pos, 0.0)
         score = c_score * w1 + s_score * w2
         if score >= cut:
             keys.append((-score, -s_score, services[pos].name, pos))

@@ -277,8 +277,11 @@ def build_index(
 
     Records are sorted by name before positions are assigned, so the
     result does not depend on input order; repeated names are rejected
-    by :class:`ServiceIndex`.
+    by :class:`ServiceIndex`.  A ``lexicon`` that is not a
+    :class:`~semdisc.lexicon.Lexicon` raises ValueError, even with no records.
     """
+    if not isinstance(lexicon, Lexicon):
+        raise ValueError(f"lexicon {lexicon!r} is not a Lexicon")
     ordered = sorted(records, key=lambda r: r.name)
     services = tuple(
         AnnotatedService(

@@ -122,12 +122,15 @@ def match_categories(
 
     Scores below ``min_cscore`` (an int or float in [0, 1]) are dropped; at
     most ``top_k`` (:func:`check_top_k`) are returned.  Ties break on name.
-    Task text that is not a ``str`` raises ValueError.
+    Task text that is not a ``str``, or a ``taxonomy`` that is not a
+    :class:`CategoryTaxonomy`, raises ValueError.
     """
     if type(min_cscore) not in (int, float) or not 0.0 <= min_cscore <= 1.0:
         raise ValueError(f"min_cscore {min_cscore!r} outside [0, 1]")
     check_top_k(top_k)
     check_str(task_text, "task_text")
+    if not isinstance(taxonomy, CategoryTaxonomy):
+        raise ValueError(f"taxonomy {taxonomy!r} is not a CategoryTaxonomy")
     text = normalize_string(task_text)
     chars = char_occurrences(text)
     text_blocks = blocks(text)

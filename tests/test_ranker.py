@@ -31,7 +31,7 @@ from semdisc.registry import (
     save_index,
 )
 from semdisc.requirements import parse_requirements, tasks
-from semdisc.taxonomy import CategoryMatch, CategoryTaxonomy
+from semdisc.taxonomy import CategoryMatch, CategoryTaxonomy, match_categories
 
 from conftest import DATA, vector_of
 
@@ -336,6 +336,25 @@ class TestSearchRoutes:
             expected = cosine_scores(task_vector, demo_index)
             assert search_by_concepts(task_vector, demo_index) == expected
 
+    def test_concept_route_returns_a_new_mapping(self):
+        # The cosines are written into the accumulator in place, so the
+        # accumulator must never be one of the index's own weight mappings.
+        index = ServiceIndex(
+            services=(
+                AnnotatedService(ServiceRecord("S1"), vector_of({"c0": 2.0, "c1": 3.0})),
+                AnnotatedService(ServiceRecord("S2"), vector_of({"c0": 0.5})),
+                AnnotatedService(ServiceRecord("S3"), vector_of({"c1": 4.0, "c2": 1.0})),
+            ),
+            lexicon_fingerprint="f",
+        )
+        snapshot = {c: dict(weights) for c, weights in index.concept_weights.items()}
+        for task_vector in (vector_of({"c0": 1.0}), vector_of({"c0": 1.0, "c1": 2.0})):
+            first = search_by_concepts(task_vector, index)
+            second = search_by_concepts(task_vector, index)
+            assert first == second == cosine_scores(task_vector, index)
+            assert all(first is not weights for weights in index.concept_weights.values())
+            assert index.concept_weights == snapshot
+
     @given(task_vector=vector_st, vectors=st.lists(vector_st, max_size=8))
     # Services sharing one, two and three concepts with the task, so a
     # single product, a list of two and a longer list are summed on every
@@ -476,7 +495,6 @@ class TestRank:
         c_score = 0.7
         score = c_score * 0.2
         assert low < high and low * 0.8 == high * 0.8 == score
-        # Unit-norm vectors, so each cosine is the patched dot product.
         index = ServiceIndex(
             services=(
                 AnnotatedService(ServiceRecord("S1", categories=("Cat A",)), vector_of({})),
@@ -486,7 +504,7 @@ class TestRank:
             lexicon_fingerprint="f",
         )
         monkeypatch.setattr(
-            "semdisc.ranker._dot_products", lambda task_vector, index: {1: low, 2: high}
+            "semdisc.ranker.search_by_concepts", lambda task_vector, index: {1: low, 2: high}
         )
         task = vector_of({"c": 1.0})
         shared = frozenset({"c"})
@@ -518,7 +536,8 @@ class TestRank:
             lexicon_fingerprint="f",
         )
         monkeypatch.setattr(
-            "semdisc.ranker._dot_products", lambda task_vector, index: dict(enumerate(cosines))
+            "semdisc.ranker.search_by_concepts",
+            lambda task_vector, index: dict(enumerate(cosines)),
         )
         order = [("S2", 0.7), ("S1", math.nextafter(0.7, 0.0)), ("S3", 0.5), ("S4", 0.5)]
         for top_k in range(1, 6):
@@ -611,6 +630,24 @@ class TestRank:
             with pytest.raises(ValueError, match=rf"^index {index!r} is not a ServiceIndex$"):
                 discover("protein sequences", demo_lexicon, demo_taxonomy, index)
         assert called == []
+
+    @pytest.mark.parametrize("value", [None, "lexicon.tsv", ["C1"]])
+    def test_lexicon_and_taxonomy_types(
+        self, value, demo_records, demo_lexicon, demo_taxonomy, demo_index
+    ):
+        lexicon = f"^{re.escape(f'lexicon {value!r} is not a Lexicon')}$"
+        taxonomy = f"^{re.escape(f'taxonomy {value!r} is not a CategoryTaxonomy')}$"
+        text = "protein sequences"
+        for call, message in [
+            (lambda: annotate(text, value), lexicon),
+            (lambda: build_index(demo_records, value), lexicon),
+            (lambda: build_index([], value), lexicon),
+            (lambda: discover(text, value, demo_taxonomy, demo_index), lexicon),
+            (lambda: match_categories(text, value), taxonomy),
+            (lambda: discover(text, demo_lexicon, value, demo_index), taxonomy),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                call()
 
     def test_shared_annotations(self, route_lexicon, route_index):
         from semdisc import annotate

@@ -613,6 +613,7 @@ class TestPersistence:
                 "field 'tf': out-of-range weight 1.157920892373162e+77 outside "
                 "[2**-255, 2**255]",
             ),
+            ({"tf": -3, "idf_value": -2.0}, "field 'tf': -3 is below 1"),
         ],
         ids=[
             "similarity_above_one",
@@ -630,6 +631,7 @@ class TestPersistence:
             "zero_idf_value",
             "negative_idf_value",
             "weight_above_range",
+            "negative_tf_and_idf_value",
         ],
     )
     def test_annotation_the_format_cannot_hold_is_not_built(self, fields, message):
@@ -999,6 +1001,14 @@ class TestMalformedPayload:
             ),
             (_edit_provenance(_IDF_VALUE, "8.0"), "'idf_value' has type str"),
             (_edit_provenance(_IDF_VALUE, -1.0), "non-positive weight"),
+            # A positive weight from a negative tf and a negative idf_value.
+            pytest.param(
+                _resize_provenance(
+                    lambda row: [*row[:_TF], -3, -row[_IDF_VALUE], *row[_MATCHED_WORDS:]]
+                ),
+                ": malformed index payload: annotation 0: field 'tf': -3 is below 1",
+                id="negative_tf_and_idf_value",
+            ),
             (_edit_provenance(_IDF_VALUE, math.nan), "non-finite number NaN"),
             (_edit_provenance(_SIMILARITY, -math.inf), "non-finite number -Infinity"),
             (_edit_provenance(_TF, 10**400), "int too large to convert to float"),
